@@ -17,7 +17,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, ArgumentError, StateError
-from .tensor import as_tensor4, as_matrix, as_vector, ensure_finite, flop_counter
+from .tensor import (FLOAT_DTYPES, as_tensor4, as_matrix, as_vector, ensure_finite,
+                     flop_counter)
 
 INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -50,58 +51,113 @@ _ERF_Q = (2.56852019228982242e0, 1.87295284992346047e0, 5.27905102951428412e-1,
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
+# Elements per pass. Whole-array float64 temporaries at the GLU's size
+# page-fault afresh on every call; 256 KiB ones stay in cache and are
+# reused by the allocator.
+_ERF_BLOCK = 1 << 15
+
+
 def erf(x: np.ndarray) -> np.ndarray:
     """Error function via a three-region rational minimax fit.
 
     Absolute error is below 1e-15 everywhere, comfortably inside the
-    1e-7 budget the gelu contract asks for. Evaluated in float64 and cast
-    back to the input dtype.
+    1e-7 budget the gelu contract asks for. The flattened input is taken
+    in blocks of ``_ERF_BLOCK`` elements; in each block every region's
+    elements are gathered by index, evaluated in float64 and scattered
+    back, so an element pays for its own region only. The result has the
+    input's dtype and shape (a 0-d input gives a 0-d array).
     """
     x = np.asarray(x)
+    flat = x.ravel()
+    out = np.empty(flat.shape, dtype=x.dtype)
+    for lo in range(0, flat.size, _ERF_BLOCK):
+        _erf_block(flat[lo:lo + _ERF_BLOCK], out[lo:lo + _ERF_BLOCK])
+    return out.reshape(x.shape)
+
+
+def _erf_block(x, out):
+    """erf of the 1-D block ``x`` into ``out``; NaN falls in the outer
+    region and comes out NaN."""
     xd = x.astype(np.float64, copy=False)
     y = np.abs(xd)
-    out = np.empty_like(xd)
+    inner = y <= 0.46875
+    not_outer = y <= 4.0
 
-    m1 = y <= 0.46875
-    if m1.any():
-        z = xd * xd
+    idx = np.flatnonzero(inner)
+    if idx.size:
+        xs = xd.take(idx)
+        z = xs * xs
         num = _ERF_A[4] * z
         den = z.copy()
         for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        out = np.where(m1, xd * (num + _ERF_A[3]) / (den + _ERF_B[3]), out)
+            num += _ERF_A[i]
+            num *= z
+            den += _ERF_B[i]
+            den *= z
+        num += _ERF_A[3]
+        den += _ERF_B[3]
+        xs *= num
+        xs /= den
+        out[idx] = xs
 
-    m2 = (y > 0.46875) & (y <= 4.0)
-    if m2.any():
-        ys = np.where(m2, y, 1.0)
+    idx = np.flatnonzero(inner != not_outer)
+    if idx.size:
+        ys = y.take(idx)
         num = _ERF_C[8] * ys
         den = ys.copy()
         for i in range(7):
-            num = (num + _ERF_C[i]) * ys
-            den = (den + _ERF_D[i]) * ys
-        r = (num + _ERF_C[7]) / (den + _ERF_D[7])
-        # split exp(-y^2) to keep the argument exact in the high bits
-        ysq = np.floor(ys * 16.0) / 16.0
-        r = np.exp(-ysq * ysq) * np.exp(-(ys - ysq) * (ys + ysq)) * r
-        out = np.where(m2, np.sign(xd) * (1.0 - r), out)
+            num += _ERF_C[i]
+            num *= ys
+            den += _ERF_D[i]
+            den *= ys
+        num += _ERF_C[7]
+        den += _ERF_D[7]
+        num /= den
+        out[idx] = _erf_from_scaled_erfc(xd.take(idx), ys, num)
 
-    m3 = y > 4.0
-    if m3.any():
-        ys = np.where(m3, y, 5.0)
-        z = 1.0 / (ys * ys)
+    idx = np.flatnonzero(~not_outer)
+    if idx.size:
+        ys = y.take(idx)
+        z = ys * ys
+        np.divide(1.0, z, out=z)
         num = _ERF_P[5] * z
         den = z.copy()
         for i in range(4):
-            num = (num + _ERF_P[i]) * z
-            den = (den + _ERF_Q[i]) * z
-        r = z * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-        r = (_INV_SQRT_PI - r) / ys
-        ysq = np.floor(ys * 16.0) / 16.0
-        r = np.exp(-ysq * ysq) * np.exp(-(ys - ysq) * (ys + ysq)) * r
-        out = np.where(m3, np.sign(xd) * (1.0 - r), out)
+            num += _ERF_P[i]
+            num *= z
+            den += _ERF_Q[i]
+            den *= z
+        num += _ERF_P[4]
+        den += _ERF_Q[4]
+        num *= z
+        num /= den
+        np.subtract(_INV_SQRT_PI, num, out=num)
+        num /= ys
+        out[idx] = _erf_from_scaled_erfc(xd.take(idx), ys, num)
 
-    return out.astype(x.dtype, copy=False)
+
+def _erf_from_scaled_erfc(xs, ys, r):
+    """sign(x) * (1 - exp(-y^2) * r) for y = |x|, as a new array.
+
+    exp(-y^2) is split as exp(-ysq^2) * exp(-(y - ysq)(y + ysq)) with ysq
+    = y rounded down to 1/16, which keeps the argument exact in the high
+    bits.
+    """
+    ysq = ys * 16.0
+    np.floor(ysq, out=ysq)
+    ysq /= 16.0
+    lo = ys - ysq
+    np.negative(lo, out=lo)
+    lo *= ys + ysq
+    np.exp(lo, out=lo)
+    hi = -ysq
+    hi *= ysq
+    np.exp(hi, out=hi)
+    hi *= lo
+    hi *= r
+    np.subtract(1.0, hi, out=hi)
+    hi *= np.sign(xs)
+    return hi
 
 
 # ======================================================================
@@ -246,6 +302,11 @@ def linear_forward(x, w, bias=None):
         raise DimensionError(f"input last axis {x.shape[-1]} != weight columns {n}")
     if bias is not None:
         bias = as_vector(bias, m, "bias")
+    if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
+        if w.dtype != x.dtype:
+            w = w.astype(x.dtype)
+        if bias is not None and bias.dtype != x.dtype:
+            bias = bias.astype(x.dtype)
     y = x @ w.T
     if bias is not None:
         y = y + bias
@@ -274,7 +335,10 @@ def linear_backward(gy, cache: LinearCache):
 # ======================================================================
 
 class GeluCache(NamedTuple):
+    """The input and its Gaussian CDF, 0.5 * (1 + erf(x / sqrt(2))), which
+    the forward computes anyway and the backward reuses."""
     x: np.ndarray
+    cdf: np.ndarray
 
 
 def gelu(x):
@@ -285,9 +349,13 @@ def gelu(x):
 def gelu_forward(x):
     """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate."""
     x = np.asarray(x)
-    y = 0.5 * x * (1.0 + erf(x * INV_SQRT2))
+    e1 = erf(x * INV_SQRT2)
+    e1 += 1.0
+    y = 0.5 * x
+    y *= e1
     ensure_finite(y, "gelu")
-    return y, GeluCache(x)
+    e1 *= 0.5
+    return y, GeluCache(x, e1)
 
 
 def gelu_backward(gy, cache: GeluCache):
@@ -296,9 +364,8 @@ def gelu_backward(gy, cache: GeluCache):
     gy = np.asarray(gy)
     if gy.shape != x.shape:
         raise DimensionError(f"gy shape {gy.shape} != input shape {x.shape}")
-    cdf = 0.5 * (1.0 + erf(x * INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
-    return gy * (cdf + x * pdf)
+    return gy * (cache.cdf + x * pdf)
 
 
 class SigmoidCache(NamedTuple):

@@ -3,7 +3,7 @@
 Deterministic end to end for a fixed seed: parameter init, per-epoch
 shuffling, and data synthesis all draw from the seeded generator, and the
 numerics are plain single-threaded array code. Metrics stream out as one
-JSON object per epoch; the final (or, on divergence, last finite)
+JSON object per epoch; the final (or, on divergence, last clean)
 parameters land in an ATCK checkpoint.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atck
-from .errors import ArgumentError, TrainingDiverged
+from .errors import ArgumentError, NumericError, TrainingDiverged
 from .micro import (AdamHyper, MicroConfig, MicroModel, adam_init, adam_step,
                     cross_entropy)
 from .rng import Rng
@@ -57,8 +57,11 @@ def train(model_config: MicroConfig, train_set, test_set,
     op_config tweaks only the mixer's internals (kernel modulation and
     the ablation switches); the loop itself never looks at it.
 
-    A non-finite loss aborts the run: the last finite parameters are
-    checkpointed (when a path is given) and TrainingDiverged is raised.
+    A non-finite loss, or a NumericError from a forward pass (training or
+    evaluation), the backward pass or the optimizer step, aborts the run:
+    the parameters of the last step that ran cleanly are checkpointed (when
+    a path is given) and TrainingDiverged is raised from the error, naming
+    the op that went non-finite.
     """
     settings.validate()
     dtype = np.float32 if settings.dtype == "f32" else np.float64
@@ -74,7 +77,13 @@ def train(model_config: MicroConfig, train_set, test_set,
 
     records = []
     metrics_file = open(metrics_path, "w") if metrics_path is not None else None
-    last_good = {k: v.copy() for k, v in params.items()}
+    last_good = params
+
+    def diverged(err, where):
+        if checkpoint_path is not None:
+            atck.save_atck(checkpoint_path, last_good)
+        return TrainingDiverged(f"{err} at {where}")
+
     try:
         for epoch in range(settings.epochs):
             t0 = time.perf_counter()
@@ -85,22 +94,27 @@ def train(model_config: MicroConfig, train_set, test_set,
             for lo in range(0, len(y_train), settings.batch_size):
                 idx = order[lo:lo + settings.batch_size]
                 xb, yb = x_train[idx], y_train[idx]
-                logits, cache = model.forward_cached(xb)
-                loss, dlogits = cross_entropy(logits, yb)
-                if not math.isfinite(loss):
-                    if checkpoint_path is not None:
-                        atck.save_atck(checkpoint_path, last_good)
-                    raise TrainingDiverged(
-                        f"loss became non-finite at epoch {epoch}, sample {lo}")
-                _, grads = model.backward(dlogits, cache)
-                params = adam_step(params, grads, state, settings.hyper)
+                try:
+                    logits, cache = model.forward_cached(xb)
+                    loss, dlogits = cross_entropy(logits, yb)
+                    if not math.isfinite(loss):
+                        raise NumericError("loss became non-finite")
+                    _, grads = model.backward(dlogits, cache)
+                    stepped = adam_step(params, grads, state, settings.hyper)
+                except NumericError as err:
+                    raise diverged(err, f"epoch {epoch}, sample {lo}") from err
+                # adam_step returns fresh arrays, so holding on to the
+                # previous dict keeps the last clean parameters uncopied
+                last_good, params = params, stepped
                 for name, value in params.items():
                     model.set_parameter(name, value)
                 loss_sum += loss * len(yb)
                 hit_sum += int((logits.argmax(axis=1) == yb).sum())
                 seen += len(yb)
-            last_good = {k: v.copy() for k, v in params.items()}
-            test_acc = evaluate(model, x_test, y_test)
+            try:
+                test_acc = evaluate(model, x_test, y_test)
+            except NumericError as err:
+                raise diverged(err, f"epoch {epoch}, evaluation") from err
             record = {
                 "epoch": epoch,
                 "train_loss": loss_sum / seen,

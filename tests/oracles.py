@@ -209,3 +209,89 @@ def adam_ref(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
     vhat = v / (1 - beta2**t)
     p = p - lr * (mhat / (math.sqrt(vhat) + eps) + wd * p)
     return p, m, v
+
+
+# ----------------------------------------------------------------------
+# bitwise oracles for erf and the GELU backward
+# ----------------------------------------------------------------------
+# The vectorized erf and GELU backward as they were before the regions of
+# erf were gathered and the CDF was cached in GeluCache. The rewrite keeps
+# every elementwise operation in the same order, so outputs must match
+# these bit for bit, not merely to a tolerance.
+
+_REF_ERF_A = (3.16112374387056560e0, 1.13864154151050156e2, 3.77485237685302021e2,
+              3.20937758913846947e3, 1.85777706184603153e-1)
+_REF_ERF_B = (2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+              2.84423683343917062e3)
+_REF_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e0, 6.61191906371416295e1,
+              2.98635138197400131e2, 8.81952221241769090e2, 1.71204761263407058e3,
+              2.05107837782607147e3, 1.23033935479799725e3, 2.15311535474403846e-8)
+_REF_ERF_D = (1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+              1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+              3.43936767414372164e3, 1.23033935480374942e3)
+_REF_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+              1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_REF_ERF_Q = (2.56852019228982242e0, 1.87295284992346047e0, 5.27905102951428412e-1,
+              6.05183413124413191e-2, 2.33520497626869185e-3)
+_REF_INV_SQRT_PI = 5.6418958354775628695e-1
+_REF_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_REF_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def erf_where_ref(x):
+    """erf as it was before the regions were gathered: every region runs
+    over the whole float64 array and ``np.where`` merges the results."""
+    x = np.asarray(x)
+    xd = x.astype(np.float64, copy=False)
+    y = np.abs(xd)
+    out = np.empty_like(xd)
+
+    m1 = y <= 0.46875
+    if m1.any():
+        z = xd * xd
+        num = _REF_ERF_A[4] * z
+        den = z.copy()
+        for i in range(3):
+                num = (num + _REF_ERF_A[i]) * z
+                den = (den + _REF_ERF_B[i]) * z
+        out = np.where(m1, xd * (num + _REF_ERF_A[3]) / (den + _REF_ERF_B[3]), out)
+
+    m2 = (y > 0.46875) & (y <= 4.0)
+    if m2.any():
+        ys = np.where(m2, y, 1.0)
+        num = _REF_ERF_C[8] * ys
+        den = ys.copy()
+        for i in range(7):
+                num = (num + _REF_ERF_C[i]) * ys
+                den = (den + _REF_ERF_D[i]) * ys
+        r = (num + _REF_ERF_C[7]) / (den + _REF_ERF_D[7])
+        # split exp(-y^2) to keep the argument exact in the high bits
+        ysq = np.floor(ys * 16.0) / 16.0
+        r = np.exp(-ysq * ysq) * np.exp(-(ys - ysq) * (ys + ysq)) * r
+        out = np.where(m2, np.sign(xd) * (1.0 - r), out)
+
+    m3 = y > 4.0
+    if m3.any():
+        ys = np.where(m3, y, 5.0)
+        z = 1.0 / (ys * ys)
+        num = _REF_ERF_P[5] * z
+        den = z.copy()
+        for i in range(4):
+                num = (num + _REF_ERF_P[i]) * z
+                den = (den + _REF_ERF_Q[i]) * z
+        r = z * (num + _REF_ERF_P[4]) / (den + _REF_ERF_Q[4])
+        r = (_REF_INV_SQRT_PI - r) / ys
+        ysq = np.floor(ys * 16.0) / 16.0
+        r = np.exp(-ysq * ysq) * np.exp(-(ys - ysq) * (ys + ysq)) * r
+        out = np.where(m3, np.sign(xd) * (1.0 - r), out)
+
+    return out.astype(x.dtype, copy=False)
+
+
+def gelu_backward_recompute_ref(gy, x):
+    """GELU backward that recomputes the CDF through ``erf_where_ref``."""
+    x = np.asarray(x)
+    gy = np.asarray(gy)
+    cdf = 0.5 * (1.0 + erf_where_ref(x * _REF_INV_SQRT2))
+    pdf = np.exp(-0.5 * x * x) * _REF_INV_SQRT_2PI
+    return gy * (cdf + x * pdf)

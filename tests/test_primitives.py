@@ -16,11 +16,16 @@ from atconv.primitives import (
     adaptive_avg_pool,
     adaptive_avg_pool_forward,
     conv1x1,
+    conv1x1_backward,
     conv1x1_forward,
     erf,
     gelu,
+    gelu_backward,
+    gelu_forward,
     layer_norm,
     linear,
+    linear_backward,
+    linear_forward,
     sigmoid,
     softmax,
     softmax_backward,
@@ -200,6 +205,22 @@ def test_linear_batched_shapes():
     for i in range(2):
         for j in range(3):
             assert np.allclose(y[i, j], linear_ref(x[i, j], w), atol=1e-12)
+
+
+def test_f32_input_keeps_f32_with_f64_weights():
+    rng = Rng(8)
+    x = rng.normal(0, 1, (2, 3, 4, 4), np.float32)
+    w = rng.normal(0, 1, (5, 3))
+    b = rng.normal(0, 1, (5,))
+    y, cache = linear_forward(x.transpose(0, 2, 3, 1), w, b)
+    assert y.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in linear_backward(np.ones_like(y), cache))
+    y, cache = conv1x1_forward(x, w, b)
+    assert y.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in conv1x1_backward(np.ones_like(y), cache))
+    y, cache = gelu_forward(x)
+    assert y.dtype == np.float32 and cache.cdf.dtype == np.float32
+    assert gelu_backward(np.ones_like(y), cache).dtype == np.float32
 
 
 def test_linear_rejects_mismatched_axis():

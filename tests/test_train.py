@@ -8,7 +8,7 @@ import pytest
 
 from atconv.atck import load_atck
 from atconv.data import synth_dataset
-from atconv.errors import ArgumentError, TrainingDiverged
+from atconv.errors import ArgumentError, NumericError, TrainingDiverged
 from atconv.micro import AdamHyper, MicroConfig, MicroModel
 from atconv.rng import Rng
 from atconv.train import TrainSettings, evaluate, overfit_single_sample, train
@@ -115,6 +115,42 @@ def test_divergence_saves_last_good_params(tiny_data, tmp_path, monkeypatch):
     assert "head_w" in entries
     for value in entries.values():
         assert np.isfinite(value).all()
+
+
+def test_real_divergence_ends_in_training_diverged(tiny_data, tmp_path):
+    # lr=1e12 overflows the f32 activations a few steps in: the op that
+    # goes non-finite raises NumericError inside the step, not the loss
+    train_set, test_set = tiny_data
+    ckpt = tmp_path / "rescue.atck"
+    settings = TrainSettings(epochs=3, batch_size=16, seed=10,
+                             hyper=AdamHyper(lr=1e12), dtype="f32")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as info:
+            train(TINY, train_set, test_set, settings, checkpoint_path=str(ckpt))
+    cause = info.value.__cause__
+    assert isinstance(cause, NumericError)
+    op = str(cause).split()[0]
+    assert op in str(info.value) and "non-finite" in str(info.value)
+    entries = load_atck(str(ckpt))
+    model = MicroModel.init(Rng(10), TINY, dtype=np.float32)
+    assert set(entries) == set(model.named_parameters())
+    for name, value in entries.items():
+        assert np.isfinite(value).all(), name
+        model.set_parameter(name, value)
+    # the rescued parameters are those of the last clean step: they still
+    # run forward on the training images without going non-finite
+    model.forward(train_set.images[:16].astype(np.float32))
+
+
+def test_same_seed_gives_byte_identical_checkpoints(tiny_data, tmp_path):
+    train_set, test_set = tiny_data
+    blobs = []
+    for run in range(2):
+        ckpt = tmp_path / f"run{run}.atck"
+        settings = TrainSettings(epochs=2, batch_size=16, seed=12, dtype="f32")
+        train(TINY, train_set, test_set, settings, checkpoint_path=str(ckpt))
+        blobs.append(ckpt.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_evaluate_on_known_predictions():
