@@ -15,7 +15,9 @@ round-trips to an equal dict in the same order.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 
@@ -29,7 +31,16 @@ _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 def save_atck(path, arrays: dict) -> None:
-    """Write named float arrays to ``path`` in ATCK layout."""
+    """Write named float arrays to ``path`` in ATCK layout, atomically.
+
+    The file is written and synced under a temporary name in the same
+    directory, then renamed over ``path``, and the directory is synced so
+    the new name survives a power loss. If anything fails before the
+    rename, the temporary file is removed and whatever was at ``path`` is
+    left untouched. A process killed outright (SIGKILL, power loss) before
+    the rename can leave a stray ``<path>.<pid>.<thread>.tmp`` file behind;
+    ``path`` itself is still the old file.
+    """
     entries = []
     payloads = []
     for name, arr in arrays.items():
@@ -40,12 +51,29 @@ def save_atck(path, arrays: dict) -> None:
         entries.append({"name": str(name), "dtype": dtype_name, "shape": list(arr.shape)})
         payloads.append(np.ascontiguousarray(arr).astype(_DTYPES[dtype_name]).tobytes())
     header = json.dumps({"entries": entries}).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(header)))
-        f.write(header)
-        for blob in payloads:
-            f.write(blob)
+    # unique per process and thread, so concurrent writers never share it
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(header)))
+            f.write(header)
+            for blob in payloads:
+                f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_atck(path) -> dict:

@@ -113,11 +113,14 @@ class StaticConv:
         xp = _pad_hw(x, p)
         windows = sliding_window_view(xp, (k, k), axis=(2, 3))
         gw = np.einsum("bohw,bihwuv->oiuv", gy, windows, optimize=True)
+        # one (C_in x C_out) @ (C_out x HW) BLAS matmul per tap; stacking
+        # all k^2 taps into one GEMM is no faster and k^2 times the memory
+        gyr = gy.reshape(b_, c_out, h_ * w_)
         gxp = np.zeros_like(xp)
         for u in range(k):
             for t in range(k):
-                gxp[:, :, u:u + h_, t:t + w_] += np.einsum(
-                    "oi,bohw->bihw", self.w[:, :, u, t], gy)
+                gxp[:, :, u:u + h_, t:t + w_] += np.matmul(
+                    self.w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
         gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
         gb = gy.sum(axis=(0, 2, 3)) if self.bias is not None else None
         return gx, gw, gb

@@ -237,6 +237,14 @@ def dyn_depthwise_forward(v, alpha):
 
 
 def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
+    """Gradients of ``dyn_depthwise_forward`` w.r.t. v and alpha.
+
+    Tap (u, t) reads the shifted view vpad[:, :, u:u+H, t:t+W]. Its
+    galpha[b, c, u, t] is the dot product of gy with that view over H x W,
+    reduced by ``np.einsum`` without a B x C x H x W product temporary; its
+    gv contribution, alpha[b, c, u, t] * gy, is added into the same view of
+    the padded gradient.
+    """
     if cache is None:
         from .errors import StateError
         raise StateError("dyn_depthwise_backward needs the forward cache")
@@ -253,7 +261,7 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     galpha = np.empty_like(alpha)
     for u in range(k):
         for t in range(k):
-            galpha[:, :, u, t] = (gy * vp[:, :, u:u + h_, t:t + w_]).sum(axis=(2, 3))
+            galpha[:, :, u, t] = np.einsum("bchw,bchw->bc", gy, vp[:, :, u:u + h_, t:t + w_])
             gvp[:, :, u:u + h_, t:t + w_] += alpha[:, :, u, t][:, :, None, None] * gy
     gv = gvp[:, :, p:p + h_, p:p + w_]
     return np.ascontiguousarray(gv), galpha

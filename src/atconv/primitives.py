@@ -77,7 +77,7 @@ def erf(x: np.ndarray) -> np.ndarray:
 
 def _erf_block(x, out):
     """erf of the 1-D block ``x`` into ``out``; NaN falls in the outer
-    region and comes out NaN."""
+    region and comes out NaN, +-inf comes out +-1."""
     xd = x.astype(np.float64, copy=False)
     y = np.abs(xd)
     inner = y <= 0.46875
@@ -118,6 +118,11 @@ def _erf_block(x, out):
     idx = np.flatnonzero(~not_outer)
     if idx.size:
         ys = y.take(idx)
+        infinite = np.isinf(ys)
+        if infinite.any():  # erf(+-inf) = +-1; the split exp below gives inf - inf
+            out[idx[infinite]] = np.sign(xd.take(idx[infinite]))
+            finite = ~infinite
+            idx, ys = idx[finite], ys[finite]
         z = ys * ys
         np.divide(1.0, z, out=z)
         num = _ERF_P[5] * z
@@ -192,13 +197,20 @@ def conv1x1_forward(x, w, bias=None):
     n = h_ * w_
     y = np.matmul(w, x.reshape(b_, c_in, n)).reshape(b_, c_out, h_, w_)
     if bias is not None:
-        y = y + bias[None, :, None, None]
+        y += bias[None, :, None, None]  # y is fresh and already has x's dtype
     flop_counter.add(2 * b_ * n * c_out * c_in)
     ensure_finite(y, "conv1x1")
     return np.ascontiguousarray(y), Conv1x1Cache(x, w, bias is not None)
 
 
 def conv1x1_backward(gy, cache: Conv1x1Cache):
+    """Gradients of ``conv1x1_forward`` w.r.t. x, w and the bias.
+
+    gx = w^T gy is one batched matmul. gw = sum_b gy[b] x[b]^T is one BLAS
+    matmul per sample, each written into a C_out x C_in scratch and added
+    into gw, so no B x C_out x C_in temporary is allocated. gb sums gy
+    over batch and space.
+    """
     cache = _need_cache(cache, "conv1x1")
     gy = as_tensor4(gy, "gy")
     x, w = cache.x, cache.w
@@ -209,10 +221,15 @@ def conv1x1_backward(gy, cache: Conv1x1Cache):
     n = h_ * w_
     gyr = gy.reshape(b_, c_out, n)
     xr = x.reshape(b_, c_in, n)
+    gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
+    tmp = np.empty_like(gw)
+    for gyj, xj in zip(gyr, xr):
+        np.matmul(gyj, xj.T, out=tmp)
+        gw += tmp
+    del tmp  # freed before gx, so peak memory stays that of gx and gw
     gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
-    gw = np.einsum("bon,bin->oi", gyr, xr)
     gb = gy.sum(axis=(0, 2, 3)) if cache.has_bias else None
-    return np.ascontiguousarray(gx), np.ascontiguousarray(gw), gb
+    return np.ascontiguousarray(gx), gw, gb
 
 
 # ======================================================================

@@ -295,3 +295,64 @@ def gelu_backward_recompute_ref(gy, x):
     cdf = 0.5 * (1.0 + erf_where_ref(x * _REF_INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _REF_INV_SQRT_2PI
     return gy * (cdf + x * pdf)
+
+
+# ----------------------------------------------------------------------
+# einsum and sum oracles for the BLAS backward reductions
+# ----------------------------------------------------------------------
+# conv1x1's weight gradient, StaticConv's input gradient and the dynamic
+# depthwise galpha as they were before they moved to per-sample BLAS
+# matmuls, per-tap matmuls and a product-free einsum. The summation order
+# changed, so outputs match these within a tolerance, not bit for bit.
+# conv1x1's forward is also kept with its old out-of-place bias add, which
+# the in-place add must match bit for bit.
+
+def conv1x1_forward_add_ref(x, w, bias):
+    """conv1x1 forward with the bias added out of place."""
+    b_, c_in, h_, w_ = x.shape
+    c_out = w.shape[0]
+    y = np.matmul(w, x.reshape(b_, c_in, h_ * w_)).reshape(b_, c_out, h_, w_)
+    y = y + bias[None, :, None, None]
+    return np.ascontiguousarray(y)
+
+
+def conv1x1_backward_einsum_ref(gy, x, w, has_bias):
+    """conv1x1 backward with gw from an unoptimized einsum."""
+    b_, c_in, h_, w_ = x.shape
+    c_out = w.shape[0]
+    n = h_ * w_
+    gyr = gy.reshape(b_, c_out, n)
+    xr = x.reshape(b_, c_in, n)
+    gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
+    gw = np.einsum("bon,bin->oi", gyr, xr)
+    gb = gy.sum(axis=(0, 2, 3)) if has_bias else None
+    return np.ascontiguousarray(gx), np.ascontiguousarray(gw), gb
+
+
+def static_conv_input_grad_einsum_ref(gy, x, w):
+    """StaticConv's gx from one unoptimized einsum per tap."""
+    b_, c_in, h_, w_ = x.shape
+    k, p = w.shape[-1], w.shape[-1] // 2
+    gxp = np.zeros((b_, c_in, h_ + 2 * p, w_ + 2 * p), dtype=x.dtype)
+    for u in range(k):
+        for t in range(k):
+            gxp[:, :, u:u + h_, t:t + w_] += np.einsum(
+                "oi,bohw->bihw", w[:, :, u, t], gy)
+    return np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
+
+
+def dyn_depthwise_backward_sum_ref(gy, v, alpha):
+    """dyn_depthwise backward with galpha from a full product and a sum."""
+    b_, c_, h_, w_ = v.shape
+    k = alpha.shape[2]
+    p = k // 2
+    vp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=v.dtype)
+    vp[:, :, p:p + h_, p:p + w_] = v
+    gvp = np.zeros_like(vp)
+    galpha = np.empty_like(alpha)
+    for u in range(k):
+        for t in range(k):
+            galpha[:, :, u, t] = (gy * vp[:, :, u:u + h_, t:t + w_]).sum(axis=(2, 3))
+            gvp[:, :, u:u + h_, t:t + w_] += alpha[:, :, u, t][:, :, None, None] * gy
+    gv = gvp[:, :, p:p + h_, p:p + w_]
+    return np.ascontiguousarray(gv), galpha

@@ -84,3 +84,62 @@ def test_empty_dict_roundtrip(tmp_path):
     path = tmp_path / "w.atck"
     save_atck(path, {})
     assert load_atck(path) == {}
+
+
+class _FailOnBlob:
+    """A file that writes half of ``blob`` and then fails, like a full disk."""
+
+    def __init__(self, f, blob):
+        self.f, self.blob = f, blob
+
+    def write(self, data):
+        if bytes(data) == self.blob:
+            self.f.write(self.blob[:len(self.blob) // 2])
+            raise OSError("no space left on device")
+        return self.f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    from atconv import atck
+    path = tmp_path / "w.atck"
+    save_atck(path, {"a": np.ones((4, 4))})
+    before = path.read_bytes()
+    payload = np.full((8, 8), 7.0)
+    monkeypatch.setattr(atck, "open",
+                        lambda *a, **k: _FailOnBlob(open(*a, **k), payload.tobytes()),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_atck(path, {"a": np.zeros((4, 4)), "b": payload})
+    assert path.read_bytes() == before
+    with pytest.raises(OSError, match="no space"):
+        save_atck(tmp_path / "new.atck", {"b": payload})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.atck"]
+    monkeypatch.undo()
+    save_atck(path, {"b": payload})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.atck"]
+    assert np.array_equal(load_atck(path)["b"], payload)
+
+
+def test_save_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    import os
+    import stat
+    from atconv import atck
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(atck.os, "fsync", recording_fsync)
+    save_atck(tmp_path / "w.atck", {"a": np.ones(3)})
+    assert synced == [False, True]

@@ -6,6 +6,7 @@ implementation on random input.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def test_erf_odd_and_saturating():
     x = np.linspace(0.01, 5.0, 100)
     assert np.allclose(erf(-x), -erf(x), atol=1e-16)
     assert erf(np.array([10.0]))[0] == 1.0
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_erf_of_infinity_is_plus_minus_one_without_warning(dtype):
+    x = np.array([np.inf, -np.inf, 5.0, -np.inf], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erf(x)
+        assert got.dtype == dtype
+        assert got[[0, 1, 3]].tolist() == [1.0, -1.0, -1.0]
+        assert got[2] == erf(x[2:3])[0]  # finite outer-region neighbours unchanged
+        assert erf(dtype(-np.inf)) == -1.0
 
 
 # ----------------------------------------------------------------------
