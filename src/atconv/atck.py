@@ -15,6 +15,7 @@ round-trips to an equal dict in the same order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -77,8 +78,14 @@ def save_atck(path, arrays: dict) -> None:
 
 
 def load_atck(path) -> dict:
-    """Read an ATCK file back into an ordered name -> array dict."""
+    """Read an ATCK file back into an ordered name -> array dict.
+
+    A file that ends inside its header or a declared payload raises
+    OSError; any other departure from the layout above, duplicate names and
+    trailing bytes included, raises FormatError.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = f.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -88,27 +95,32 @@ def load_atck(path) -> dict:
         version, header_len = struct.unpack("<II", head)
         if version != VERSION:
             raise FormatError(f"unsupported format version {version}")
-        header_bytes = f.read(header_len)
-        if len(header_bytes) < header_len:
+        # lengths are checked against the file size so none asks for a huge read
+        if header_len > size - f.tell():
             raise OSError("file truncated inside the JSON header")
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
-            entries = header["entries"]
-        except (ValueError, KeyError, UnicodeDecodeError) as e:
+            entries = json.loads(f.read(header_len).decode("utf-8"))["entries"]
+            if not isinstance(entries, list):
+                raise TypeError(f"entries must be a list, got {entries!r}")
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
             raise FormatError(f"malformed header: {e}") from e
         out = {}
         for entry in entries:
             try:
-                name = entry["name"]
-                dtype = _DTYPES[entry["dtype"]]
-                shape = tuple(int(s) for s in entry["shape"])
+                name, dtype, shape = entry["name"], _DTYPES[entry["dtype"]], tuple(entry["shape"])
+                if (not isinstance(name, str) or name in out
+                        or not all(type(s) is int and s >= 0 for s in shape)
+                        or math.prod(max(s, 1) for s in shape) > np.iinfo(np.int64).max):
+                    raise ValueError("want a new string name and non-negative int dims "
+                                     "whose element count fits int64")
+                nbytes = math.prod(shape) * dtype.itemsize
+                if nbytes > size - f.tell():
+                    raise OSError(f"file truncated inside payload of {name!r}")
+                # reshape raises ValueError past numpy's own dimension limits
+                arr = np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
             except (KeyError, TypeError, ValueError) as e:
-                raise FormatError(f"malformed entry {entry!r}") from e
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            blob = f.read(count * dtype.itemsize)
-            if len(blob) < count * dtype.itemsize:
-                raise OSError(f"file truncated inside payload of {name!r}")
-            out[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).astype(
-                np.float32 if entry["dtype"] == "f32" else np.float64
-            )
+                raise FormatError(f"malformed entry {entry!r}: {e}") from e
+            out[name] = arr.astype(dtype.type)
+        if f.tell() != size:
+            raise FormatError(f"{size - f.tell()} trailing bytes after the last payload")
         return out

@@ -6,7 +6,9 @@ All three share the operator protocol the analysis code relies on:
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
   the k-neighborhood, independent of the input.
-- StaticDepthwise: one static k x k kernel per channel.
+- StaticDepthwise: one static k x k kernel per channel, applied by the
+  operator's own dynamic depthwise kernel with the weights broadcast over
+  the batch.
 - ToySelfAttention: single-head dot-product attention over the flattened
   token grid with a temperature, small enough to differentiate through.
 """
@@ -20,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import op as atconv_op
 from .errors import ArgumentError, DimensionError, StateError
 from .primitives import (
     LinearCache, SoftmaxCache,
@@ -29,15 +32,6 @@ from .primitives import (
 )
 from .rng import Rng
 from .tensor import as_matrix, as_tensor4, as_vector, ensure_finite, flop_counter
-
-
-def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    b_, c_, h_, w_ = x.shape
-    xp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=x.dtype)
-    xp[:, :, p:p + h_, p:p + w_] = x
-    return xp
 
 
 def _check_kernel(w: np.ndarray, name: str) -> int:
@@ -87,11 +81,13 @@ class StaticConv:
             # a 1-tap kernel is exactly a pointwise conv; reuse that path
             y, sub = conv1x1_forward(x, self.w[:, :, 0, 0], self.bias)
             return y, StaticConvCache(x, sub)
-        xp = _pad_hw(x, self.k // 2)
+        # weights and bias take a float input's dtype, as in conv1x1_forward
+        w = self.w.astype(x.dtype, copy=False)
+        xp = atconv_op.pad_hw(x, self.k // 2)
         windows = sliding_window_view(xp, (self.k, self.k), axis=(2, 3))
-        y = np.einsum("oiuv,bihwuv->bohw", self.w, windows, optimize=True)
+        y = np.einsum("oiuv,bihwuv->bohw", w, windows, optimize=True)
         if self.bias is not None:
-            y = y + self.bias[None, :, None, None]
+            y = y + self.bias.astype(x.dtype, copy=False)[None, :, None, None]
         b_, _, h_, w_ = x.shape
         flop_counter.add(2 * b_ * h_ * w_ * self.w.size)
         ensure_finite(y, "static_conv")
@@ -110,17 +106,18 @@ class StaticConv:
         if gy.shape != (b_, c_out, h_, w_):
             raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
         k, p = self.k, self.k // 2
-        xp = _pad_hw(x, p)
+        xp = atconv_op.pad_hw(x, p)
         windows = sliding_window_view(xp, (k, k), axis=(2, 3))
         gw = np.einsum("bohw,bihwuv->oiuv", gy, windows, optimize=True)
         # one (C_in x C_out) @ (C_out x HW) BLAS matmul per tap; stacking
         # all k^2 taps into one GEMM is no faster and k^2 times the memory
+        w = self.w.astype(x.dtype, copy=False)
         gyr = gy.reshape(b_, c_out, h_ * w_)
         gxp = np.zeros_like(xp)
         for u in range(k):
             for t in range(k):
                 gxp[:, :, u:u + h_, t:t + w_] += np.matmul(
-                    self.w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
+                    w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
         gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
         gb = gy.sum(axis=(0, 2, 3)) if self.bias is not None else None
         return gx, gw, gb
@@ -133,12 +130,12 @@ class StaticConv:
 # static depthwise convolution
 # ======================================================================
 
-class StaticDepthwiseCache(NamedTuple):
-    x: np.ndarray
-
-
 class StaticDepthwise:
-    """y[b,c,h,w] = sum_{u,v} w[c,u,v] * xpad[b,c,h+u,w+v]"""
+    """y[b,c,h,w] = sum_{u,v} w[c,u,v] * xpad[b,c,h+u,w+v]
+
+    The dynamic depthwise kernel with ``w`` broadcast over the batch; the
+    weight gradient is its per-sample kernel gradient summed over the batch.
+    """
 
     def __init__(self, w: np.ndarray):
         w = np.asarray(w)
@@ -157,35 +154,16 @@ class StaticDepthwise:
 
     def forward_cached(self, x):
         x = as_tensor4(x)
-        if x.shape[1] != self.w.shape[0]:
+        b_, c_, _, _ = x.shape
+        if c_ != self.w.shape[0]:
             raise DimensionError(
-                f"input has {x.shape[1]} channels, weights expect {self.w.shape[0]}")
-        xp = _pad_hw(x, self.k // 2)
-        windows = sliding_window_view(xp, (self.k, self.k), axis=(2, 3))
-        y = np.einsum("cuv,bchwuv->bchw", self.w, windows, optimize=True)
-        b_, c_, h_, w_ = x.shape
-        flop_counter.add(2 * b_ * h_ * w_ * self.w.size)
-        ensure_finite(y, "static_depthwise")
-        return np.ascontiguousarray(y), StaticDepthwiseCache(x)
+                f"input has {c_} channels, weights expect {self.w.shape[0]}")
+        alpha = np.broadcast_to(self.w.astype(x.dtype, copy=False), (b_, c_, self.k, self.k))
+        return atconv_op.dyn_depthwise_forward(x, alpha)
 
-    def backward(self, gy, cache: StaticDepthwiseCache):
-        if cache is None:
-            raise StateError("static depthwise backward needs the forward cache")
-        gy = as_tensor4(gy, "gy")
-        x = cache.x
-        if gy.shape != x.shape:
-            raise DimensionError(f"gy shape {gy.shape} != output shape {x.shape}")
-        b_, c_, h_, w_ = x.shape
-        k, p = self.k, self.k // 2
-        xp = _pad_hw(x, p)
-        windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-        gw = np.einsum("bchw,bchwuv->cuv", gy, windows, optimize=True)
-        gxp = np.zeros_like(xp)
-        for u in range(k):
-            for t in range(k):
-                gxp[:, :, u:u + h_, t:t + w_] += self.w[:, u, t][None, :, None, None] * gy
-        gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
-        return gx, gw
+    def backward(self, gy, cache: atconv_op.DynDepthwiseCache):
+        gx, galpha = atconv_op.dyn_depthwise_backward(gy, cache)
+        return gx, galpha.sum(axis=0)
 
     def input_backward(self, gy, cache):
         return self.backward(gy, cache)[0]

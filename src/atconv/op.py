@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import atck
-from .errors import ArgumentError, DimensionError, UnsupportedConfigError
+from .errors import ArgumentError, DimensionError, StateError, UnsupportedConfigError
 from .primitives import (
     Conv1x1Cache, GeluCache, LinearCache, PoolCache, SoftmaxCache,
     adaptive_avg_pool_backward, adaptive_avg_pool_forward,
@@ -197,6 +197,16 @@ class ATConvConfig:
 # dynamic depthwise aggregation
 # ======================================================================
 
+def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
+    """``x`` zero-padded by ``p`` on both sides of H and W."""
+    if p == 0:
+        return x
+    b_, c_, h_, w_ = x.shape
+    xp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h_, p:p + w_] = x
+    return xp
+
+
 class DynDepthwiseCache(NamedTuple):
     v: np.ndarray
     alpha: np.ndarray
@@ -224,9 +234,7 @@ def dyn_depthwise_forward(v, alpha):
             f"alpha shape {alpha.shape} incompatible with input {v.shape}")
     if k % 2 == 0:
         raise ArgumentError(f"kernel side must be odd, got {k}")
-    p = k // 2
-    vp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=v.dtype)
-    vp[:, :, p:p + h_, p:p + w_] = v
+    vp = pad_hw(v, k // 2)
     y = np.zeros_like(v)
     for u in range(k):
         for t in range(k):
@@ -246,7 +254,6 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     the padded gradient.
     """
     if cache is None:
-        from .errors import StateError
         raise StateError("dyn_depthwise_backward needs the forward cache")
     v, alpha = cache
     gy = as_tensor4(gy, "gy")
@@ -255,8 +262,7 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     b_, c_, h_, w_ = v.shape
     k = alpha.shape[2]
     p = k // 2
-    vp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=v.dtype)
-    vp[:, :, p:p + h_, p:p + w_] = v
+    vp = pad_hw(v, p)
     gvp = np.zeros_like(vp)
     galpha = np.empty_like(alpha)
     for u in range(k):
@@ -300,7 +306,6 @@ def generate_kernels_forward(x, params: ATConvParams):
 
 def generate_kernels_backward(graw, cache: C2KCache):
     if cache is None:
-        from .errors import StateError
         raise StateError("generate_kernels_backward needs the forward cache")
     graw = np.asarray(graw)
     b_, c_, k, _ = graw.shape
@@ -349,7 +354,6 @@ def dkm_forward(raw, gamma, lambda_override=None):
 
 def dkm_backward(galpha, cache: DkmCache):
     if cache is None:
-        from .errors import StateError
         raise StateError("dkm_backward needs the forward cache")
     galpha = np.asarray(galpha)
     mean, lam, gamma_active = cache
@@ -462,7 +466,6 @@ def atconv_backward(gy, cache: ATConvCache):
     parameters when the generator is off.
     """
     if cache is None:
-        from .errors import StateError
         raise StateError("atconv_backward needs the forward cache")
     gy = as_tensor4(gy, "gy")
     grads = {}

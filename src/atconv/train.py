@@ -21,6 +21,7 @@ from .errors import ArgumentError, NumericError, TrainingDiverged
 from .micro import (AdamHyper, MicroConfig, MicroModel, adam_init, adam_step,
                     cross_entropy)
 from .rng import Rng
+from .tensor import ensure_finite
 
 
 @dataclass
@@ -57,7 +58,8 @@ def train(model_config: MicroConfig, train_set, test_set,
     op_config tweaks only the mixer's internals (kernel modulation and
     the ablation switches); the loop itself never looks at it.
 
-    A non-finite loss, or a NumericError from a forward pass (training or
+    A non-finite loss or stepped parameter (gamma = +inf passes every
+    forward), or a NumericError from a forward pass (training or
     evaluation), the backward pass or the optimizer step, aborts the run:
     the parameters of the last step that ran cleanly are checkpointed (when
     a path is given) and TrainingDiverged is raised from the error, naming
@@ -101,6 +103,8 @@ def train(model_config: MicroConfig, train_set, test_set,
                         raise NumericError("loss became non-finite")
                     _, grads = model.backward(dlogits, cache)
                     stepped = adam_step(params, grads, state, settings.hyper)
+                    for name, value in stepped.items():
+                        ensure_finite(value, f"adam_step({name})")
                 except NumericError as err:
                     raise diverged(err, f"epoch {epoch}, sample {lo}") from err
                 # adam_step returns fresh arrays, so holding on to the

@@ -8,6 +8,7 @@ the shapes tiny; these are O(everything).
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv1x1_ref(x, w, bias=None):
@@ -356,3 +357,47 @@ def dyn_depthwise_backward_sum_ref(gy, v, alpha):
             gvp[:, :, u:u + h_, t:t + w_] += alpha[:, :, u, t][:, :, None, None] * gy
     gv = gvp[:, :, p:p + h_, p:p + w_]
     return np.ascontiguousarray(gv), galpha
+
+
+# ----------------------------------------------------------------------
+# the window-einsum static depthwise conv
+# ----------------------------------------------------------------------
+# StaticDepthwise's forward and backward before it ran through the dynamic
+# depthwise kernel with a broadcast weight, copied verbatim (as functions
+# of the weight ``w``, with the padding helper inlined). The einsums sum in
+# another order than the shift-and-add kernel, so outputs match these
+# within a tolerance, not bit for bit.
+
+def _pad_hw_ref(x, p):
+    if p == 0:
+        return x
+    b_, c_, h_, w_ = x.shape
+    xp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + h_, p:p + w_] = x
+    return xp
+
+
+def static_depthwise_window_forward_ref(x, w):
+    """StaticDepthwise's y from one einsum over materialised windows."""
+    k = w.shape[-1]
+    xp = _pad_hw_ref(x, k // 2)
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+    y = np.einsum("cuv,bchwuv->bchw", w, windows, optimize=True)
+    return np.ascontiguousarray(y)
+
+
+def static_depthwise_window_backward_ref(gy, x, w):
+    """StaticDepthwise's (gx, gw): gw from a window einsum, gx from a
+    hand-rolled loop over the taps."""
+    b_, c_, h_, w_ = x.shape
+    k = w.shape[-1]
+    p = k // 2
+    xp = _pad_hw_ref(x, p)
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+    gw = np.einsum("bchw,bchwuv->cuv", gy, windows, optimize=True)
+    gxp = np.zeros_like(xp)
+    for u in range(k):
+        for t in range(k):
+            gxp[:, :, u:u + h_, t:t + w_] += w[:, u, t][None, :, None, None] * gy
+    gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
+    return gx, gw

@@ -1,5 +1,6 @@
 """Checkpoint container round-trips and failure modes."""
 
+import json
 import struct
 
 import numpy as np
@@ -143,3 +144,125 @@ def test_save_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(atck.os, "fsync", recording_fsync)
     save_atck(tmp_path / "w.atck", {"a": np.ones(3)})
     assert synced == [False, True]
+
+
+# ----------------------------------------------------------------------
+# malformed files
+# ----------------------------------------------------------------------
+
+def _write_raw(path, entries, payload=b""):
+    """An ATCK file with a hand-written entry list and payload."""
+    header = json.dumps({"entries": entries}).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header)) + header + payload)
+
+
+MALFORMED = {
+    "negative_dim": ([{"name": "a", "dtype": "f64", "shape": [-1, 4]}], b""),
+    "count_overflows_int64": ([{"name": "a", "dtype": "f64", "shape": [2**32, 2**32]}], b""),
+    "zero_size_count_overflows_int64": (
+        [{"name": "a", "dtype": "f64", "shape": [0, 2**62, 2**62]}], b""),
+    "too_many_dims": ([{"name": "a", "dtype": "f64", "shape": [0] * 100}], b""),
+    "float_dim": ([{"name": "a", "dtype": "f64", "shape": [2.0]}], bytes(16)),
+    "string_shape": ([{"name": "a", "dtype": "f64", "shape": "2"}], bytes(16)),
+    "bool_dim": ([{"name": "a", "dtype": "f64", "shape": [True]}], bytes(8)),
+    "entries_int": (5, b""),
+    "entries_object": ({"name": "a"}, b""),
+    "entry_int": ([5], b""),
+    "name_int": ([{"name": 5, "dtype": "f64", "shape": [1]}], bytes(8)),
+    "dtype_list": ([{"name": "a", "dtype": ["f64"], "shape": [1]}], bytes(8)),
+    "duplicate_name": ([{"name": "a", "dtype": "f64", "shape": [1]},
+                        {"name": "a", "dtype": "f64", "shape": [1]}], bytes(16)),
+    "trailing_byte": ([{"name": "a", "dtype": "f64", "shape": [1]}], bytes(9)),
+    "trailing_byte_no_entries": ([], b"\x00"),
+}
+
+
+@pytest.mark.parametrize("entries, payload", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_entries_are_format_errors(tmp_path, entries, payload):
+    path = tmp_path / "w.atck"
+    _write_raw(path, entries, payload)
+    with pytest.raises(FormatError):
+        load_atck(path)
+
+
+@pytest.mark.parametrize("header", [b"[1]", b"5", b'"entries"', b"[" * 100000],
+                         ids=["list", "int", "string", "deeply_nested"])
+def test_header_that_is_not_an_object_is_format_error(tmp_path, header):
+    path = tmp_path / "w.atck"
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header)) + header)
+    with pytest.raises(FormatError):
+        load_atck(path)
+
+
+def test_lengths_past_the_end_of_file_are_os_errors(tmp_path):
+    path = tmp_path / "w.atck"
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 2**32 - 1) + b"{}")
+    with pytest.raises(OSError, match="header"):
+        load_atck(path)
+    _write_raw(path, [{"name": "a", "dtype": "f64", "shape": [2**40]}], bytes(8))
+    with pytest.raises(OSError, match="payload"):
+        load_atck(path)
+
+
+def _same(a, b):
+    return list(a) == list(b) and all(
+        a[k].dtype == b[k].dtype and a[k].shape == b[k].shape
+        and a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_corruption_fuzz(tmp_path):
+    """Flip, truncate and append bytes on a saved file.
+
+    Truncation and appended bytes are always rejected. A flipped byte may
+    still load cleanly: ATCK has no checksum, so a flip in a payload value
+    or a name letter reads as what the bytes now say, and one in the JSON
+    whitespace reads as the original. A clean load must be one of those
+    two: the original dict, or a dict that saves back to the corrupted
+    file byte for byte. Anything else must be FormatError or OSError.
+    """
+    rng = Rng(20)
+    arrays = {
+        "a": rng.normal(0, 1, (3, 4)),
+        "c": rng.normal(0, 1, (5,)).astype(np.float32),
+        "blocks.0.gamma": rng.normal(0, 1, (2, 1, 2)),
+        "empty": np.zeros((0, 3)),
+    }
+    path = tmp_path / "w.atck"
+    save_atck(path, arrays)
+    blob = path.read_bytes()
+    assert _same(load_atck(path), arrays)
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    resaved = tmp_path / "resaved.atck"
+    cases = []
+    for i in rng.integers(header_end, (300,)):  # flips where the loader parses
+        cases.append(("flip", int(i)))
+    for i in rng.integers(len(blob), (100,)):  # flips anywhere
+        cases.append(("flip", int(i)))
+    cases += [("truncate", int(n)) for n in rng.integers(len(blob), (60,))]
+    cases += [("append", int(n) + 1) for n in rng.integers(16, (40,))]
+    masks = rng.integers(255, (len(cases),)) + 1
+    outcomes = {"equal": 0, "faithful": 0, "rejected": 0}
+    for (kind, n), mask in zip(cases, masks):
+        if kind == "flip":
+            bad = bytearray(blob)
+            bad[n] ^= int(mask)
+            bad = bytes(bad)
+        elif kind == "truncate":
+            bad = blob[:n]
+        else:
+            bad = blob + rng.integers(256, (n,)).astype(np.uint8).tobytes()
+        path.write_bytes(bad)
+        try:
+            got = load_atck(path)
+        except (FormatError, OSError):
+            outcomes["rejected"] += 1
+            continue
+        assert kind == "flip", f"{kind} {n} loaded cleanly"
+        if _same(got, arrays):
+            outcomes["equal"] += 1
+            continue
+        save_atck(resaved, got)
+        assert resaved.read_bytes() == bad, f"flip at {n} by {int(mask):#x}"
+        outcomes["faithful"] += 1
+    # the seed reaches both clean loads and rejections
+    assert outcomes["faithful"] > 0 and outcomes["rejected"] > 0, outcomes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from atconv import op as atconv_op
 from atconv.baselines import (
     IdentityOp,
     StaticConv,
@@ -15,7 +16,13 @@ from atconv.errors import ArgumentError, DimensionError
 from atconv.op import ATConv, ATConvParams, dyn_depthwise
 from atconv.primitives import conv1x1, softmax
 from atconv.rng import Rng
-from oracles import attention_ref, conv2d_ref, depthwise_ref
+from oracles import (
+    attention_ref,
+    conv2d_ref,
+    depthwise_ref,
+    static_depthwise_window_backward_ref,
+    static_depthwise_window_forward_ref,
+)
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +95,63 @@ def test_static_depthwise_box_kernel():
 def test_static_depthwise_zero_kernel():
     x = Rng(86).normal(0, 1, (1, 2, 4, 4))
     assert np.abs(StaticDepthwise(np.zeros((2, 3, 3))).forward(x)).max() == 0.0
+
+
+# StaticDepthwise runs through the dynamic depthwise kernel with its weight
+# broadcast over the batch. (B, C, H, W, k): B=1, and a batch with k=5.
+FOLD_SHAPES = ((1, 3, 5, 6, 3), (3, 4, 7, 6, 5))
+
+
+def rel_err(got, ref):
+    assert got.shape == ref.shape
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_static_depthwise_matches_window_einsum_form(shape):
+    b_, c_, h_, w_, k = shape
+    rng = Rng(sum(shape))
+    op = StaticDepthwise.init(rng, c_, k)
+    x = rng.normal(0, 1, (b_, c_, h_, w_))
+    gy = rng.normal(0, 1, (b_, c_, h_, w_))
+    y, cache = op.forward_cached(x)
+    gx, gw = op.backward(gy, cache)
+    ref_gx, ref_gw = static_depthwise_window_backward_ref(gy, x, op.w)
+    for got, ref in ((y, static_depthwise_window_forward_ref(x, op.w)),
+                     (gx, ref_gx), (gw, ref_gw)):
+        assert got.dtype == np.float64
+        assert rel_err(got, ref) < 1e-12
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_static_depthwise_weight_grad_is_adjoint(shape):
+    # y is linear in w, so <depthwise(x, w), gy> = <w, gw>
+    b_, c_, h_, w_, k = shape
+    rng = Rng(sum(shape) + 1)
+    op = StaticDepthwise.init(rng, c_, k)
+    x = rng.normal(0, 1, (b_, c_, h_, w_))
+    gy = rng.normal(0, 1, (b_, c_, h_, w_))
+    _, gw = op.backward(gy, op.forward_cached(x)[1])
+    y = depthwise_ref(x, op.w)
+    scale = np.abs(y * gy).sum() + np.abs(op.w * gw).sum()
+    assert abs(np.vdot(y, gy) - np.vdot(op.w, gw)) / scale < 1e-12
+
+
+def test_static_depthwise_runs_through_the_dynamic_kernel(monkeypatch):
+    calls = []
+    for name in ("dyn_depthwise_forward", "dyn_depthwise_backward"):
+        real = getattr(atconv_op, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(atconv_op, name, counted)
+    op = StaticDepthwise.init(Rng(87), 2)
+    x = Rng(88).normal(0, 1, (2, 2, 4, 4))
+    y, cache = op.forward_cached(x)
+    op.backward(np.ones_like(y), cache)
+    assert calls == ["dyn_depthwise_forward", "dyn_depthwise_backward"]
 
 
 # ----------------------------------------------------------------------

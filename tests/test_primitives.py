@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from atconv.baselines import StaticConv, StaticDepthwise
 from atconv.errors import ArgumentError, DimensionError, NumericError, StateError
 from atconv.primitives import (
     _pool_bounds,
@@ -234,6 +235,11 @@ def test_f32_input_keeps_f32_with_f64_weights():
     y, cache = gelu_forward(x)
     assert y.dtype == np.float32 and cache.cdf.dtype == np.float32
     assert gelu_backward(np.ones_like(y), cache).dtype == np.float32
+    # the static baselines, initialised with their default f64 weights
+    for op in (StaticConv.init(rng, 5, 3, 3), StaticDepthwise.init(rng, 3, 3)):
+        y, cache = op.forward_cached(x)
+        assert y.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in op.backward(np.ones_like(y), cache))
 
 
 def test_linear_rejects_mismatched_axis():

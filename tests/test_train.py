@@ -142,6 +142,36 @@ def test_real_divergence_ends_in_training_diverged(tiny_data, tmp_path):
     model.forward(train_set.images[:16].astype(np.float32))
 
 
+def test_non_finite_parameter_after_a_step_ends_in_training_diverged(tiny_data, tmp_path,
+                                                                     monkeypatch):
+    # gamma = +inf passes every forward (sigmoid(inf) = 1), so only a check
+    # of the stepped parameters keeps it out of the final checkpoint
+    train_set, test_set = tiny_data
+    ckpt = tmp_path / "rescue.atck"
+    real_step = train_mod.adam_step
+    entered = []
+
+    def poisoned(params, grads, state, hyper):
+        entered.append(params)
+        out = real_step(params, grads, state, hyper)
+        if len(entered) == 4:
+            out["blocks.0.mixer.gamma"] = np.full_like(out["blocks.0.mixer.gamma"], np.inf)
+        return out
+
+    monkeypatch.setattr(train_mod, "adam_step", poisoned)
+    settings = TrainSettings(epochs=2, batch_size=16, seed=13, dtype="f64")
+    with pytest.raises(TrainingDiverged, match=r"blocks\.0\.mixer\.gamma") as info:
+        train(TINY, train_set, test_set, settings, checkpoint_path=str(ckpt))
+    assert isinstance(info.value.__cause__, NumericError)
+    assert len(entered) == 4
+    # the rescue is the last clean parameters the loop kept: those that
+    # entered the step before the poisoned one
+    entries = load_atck(str(ckpt))
+    assert list(entries) == list(entered[2])
+    for name, value in entries.items():
+        assert np.array_equal(value, entered[2][name]), name
+
+
 def test_same_seed_gives_byte_identical_checkpoints(tiny_data, tmp_path):
     train_set, test_set = tiny_data
     blobs = []
