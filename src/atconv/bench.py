@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
 from .complexity import ShapeSpec, memory
-from .errors import ArgumentError
-from .gradcheck import DEFAULT_TOL, check_vjp
-from .micro import AdamHyper, adam_init, adam_step
-from .op import ATConv, ATConvConfig, ATConvParams, atconv_forward, atconv_forward_cached, atconv_backward
+from .errors import ArgumentError, NumericError
+from .gradcheck import DEFAULT_TOL, atconv_check, check_pair
+from .micro import AdamHyper, adam_init
+from .op import ATConv, ATConvConfig, ATConvParams
 from .rng import Rng
+from .train import step
 
 CSV_HEADER = "operator,H,lat_med_ms,lat_p10_ms,lat_p90_ms,peak_bytes_measured,peak_bytes_model"
 
@@ -239,72 +240,26 @@ def stage_param_count(config: ATConvConfig, channels: int, kernel: int) -> int:
     return n
 
 
-def _gradcheck_stage(config: ATConvConfig, kernel: int, seed: int) -> float:
-    """Finite-difference check of the stage's full backward on a small twin."""
-    channels = 3
-    rng = Rng(seed)
-    params = ATConvParams.init(rng, channels, kernel)
-    x = rng.normal(0.0, 1.0, (1, channels, 5, 5))
-    if not config.use_kernel_generator:
-        bound = 1.0 / (kernel * kernel)
-        config = replace(config, static_kernel=rng.uniform(
-            -bound, bound, (channels, kernel * kernel)))
-
-    def forward(**arrays):
-        p = ATConvParams(
-            **{k: arrays[k] for k in ("w_f", "w_f_bias", "w_gen", "gamma",
-                                      "w_value", "w_value_bias", "w_out", "w_out_bias")},
-            kernel_size=kernel)
-        cfg = config
-        if "static_kernel" in arrays:
-            cfg = replace(config, static_kernel=arrays["static_kernel"])
-        return atconv_forward(arrays["x"], p, cfg)
-
-    def vjp(gy, **arrays):
-        p = ATConvParams(
-            **{k: arrays[k] for k in ("w_f", "w_f_bias", "w_gen", "gamma",
-                                      "w_value", "w_value_bias", "w_out", "w_out_bias")},
-            kernel_size=kernel)
-        cfg = config
-        if "static_kernel" in arrays:
-            cfg = replace(config, static_kernel=arrays["static_kernel"])
-        _, cache = atconv_forward_cached(arrays["x"], p, cfg)
-        gx, grads = atconv_backward(gy, cache)
-        grads["x"] = gx
-        return grads
-
-    inputs = {"x": x, **params.named()}
-    if not config.use_kernel_generator:
-        inputs["static_kernel"] = config.static_kernel
-    report = check_vjp(forward, inputs, vjp, seed_rng=np.random.default_rng(seed))
-    return report["max"]
+def _mse(y, target):
+    diff = y - target
+    return float((diff * diff).mean()), 2.0 * diff / diff.size
 
 
 def _softmax_probe(channels: int, kernel: int, seed: int, steps: int = 100) -> bool:
     """Short regression probe; True if the loss diverged (grew or went
     non-finite). Recorded as an observation, not asserted."""
     rng = Rng(seed)
-    params = ATConvParams.init(rng, channels, kernel)
-    config = ATConvConfig(kernel_mod="softmax")
+    op = ATConv(ATConvParams.init(rng, channels, kernel), ATConvConfig(kernel_mod="softmax"))
     x = rng.normal(0.0, 1.0, (2, channels, 8, 8))
     target = rng.normal(0.0, 1.0, (2, channels, 8, 8))
-    flat = params.named()
-    state = adam_init(flat)
+    params = op.named_parameters()
+    state = adam_init(params)
     hyper = AdamHyper(lr=0.05, weight_decay=0.0)
-    first = None
-    loss = None
-    for _ in range(steps):
-        p = ATConvParams(**flat, kernel_size=kernel)
-        y, cache = atconv_forward_cached(x, p, config)
-        diff = y - target
-        loss = float((diff * diff).mean())
-        if not np.isfinite(loss):
-            return True
-        if first is None:
-            first = loss
-        _, grads = atconv_backward(2.0 * diff / diff.size, cache)
-        flat = adam_step(flat, grads, state, hyper)
-    return bool(loss > first)
+    try:
+        losses = [step(op, x, target, _mse, params, state, hyper)[0] for _ in range(steps)]
+    except NumericError:
+        return True
+    return losses[-1] > losses[0]
 
 
 def run_ablation(channels: int = 64, kernel: int = 3, seed: int = 0,
@@ -329,7 +284,7 @@ def run_ablation(channels: int = 64, kernel: int = 3, seed: int = 0,
                 lats.append((time.perf_counter_ns() - t0) / 1e6)
             fwd_ms = float(np.percentile(lats, 50))
         small_cfg = _stage_config(stage, 3, kernel, Rng(seed + 1), np.float64)
-        err = _gradcheck_stage(small_cfg, kernel, seed)
+        err = check_pair(*atconv_check(small_cfg, kernel, seed))["max"]
         probe = ""
         if stage == "mod=softmax" and not dry_run:
             probe = "true" if _softmax_probe(8, kernel, seed) else "false"

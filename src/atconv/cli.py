@@ -10,29 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
                         ToySelfAttention)
-from .bench import (BenchSettings, _gradcheck_stage, ablation_to_csv,
-                    run_ablation, run_bench, rows_to_csv)
+from .bench import (BenchSettings, ablation_to_csv, run_ablation, run_bench,
+                    rows_to_csv)
 from .complexity import ShapeSpec, report
 from .data import IdxDataset, synth_dataset
 from .errors import ArgumentError
-from .gradcheck import DEFAULT_STEP, DEFAULT_TOL, check_vjp
-from .micro import AdamHyper, GluParams, MicroConfig, glu_backward, glu_forward
-from .op import (ATConv, ATConvConfig, ATConvParams, KERNEL_MODS,
-                 central_diff_backward, central_diff_mod, dkm_backward,
-                 dkm_forward, dyn_depthwise_backward, dyn_depthwise_forward,
-                 generate_kernels_backward, generate_kernels_forward)
-from .primitives import (adaptive_avg_pool_backward, adaptive_avg_pool_forward,
-                         conv1x1_backward, conv1x1_forward, gelu_backward,
-                         gelu_forward, layer_norm_backward, layer_norm_forward,
-                         linear_backward, linear_forward, sigmoid_backward,
-                         sigmoid_forward, softmax_backward, softmax_forward)
+from .gradcheck import DEFAULT_TOL, gradcheck_report
+from .micro import AdamHyper, MicroConfig
+from .op import ATConv, ATConvConfig, ATConvParams, KERNEL_MODS
 from .rng import Rng
 from .train import TrainSettings, train
 from . import analysis
@@ -87,175 +78,6 @@ def _print_json(obj, out_path) -> None:
 # ======================================================================
 # gradcheck
 # ======================================================================
-
-def gradcheck_report(seed: int = 0, tol: float = DEFAULT_TOL) -> dict:
-    """Finite-difference audit of every primitive plus the full operator."""
-    rng = Rng(seed)
-    nprng = np.random.default_rng(seed)
-    checks = {}
-
-    x = rng.normal(0.0, 1.0, (2, 3, 4, 4))
-    w = rng.normal(0.0, 0.5, (5, 3))
-    b = rng.normal(0.0, 0.5, (5,))
-
-    def conv_f(x, w, b):
-        return conv1x1_forward(x, w, b)[0]
-
-    def conv_v(gy, x, w, b):
-        _, c = conv1x1_forward(x, w, b)
-        gx, gw, gb = conv1x1_backward(gy, c)
-        return {"x": gx, "w": gw, "b": gb}
-
-    checks["conv1x1"] = check_vjp(conv_f, {"x": x, "w": w, "b": b}, conv_v, nprng)["max"]
-
-    xp = rng.normal(0.0, 1.0, (2, 3, 5, 5))
-
-    def pool_v(gy, x):
-        _, c = adaptive_avg_pool_forward(x, 3)
-        return {"x": adaptive_avg_pool_backward(gy, c)}
-
-    checks["adaptive_avg_pool"] = check_vjp(
-        lambda x: adaptive_avg_pool_forward(x, 3)[0], {"x": xp}, pool_v, nprng)["max"]
-
-    xl = rng.normal(0.0, 1.0, (4, 6))
-    wl = rng.normal(0.0, 0.5, (3, 6))
-    bl = rng.normal(0.0, 0.5, (3,))
-
-    def lin_v(gy, x, w, b):
-        _, c = linear_forward(x, w, b)
-        gx, gw, gb = linear_backward(gy, c)
-        return {"x": gx, "w": gw, "b": gb}
-
-    checks["linear"] = check_vjp(lambda x, w, b: linear_forward(x, w, b)[0],
-                                 {"x": xl, "w": wl, "b": bl}, lin_v, nprng)["max"]
-
-    xe = rng.normal(0.0, 1.5, (3, 7))
-
-    def gelu_v(gy, x):
-        _, c = gelu_forward(x)
-        return {"x": gelu_backward(gy, c)}
-
-    checks["gelu"] = check_vjp(lambda x: gelu_forward(x)[0], {"x": xe}, gelu_v, nprng)["max"]
-
-    def sig_v(gy, x):
-        _, c = sigmoid_forward(x)
-        return {"x": sigmoid_backward(gy, c)}
-
-    checks["sigmoid"] = check_vjp(lambda x: sigmoid_forward(x)[0], {"x": xe}, sig_v, nprng)["max"]
-
-    xs = rng.normal(0.0, 1.0, (4, 9))
-
-    def sm_v(gy, x):
-        _, c = softmax_forward(x, axis=-1)
-        return {"x": softmax_backward(gy, c)}
-
-    checks["softmax"] = check_vjp(lambda x: softmax_forward(x, axis=-1)[0],
-                                  {"x": xs}, sm_v, nprng)["max"]
-
-    xn = rng.normal(0.0, 1.0, (2, 5, 3, 3))
-    gain = rng.uniform(0.5, 1.5, (5,))
-    offset = rng.normal(0.0, 0.5, (5,))
-
-    def ln_v(gy, x, gain, offset):
-        _, c = layer_norm_forward(x, gain, offset)
-        gx, gg, go = layer_norm_backward(gy, c)
-        return {"x": gx, "gain": gg, "offset": go}
-
-    checks["layer_norm"] = check_vjp(
-        lambda x, gain, offset: layer_norm_forward(x, gain, offset)[0],
-        {"x": xn, "gain": gain, "offset": offset}, ln_v, nprng)["max"]
-
-    raw = rng.normal(0.0, 1.0, (2, 3, 3, 3))
-    gamma = rng.normal(0.0, 1.0, (3,))
-
-    def dkm_v(gy, raw, gamma):
-        _, c = dkm_forward(raw, gamma)
-        graw, ggamma = dkm_backward(gy, c)
-        return {"raw": graw, "gamma": ggamma}
-
-    checks["dkm"] = check_vjp(lambda raw, gamma: dkm_forward(raw, gamma)[0],
-                              {"raw": raw, "gamma": gamma}, dkm_v, nprng)["max"]
-
-    checks["central_diff"] = check_vjp(
-        central_diff_mod, {"raw": raw},
-        lambda gy, raw: {"raw": central_diff_backward(gy)}, nprng)["max"]
-
-    v5 = rng.normal(0.0, 1.0, (2, 3, 5, 5))
-    alpha = rng.normal(0.0, 1.0, (2, 3, 3, 3))
-
-    def dd_v(gy, v, alpha):
-        _, c = dyn_depthwise_forward(v, alpha)
-        gv, ga = dyn_depthwise_backward(gy, c)
-        return {"v": gv, "alpha": ga}
-
-    checks["dyn_depthwise"] = check_vjp(
-        lambda v, alpha: dyn_depthwise_forward(v, alpha)[0],
-        {"v": v5, "alpha": alpha}, dd_v, nprng)["max"]
-
-    p0 = ATConvParams.init(Rng(seed + 1), 3, 3)
-    xg = rng.normal(0.0, 1.0, (1, 3, 5, 5))
-
-    def c2k_f(x, w_f, w_f_bias, w_gen):
-        p = replace(p0, w_f=w_f, w_f_bias=w_f_bias, w_gen=w_gen)
-        return generate_kernels_forward(x, p)[0]
-
-    def c2k_v(gy, x, w_f, w_f_bias, w_gen):
-        p = replace(p0, w_f=w_f, w_f_bias=w_f_bias, w_gen=w_gen)
-        _, c = generate_kernels_forward(x, p)
-        gx, gr = generate_kernels_backward(gy, c)
-        gr["x"] = gx
-        return gr
-
-    checks["context_to_kernel"] = check_vjp(
-        c2k_f, {"x": xg, "w_f": p0.w_f, "w_f_bias": p0.w_f_bias, "w_gen": p0.w_gen},
-        c2k_v, nprng)["max"]
-
-    for mod in KERNEL_MODS:
-        checks[f"atconv[{mod}]"] = _gradcheck_stage(ATConvConfig(kernel_mod=mod), 3, seed)
-
-    sa0 = ToySAParams.init(Rng(seed + 2), 4, d=3)
-    xa = rng.normal(0.0, 1.0, (1, 4, 3, 3))
-
-    def sa_f(x, w_q, w_k, w_v, w_o):
-        return ToySelfAttention(replace(sa0, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o)).forward(x)
-
-    def sa_v(gy, x, w_q, w_k, w_v, w_o):
-        op = ToySelfAttention(replace(sa0, w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o))
-        y, c = op.forward_cached(x)
-        gx, gr = op.backward(gy, c)
-        gr["x"] = gx
-        return gr
-
-    checks["toy_self_attention"] = check_vjp(
-        sa_f, {"x": xa, "w_q": sa0.w_q, "w_k": sa0.w_k, "w_v": sa0.w_v, "w_o": sa0.w_o},
-        sa_v, nprng)["max"]
-
-    g0 = GluParams.init(Rng(seed + 3), 3, expansion=4)
-    xu = rng.normal(0.0, 1.0, (1, 3, 4, 4))
-    glu_names = ("w_a", "b_a", "w_b", "b_b", "w_c", "b_c")
-
-    def glu_f(x, **arrs):
-        return glu_forward(x, replace(g0, **arrs))[0]
-
-    def glu_v(gy, x, **arrs):
-        _, c = glu_forward(x, replace(g0, **arrs))
-        gx, gr = glu_backward(gy, c)
-        gr["x"] = gx
-        return gr
-
-    checks["glu"] = check_vjp(
-        glu_f, {"x": xu, **{k: getattr(g0, k) for k in glu_names}}, glu_v, nprng)["max"]
-
-    worst = max(checks.values())
-    return {
-        "seed": seed,
-        "step": DEFAULT_STEP,
-        "tol": tol,
-        "checks": checks,
-        "max_rel_err": worst,
-        "pass": bool(worst < tol),
-    }
-
 
 def _cmd_gradcheck(args) -> int:
     rep = gradcheck_report(args.seed, args.tol)

@@ -11,7 +11,8 @@ MLP y = W_c ((W_a x) * gelu(W_b x)) with expansion E = expansion * C.
 
 Parameters live in plain dataclasses; ``named_parameters`` flattens them
 into an ordered {name: array} dict that the optimizer, the checkpoint
-container, and the gradient dicts all share.
+container, and the gradient dicts all share. The dict aliases the model's
+arrays, and ``adam_step`` updates them in place.
 """
 
 from __future__ import annotations
@@ -344,28 +345,30 @@ def adam_init(params: dict) -> dict:
 
 
 def adam_step(params: dict, grads: dict, state: dict, hyper: AdamHyper) -> dict:
-    """One decoupled-weight-decay Adam update; returns updated params.
+    """One decoupled-weight-decay Adam update, in place; returns ``params``.
 
-    Weight decay is applied directly to the parameter, outside the moment
-    estimates. Parameters without a gradient entry are left untouched.
+    Every parameter array and its moment estimates in ``state`` are
+    updated in place, so arrays that alias them (a model's
+    ``named_parameters()``) see the step. Weight decay is applied directly
+    to the parameter, outside the moment estimates. Parameters without a
+    gradient entry are left untouched.
     """
     state["t"] += 1
     t = state["t"]
     b1, b2 = hyper.beta1, hyper.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    out = {}
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
-            out[name] = p
             continue
-        m = state["m"][name] = b1 * state["m"][name] + (1.0 - b1) * g
-        v = state["v"][name] = b2 * state["v"][name] + (1.0 - b2) * (g * g)
-        mh = m / bc1
-        vh = v / bc2
-        step = mh / (np.sqrt(vh) + hyper.eps)
+        m, v = state["m"][name], state["v"][name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        step = (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
         if hyper.weight_decay:
-            step = step + hyper.weight_decay * p
-        out[name] = p - hyper.lr * step
-    return out
+            step += hyper.weight_decay * p
+        p -= hyper.lr * step
+    return params

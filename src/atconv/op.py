@@ -39,7 +39,7 @@ from .primitives import (
     sigmoid, softmax_backward, softmax_forward,
 )
 from .rng import Rng
-from .tensor import as_matrix, as_tensor4, as_vector, ensure_finite, flop_counter
+from .tensor import FLOAT_DTYPES, as_matrix, as_tensor4, as_vector, ensure_finite, flop_counter
 
 KERNEL_MODS = ("none", "softmax", "central_diff", "dkm")
 
@@ -340,6 +340,8 @@ def dkm_forward(raw, gamma, lambda_override=None):
     c_ = raw.shape[1]
     if lambda_override is None:
         gamma = as_vector(gamma, c_, "gamma")
+        if raw.dtype in FLOAT_DTYPES:  # float input keeps its precision
+            gamma = gamma.astype(raw.dtype, copy=False)
         lam = sigmoid(gamma)
         gamma_active = True
     else:

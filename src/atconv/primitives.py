@@ -480,6 +480,9 @@ def layer_norm_forward(x, gain, offset, eps: float = 1e-6):
     c = x.shape[axis]
     gain = as_vector(gain, c, "gain")
     offset = as_vector(offset, c, "offset")
+    if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
+        gain = gain.astype(x.dtype, copy=False)
+        offset = offset.astype(x.dtype, copy=False)
     mu = x.mean(axis=axis, keepdims=True)
     var = x.var(axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)

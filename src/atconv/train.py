@@ -50,6 +50,24 @@ def evaluate(model: MicroModel, images: np.ndarray, labels: np.ndarray,
     return hits / images.shape[0]
 
 
+def step(model, x, target, loss_fn, params: dict, state: dict, hyper: AdamHyper):
+    """One optimizer step; returns (loss, model output).
+
+    Runs ``model.forward_cached``, then ``loss_fn(y, target) -> (loss,
+    dloss/dy)``, and raises NumericError on a non-finite loss before any
+    parameter changes. Then ``model.backward`` and ``adam_step``, which
+    updates ``params`` in place: they must be the arrays the model computes
+    with (its ``named_parameters()``), so the model sees the step.
+    """
+    y, cache = model.forward_cached(x)
+    loss, gy = loss_fn(y, target)
+    if not math.isfinite(loss):
+        raise NumericError("loss became non-finite")
+    _, grads = model.backward(gy, cache)
+    adam_step(params, grads, state, hyper)
+    return loss, y
+
+
 def train(model_config: MicroConfig, train_set, test_set,
           settings: TrainSettings, metrics_path=None, checkpoint_path=None,
           op_config=None):
@@ -61,9 +79,11 @@ def train(model_config: MicroConfig, train_set, test_set,
     A non-finite loss or stepped parameter (gamma = +inf passes every
     forward), or a NumericError from a forward pass (training or
     evaluation), the backward pass or the optimizer step, aborts the run:
-    the parameters of the last step that ran cleanly are checkpointed (when
-    a path is given) and TrainingDiverged is raised from the error, naming
-    the op that went non-finite.
+    the newest parameters whose forward and backward ran cleanly are
+    checkpointed (when a path is given) and TrainingDiverged is raised from
+    the error, naming the op that went non-finite. Those are the parameters
+    that entered the failing step when only Adam's output is non-finite,
+    and those that entered the step before it otherwise.
     """
     settings.validate()
     dtype = np.float32 if settings.dtype == "f32" else np.float64
@@ -79,7 +99,7 @@ def train(model_config: MicroConfig, train_set, test_set,
 
     records = []
     metrics_file = open(metrics_path, "w") if metrics_path is not None else None
-    last_good = params
+    last_good = params  # adam_step only runs after a clean forward and backward
 
     def diverged(err, where):
         if checkpoint_path is not None:
@@ -96,22 +116,18 @@ def train(model_config: MicroConfig, train_set, test_set,
             for lo in range(0, len(y_train), settings.batch_size):
                 idx = order[lo:lo + settings.batch_size]
                 xb, yb = x_train[idx], y_train[idx]
+                entering = {name: value.copy() for name, value in params.items()}
                 try:
-                    logits, cache = model.forward_cached(xb)
-                    loss, dlogits = cross_entropy(logits, yb)
-                    if not math.isfinite(loss):
-                        raise NumericError("loss became non-finite")
-                    _, grads = model.backward(dlogits, cache)
-                    stepped = adam_step(params, grads, state, settings.hyper)
-                    for name, value in stepped.items():
+                    loss, logits = step(model, xb, yb, cross_entropy, params, state,
+                                        settings.hyper)
+                    # the step ran forward and backward cleanly on the entering
+                    # parameters, so they are the newest clean ones even when
+                    # Adam's output is not
+                    last_good = entering
+                    for name, value in params.items():
                         ensure_finite(value, f"adam_step({name})")
                 except NumericError as err:
                     raise diverged(err, f"epoch {epoch}, sample {lo}") from err
-                # adam_step returns fresh arrays, so holding on to the
-                # previous dict keeps the last clean parameters uncopied
-                last_good, params = params, stepped
-                for name, value in params.items():
-                    model.set_parameter(name, value)
                 loss_sum += loss * len(yb)
                 hit_sum += int((logits.argmax(axis=1) == yb).sum())
                 seen += len(yb)
@@ -147,7 +163,8 @@ def overfit_single_sample(model_config: MicroConfig, image: np.ndarray,
     """Drive the loss on one sample toward zero; returns (losses, hit_step).
 
     hit_step is the first step index whose loss drops below ``loss_target``,
-    or None if that never happens within ``steps``.
+    or None if that never happens within ``steps``. A non-finite loss
+    raises NumericError (see ``step``).
     """
     rng = Rng(seed)
     model = MicroModel.init(rng, model_config, dtype=np.float64)
@@ -159,16 +176,9 @@ def overfit_single_sample(model_config: MicroConfig, image: np.ndarray,
         xb = xb[None]
     yb = np.array([label], dtype=np.int64)
     losses = []
-    hit = None
-    for step in range(steps):
-        logits, cache = model.forward_cached(xb)
-        loss, dlogits = cross_entropy(logits, yb)
+    for i in range(steps):
+        loss, _ = step(model, xb, yb, cross_entropy, params, state, hyper)
         losses.append(loss)
-        if hit is None and loss < loss_target:
-            hit = step
-            break
-        _, grads = model.backward(dlogits, cache)
-        params = adam_step(params, grads, state, hyper)
-        for name, value in params.items():
-            model.set_parameter(name, value)
-    return losses, hit
+        if loss < loss_target:
+            return losses, i
+    return losses, None

@@ -401,3 +401,34 @@ def static_depthwise_window_backward_ref(gy, x, w):
             gxp[:, :, u:u + h_, t:t + w_] += w[:, u, t][None, :, None, None] * gy
     gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
     return gx, gw
+
+
+# ----------------------------------------------------------------------
+# bitwise oracle for the in-place Adam step
+# ----------------------------------------------------------------------
+
+def adam_step_out_of_place_ref(params: dict, grads: dict, state: dict, hyper) -> dict:
+    """``micro.adam_step`` as it was before it updated in place: it returns
+    fresh parameter arrays and rebinds the moment arrays in ``state``. The
+    in-place step keeps every elementwise operation in the same order, so
+    it must match this bit for bit."""
+    state["t"] += 1
+    t = state["t"]
+    b1, b2 = hyper.beta1, hyper.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    out = {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            out[name] = p
+            continue
+        m = state["m"][name] = b1 * state["m"][name] + (1.0 - b1) * g
+        v = state["v"][name] = b2 * state["v"][name] + (1.0 - b2) * (g * g)
+        mh = m / bc1
+        vh = v / bc2
+        step = mh / (np.sqrt(vh) + hyper.eps)
+        if hyper.weight_decay:
+            step = step + hyper.weight_decay * p
+        out[name] = p - hyper.lr * step
+    return out

@@ -23,7 +23,7 @@ from atconv.micro import (
 )
 from atconv.op import ATConvConfig
 from atconv.rng import Rng
-from oracles import adam_ref
+from oracles import adam_ref, adam_step_out_of_place_ref
 
 
 # ----------------------------------------------------------------------
@@ -199,9 +199,10 @@ def test_cross_entropy_rejects_bad_labels():
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = {"a": np.array([1.0, -2.0])}
+    before = params["a"].copy()
     state = adam_init(params)
     out = adam_step(params, {"a": np.zeros(2)}, state, AdamHyper(lr=0.1))
-    assert np.array_equal(out["a"], params["a"])
+    assert np.array_equal(out["a"], before)
 
 
 def test_adam_first_step_is_lr_sized():
@@ -216,6 +217,35 @@ def test_adam_missing_gradient_skips_parameter():
     state = adam_init(params)
     out = adam_step(params, {"a": np.ones(1)}, state, AdamHyper(lr=0.1))
     assert out["b"] is params["b"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adam_step_updates_in_place_bit_for_bit(dtype, weight_decay):
+    rng = Rng(21)
+    shapes = {"w": (3, 4), "b": (4,), "frozen": (2,)}
+    params = {k: rng.normal(0.0, 1.0, s, dtype) for k, s in shapes.items()}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    state, ref_state = adam_init(params), adam_init(ref_params)
+
+    def arrays():
+        return [d[k] for d in (params, state["m"], state["v"]) for k in shapes]
+
+    held = arrays()
+    hyper = AdamHyper(lr=0.05, weight_decay=weight_decay)
+    for _ in range(5):
+        grads = {k: rng.normal(0.0, 1.0, shapes[k], dtype) for k in ("w", "b")}
+        out = adam_step(params, grads, state, hyper)
+        ref_params = adam_step_out_of_place_ref(ref_params, grads, ref_state, hyper)
+        # the step returns params itself and keeps every array's identity
+        assert out is params
+        assert all(a is b for a, b in zip(arrays(), held))
+        assert state["t"] == ref_state["t"]
+        for k in shapes:
+            for got, ref in ((params[k], ref_params[k]), (state["m"][k], ref_state["m"][k]),
+                             (state["v"][k], ref_state["v"][k])):
+                assert got.dtype == ref.dtype == dtype, k
+                assert got.tobytes() == ref.tobytes(), k
 
 
 def test_adam_two_step_trace_matches_reference():

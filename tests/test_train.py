@@ -9,13 +9,15 @@ import pytest
 from atconv.atck import load_atck
 from atconv.data import synth_dataset
 from atconv.errors import ArgumentError, NumericError, TrainingDiverged
-from atconv.micro import AdamHyper, MicroConfig, MicroModel
+from atconv.bench import run_ablation
+from atconv.micro import AdamHyper, MicroConfig, MicroModel, adam_init
 from atconv.rng import Rng
 from atconv.train import TrainSettings, evaluate, overfit_single_sample, train
 
 # the package re-exports the train() function under the same name, so fetch
 # the module itself for monkeypatching
 train_mod = importlib.import_module("atconv.train")
+bench_mod = importlib.import_module("atconv.bench")
 
 TINY = MicroConfig(in_channels=1, channels=8, blocks=1, patch=4,
                    kernel=3, expansion=2, num_classes=10)
@@ -152,10 +154,11 @@ def test_non_finite_parameter_after_a_step_ends_in_training_diverged(tiny_data, 
     entered = []
 
     def poisoned(params, grads, state, hyper):
-        entered.append(params)
+        # adam_step updates in place: keep copies of what entered each step
+        entered.append({name: value.copy() for name, value in params.items()})
         out = real_step(params, grads, state, hyper)
         if len(entered) == 4:
-            out["blocks.0.mixer.gamma"] = np.full_like(out["blocks.0.mixer.gamma"], np.inf)
+            out["blocks.0.mixer.gamma"][...] = np.inf
         return out
 
     monkeypatch.setattr(train_mod, "adam_step", poisoned)
@@ -164,12 +167,68 @@ def test_non_finite_parameter_after_a_step_ends_in_training_diverged(tiny_data, 
         train(TINY, train_set, test_set, settings, checkpoint_path=str(ckpt))
     assert isinstance(info.value.__cause__, NumericError)
     assert len(entered) == 4
-    # the rescue is the last clean parameters the loop kept: those that
-    # entered the step before the poisoned one
+    # only Adam's output went non-finite, so the parameters that entered
+    # the poisoned step ran forward and backward cleanly: the rescue is
+    # those, the newest clean ones
     entries = load_atck(str(ckpt))
-    assert list(entries) == list(entered[2])
+    assert list(entries) == list(entered[3])
     for name, value in entries.items():
-        assert np.array_equal(value, entered[2][name]), name
+        assert value.dtype == entered[3][name].dtype, name
+        assert value.tobytes() == entered[3][name].tobytes(), name
+
+
+def test_step_rejects_a_non_finite_loss_before_any_change():
+    model = MicroModel.init(Rng(14), TINY, dtype=np.float64)
+    params = model.named_parameters()
+    before = {name: value.copy() for name, value in params.items()}
+    state = adam_init(params)
+    x = synth_dataset(14, 2, 1)[0].images.astype(np.float64)
+
+    def nan_loss(logits, labels):
+        return float("nan"), np.zeros_like(logits)
+
+    with pytest.raises(NumericError):
+        train_mod.step(model, x, np.zeros(2, dtype=np.int64), nan_loss, params, state,
+                       AdamHyper())
+    assert state["t"] == 0
+    for name, value in params.items():
+        assert np.array_equal(value, before[name]), name
+
+
+def test_every_training_loop_runs_through_step(tiny_data, monkeypatch):
+    train_set, test_set = tiny_data
+    real = train_mod.step
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    def forbidden(self, name, value):
+        raise AssertionError(f"a training loop called set_parameter({name!r})")
+
+    monkeypatch.setattr(train_mod, "step", counted)
+    monkeypatch.setattr(MicroModel, "set_parameter", forbidden)
+    train(TINY, train_set, test_set, TrainSettings(epochs=1, batch_size=16, seed=5))
+    assert calls == [train_mod.cross_entropy] * 5  # 80 samples at batch 16
+    calls.clear()
+    losses, _ = overfit_single_sample(TINY, train_set.images[0], int(train_set.labels[0]),
+                                      steps=3, lr=1e-4, seed=5)
+    assert len(calls) == len(losses) == 3
+
+    # the ablation's softmax probe: the same function, under bench's name
+    assert bench_mod.step is real
+    monkeypatch.setattr(bench_mod, "step", counted)
+    calls.clear()
+    run_ablation(channels=4, kernel=3, seed=0, batch=1, resolution=4, reps=3)
+    assert len(calls) == 100
+
+    def diverging(*args):
+        raise NumericError("linear produced 1 non-finite element(s)")
+
+    # a NumericError anywhere in a probe step counts as divergence
+    monkeypatch.setattr(bench_mod, "step", diverging)
+    assert bench_mod._softmax_probe(4, 3, 0) is True
 
 
 def test_same_seed_gives_byte_identical_checkpoints(tiny_data, tmp_path):
