@@ -2,6 +2,8 @@
 
 All three share the operator protocol the analysis code relies on:
 ``forward(x)``, ``forward_cached(x)`` and ``input_backward(gy, cache)``.
+``input_backward`` computes no weight gradients, except StaticDepthwise's:
+its kernel gradient comes out of the shared depthwise kernel with gx.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -93,12 +95,15 @@ class StaticConv:
         ensure_finite(y, "static_conv")
         return np.ascontiguousarray(y), StaticConvCache(x, None)
 
-    def backward(self, gy, cache: StaticConvCache):
+    def backward(self, gy, cache: StaticConvCache, *, need_param_grads=True):
+        """(gx, gw, gb); gw and gb are None, and not computed, when
+        ``need_param_grads`` is False."""
         if cache is None:
             raise StateError("static conv backward needs the forward cache")
         if cache.delegate is not None:
-            gx, gw11, gb = conv1x1_backward(gy, cache.delegate)
-            return gx, gw11[:, :, None, None], gb
+            gx, gw11, gb = conv1x1_backward(gy, cache.delegate,
+                                            need_param_grads=need_param_grads)
+            return gx, None if gw11 is None else gw11[:, :, None, None], gb
         gy = as_tensor4(gy, "gy")
         x = cache.x
         b_, c_in, h_, w_ = x.shape
@@ -107,8 +112,12 @@ class StaticConv:
             raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
         k, p = self.k, self.k // 2
         xp = atconv_op.pad_hw(x, p)
-        windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-        gw = np.einsum("bohw,bihwuv->oiuv", gy, windows, optimize=True)
+        gw = gb = None
+        if need_param_grads:
+            windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+            gw = np.einsum("bohw,bihwuv->oiuv", gy, windows, optimize=True)
+            if self.bias is not None:
+                gb = gy.sum(axis=(0, 2, 3))
         # one (C_in x C_out) @ (C_out x HW) BLAS matmul per tap; stacking
         # all k^2 taps into one GEMM is no faster and k^2 times the memory
         w = self.w.astype(x.dtype, copy=False)
@@ -119,11 +128,10 @@ class StaticConv:
                 gxp[:, :, u:u + h_, t:t + w_] += np.matmul(
                     w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
         gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
-        gb = gy.sum(axis=(0, 2, 3)) if self.bias is not None else None
         return gx, gw, gb
 
     def input_backward(self, gy, cache):
-        return self.backward(gy, cache)[0]
+        return self.backward(gy, cache, need_param_grads=False)[0]
 
 
 # ======================================================================
@@ -265,7 +273,9 @@ class ToySelfAttention:
         """The (B, N, N) attention map for ``x``."""
         return self.forward_cached(x)[1].alpha
 
-    def backward(self, gy, cache: ToySACache):
+    def backward(self, gy, cache: ToySACache, *, need_param_grads=True):
+        """(gx, grads); grads is None, and no weight gradient is computed,
+        when ``need_param_grads`` is False."""
         if cache is None:
             raise StateError("toy attention backward needs the forward cache")
         gy = as_tensor4(gy, "gy")
@@ -275,22 +285,24 @@ class ToySelfAttention:
         p = self.params
         n = h_ * w_
         g_out_t = np.ascontiguousarray(gy.reshape(b_, c_, n).transpose(0, 2, 1))
-        g_ytok, gw_o, _ = linear_backward(g_out_t, cache.o_cache)
+        kw = {"need_param_grads": need_param_grads}
+        g_ytok, gw_o, _ = linear_backward(g_out_t, cache.o_cache, **kw)
         g_alpha = np.matmul(g_ytok, cache.v.transpose(0, 2, 1))
         g_v = np.matmul(cache.alpha.transpose(0, 2, 1), g_ytok)
         g_scores = softmax_backward(g_alpha, cache.sm_cache) / p.tau
         g_q = np.matmul(g_scores, cache.k)
         g_k = np.matmul(g_scores.transpose(0, 2, 1), cache.q)
-        gxt, gw_q, _ = linear_backward(g_q, cache.q_cache)
-        gxt2, gw_k, _ = linear_backward(g_k, cache.k_cache)
-        gxt3, gw_v, _ = linear_backward(g_v, cache.v_cache)
+        gxt, gw_q, _ = linear_backward(g_q, cache.q_cache, **kw)
+        gxt2, gw_k, _ = linear_backward(g_k, cache.k_cache, **kw)
+        gxt3, gw_v, _ = linear_backward(g_v, cache.v_cache, **kw)
         gxt = gxt + gxt2 + gxt3
         gx = np.ascontiguousarray(gxt.transpose(0, 2, 1).reshape(b_, c_, h_, w_))
-        grads = {"w_q": gw_q, "w_k": gw_k, "w_v": gw_v, "w_o": gw_o}
-        return gx, grads
+        if not need_param_grads:
+            return gx, None
+        return gx, {"w_q": gw_q, "w_k": gw_k, "w_v": gw_v, "w_o": gw_o}
 
     def input_backward(self, gy, cache):
-        return self.backward(gy, cache)[0]
+        return self.backward(gy, cache, need_param_grads=False)[0]
 
 
 class IdentityOp:

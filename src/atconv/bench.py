@@ -124,37 +124,50 @@ def _measure_peak_bytes(fn) -> int:
 
 
 def run_bench(settings: BenchSettings) -> list:
-    """One row dict per (operator, resolution)."""
+    """One row dict per (operator, resolution).
+
+    Each operator draws its inputs in resolution order, warms up at every
+    resolution, then times one forward per resolution in turn for each
+    rep, so a drift in machine speed during the sweep hits every point of
+    the latency curve alike instead of tilting its fitted slope.
+    """
     settings.validate()
     elt = settings.np_dtype().itemsize
     rows = []
     for name in settings.operators:
         rng = Rng(settings.seed)
         op = make_operator(name, settings.channels, settings.kernel, rng, settings.np_dtype)
+        inputs = {}
         for h in settings.resolutions:
-            failed = False
             try:
-                x = rng.normal(0.0, 1.0, (settings.batch, settings.channels, h, h),
-                               settings.np_dtype)
-                if settings.dry_run:
-                    med = p10 = p90 = 0.0
-                    peak = 0
-                else:
-                    for _ in range(settings.warmup):
-                        op.forward(x)
-                    lats = []
-                    for _ in range(settings.reps):
-                        t0 = time.perf_counter_ns()
-                        op.forward(x)
-                        lats.append((time.perf_counter_ns() - t0) / 1e6)
-                    med = float(np.percentile(lats, 50))
-                    p10 = float(np.percentile(lats, 10))
-                    p90 = float(np.percentile(lats, 90))
-                    peak = _measure_peak_bytes(lambda: op.forward(x))
+                inputs[h] = rng.normal(0.0, 1.0, (settings.batch, settings.channels, h, h),
+                                       settings.np_dtype)
+                for _ in range(0 if settings.dry_run else settings.warmup):
+                    op.forward(inputs[h])
             except MemoryError:
+                inputs.pop(h, None)
+        lats = {h: [] for h in inputs}
+        for _ in range(0 if settings.dry_run else settings.reps):
+            for h in list(lats):
+                try:
+                    t0 = time.perf_counter_ns()
+                    op.forward(inputs[h])
+                    lats[h].append((time.perf_counter_ns() - t0) / 1e6)
+                except MemoryError:
+                    del lats[h]
+        for h in settings.resolutions:
+            failed = h not in lats
+            med = p10 = p90 = 0.0
+            peak = 0
+            if not failed and not settings.dry_run:
+                try:
+                    peak = _measure_peak_bytes(lambda: op.forward(inputs[h]))
+                except MemoryError:
+                    failed = True
+                med, p10, p90 = (float(np.percentile(lats[h], q)) for q in (50, 10, 90))
+            if failed:
                 # the run continues; the row keeps the analytic model so the
                 # operator still appears in the output
-                failed = True
                 med = p10 = p90 = float("nan")
                 peak = -1
             rows.append({

@@ -66,11 +66,21 @@ class ATConvParams:
     w_out_bias: np.ndarray
     kernel_size: int
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def channels(self) -> int:
         return self.w_f.shape[0]
 
     def validate(self) -> None:
+        """Check shapes and dtypes, rebinding each array to a contiguous
+        float copy only where it is not one already.
+
+        Runs once, at construction; a forward does not repeat it, so the
+        arrays ``named()`` returns are the ones every forward reads and an
+        in-place optimizer step is seen by the next forward.
+        """
         k = self.kernel_size
         if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
             raise ArgumentError(f"kernel_size must be a positive odd int, got {k!r}")
@@ -106,7 +116,7 @@ class ATConvParams:
             raise ArgumentError(f"channels must be positive, got {channels}")
         bound = math.sqrt(1.0 / channels)
         kk = kernel_size * kernel_size
-        p = cls(
+        return cls(
             w_f=rng.uniform(-bound, bound, (channels, channels), dtype),
             w_f_bias=np.zeros(channels, dtype=dtype),
             w_gen=(np.eye(kk, dtype=dtype)
@@ -118,8 +128,6 @@ class ATConvParams:
             w_out_bias=np.zeros(channels, dtype=dtype),
             kernel_size=int(kernel_size),
         )
-        p.validate()
-        return p
 
     def named(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -136,9 +144,7 @@ class ATConvParams:
         k = math.isqrt(kk)
         if k * k != kk:
             raise DimensionError(f"w_gen side {kk} is not a square number")
-        p = cls(**{n: arrays[n] for n in PARAM_NAMES}, kernel_size=k)
-        p.validate()
-        return p
+        return cls(**{n: arrays[n] for n in PARAM_NAMES}, kernel_size=k)
 
     @classmethod
     def load(cls, path) -> "ATConvParams":
@@ -304,15 +310,20 @@ def generate_kernels_forward(x, params: ATConvParams):
     return raw, C2KCache(c_conv, c_pool, c_act, c_mix, k)
 
 
-def generate_kernels_backward(graw, cache: C2KCache):
+def generate_kernels_backward(graw, cache: C2KCache, *, need_param_grads=True):
+    """(gx, generator weight gradients); the gradients are None, and not
+    computed, when ``need_param_grads`` is False."""
     if cache is None:
         raise StateError("generate_kernels_backward needs the forward cache")
     graw = np.asarray(graw)
     b_, c_, k, _ = graw.shape
-    gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix)
+    gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix,
+                                      need_param_grads=need_param_grads)
     gz = gelu_backward(gvec.reshape(b_, c_, k, k), cache.act)
     gf = adaptive_avg_pool_backward(gz, cache.pool)
-    gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv)
+    gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv, need_param_grads=need_param_grads)
+    if not need_param_grads:
+        return gx, None
     return gx, {"w_f": gw_f, "w_f_bias": gb_f, "w_gen": gw_gen}
 
 
@@ -418,7 +429,6 @@ def atconv_forward(x, params: ATConvParams, config: Optional[ATConvConfig] = Non
 def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig] = None):
     config = config if config is not None else ATConvConfig()
     x = as_tensor4(x)
-    params.validate()
     config.validate(params.channels, params.kernel_size)
     b_, c_, h_, w_ = x.shape
     if c_ != params.channels:
@@ -460,12 +470,15 @@ def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig
                             value_cache, dd_cache, out_cache)
 
 
-def atconv_backward(gy, cache: ATConvCache):
+def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     """Gradients of the full operator.
 
     Returns (gx, grads) where grads maps canonical parameter names to
     arrays; a "static_kernel" entry appears instead of the generator
-    parameters when the generator is off.
+    parameters when the generator is off. With ``need_param_grads=False``
+    the projections and the generator compute only their input gradients
+    and grads is None; the kernel gradient is still propagated, because gx
+    depends on it through the generator.
     """
     if cache is None:
         raise StateError("atconv_backward needs the forward cache")
@@ -473,7 +486,8 @@ def atconv_backward(gy, cache: ATConvCache):
     grads = {}
 
     if cache.out is not None:
-        g_y, gw_out, gb_out = conv1x1_backward(gy, cache.out)
+        g_y, gw_out, gb_out = conv1x1_backward(gy, cache.out,
+                                               need_param_grads=need_param_grads)
         grads["w_out"] = gw_out
         grads["w_out_bias"] = gb_out
     else:
@@ -482,7 +496,8 @@ def atconv_backward(gy, cache: ATConvCache):
     g_v, g_alpha = dyn_depthwise_backward(g_y, cache.dd)
 
     if cache.value is not None:
-        gx_value, gw_val, gb_val = conv1x1_backward(g_v, cache.value)
+        gx_value, gw_val, gb_val = conv1x1_backward(g_v, cache.value,
+                                                    need_param_grads=need_param_grads)
         grads["w_value"] = gw_val
         grads["w_value_bias"] = gb_val
     else:
@@ -502,15 +517,17 @@ def atconv_backward(gy, cache: ATConvCache):
         g_raw = g_alpha
 
     if cache.gen is not None:
-        gx_kernel, gen_grads = generate_kernels_backward(g_raw, cache.gen)
-        grads.update(gen_grads)
+        gx_kernel, gen_grads = generate_kernels_backward(
+            g_raw, cache.gen, need_param_grads=need_param_grads)
+        if need_param_grads:
+            grads.update(gen_grads)
         gx = gx_value + gx_kernel
     else:
         b_, c_, k, _ = g_raw.shape
         grads["static_kernel"] = g_raw.sum(axis=0).reshape(c_, k * k)
         gx = gx_value
 
-    return np.ascontiguousarray(gx), grads
+    return np.ascontiguousarray(gx), (grads if need_param_grads else None)
 
 
 class ATConv:
@@ -519,7 +536,6 @@ class ATConv:
     def __init__(self, params: ATConvParams, config: Optional[ATConvConfig] = None):
         self.params = params
         self.config = config if config is not None else ATConvConfig()
-        self.params.validate()
         self.config.validate(params.channels, params.kernel_size)
 
     def forward(self, x):
@@ -532,7 +548,8 @@ class ATConv:
         return atconv_backward(gy, cache)
 
     def input_backward(self, gy, cache):
-        gx, _ = atconv_backward(gy, cache)
+        """Input gradient alone: no weight gradient is computed."""
+        gx, _ = atconv_backward(gy, cache, need_param_grads=False)
         return gx
 
     def named_parameters(self) -> dict:

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from atconv.errors import ArgumentError, DimensionError, NumericError
+
 
 def conv1x1_ref(x, w, bias=None):
     b, ci, h, wd = x.shape
@@ -432,3 +434,60 @@ def adam_step_out_of_place_ref(params: dict, grads: dict, state: dict, hyper) ->
             step = step + hyper.weight_decay * p
         out[name] = p - hyper.lr * step
     return out
+
+
+# ----------------------------------------------------------------------
+# the cyclic Jacobi eigensolver
+# ----------------------------------------------------------------------
+# ``analysis.sym_eigenvalues`` as it was before its rotations moved to the
+# round-robin ordering, copied verbatim: one Python-level rotation per
+# off-diagonal pair, row-major. Both orderings converge to the same
+# spectrum, so eigenvalues match within a tolerance, not bit for bit.
+
+def sym_eigenvalues_cyclic_ref(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
+
+    Sweeps rotate away each off-diagonal element in turn until the largest
+    off-diagonal magnitude falls below tol * ||A||_F. Returns eigenvalues
+    sorted descending.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
+    n = a.shape[0]
+    scale = float(np.linalg.norm(a))
+    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, scale), rtol=0.0):
+        raise ArgumentError("matrix must be symmetric")
+    if tol <= 0:
+        raise ArgumentError(f"tolerance must be positive, got {tol}")
+    m = a.copy()
+    if n == 1:
+        return m.diagonal().copy()
+    thresh = tol * max(scale, np.finfo(np.float64).tiny)
+    for _ in range(max_sweeps):
+        off = np.abs(m - np.diag(np.diagonal(m))).max()
+        if off < thresh:
+            diag = np.sort(np.diagonal(m).copy())[::-1]
+            return np.ascontiguousarray(diag)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p, q]
+                if abs(apq) < thresh / n:
+                    continue
+                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rot_p = c * m[p, :] - s * m[q, :]
+                rot_q = s * m[p, :] + c * m[q, :]
+                m[p, :], m[q, :] = rot_p, rot_q
+                rot_p = c * m[:, p] - s * m[:, q]
+                rot_q = s * m[:, p] + c * m[:, q]
+                m[:, p], m[:, q] = rot_p, rot_q
+    off = np.abs(m - np.diag(np.diagonal(m))).max()
+    if off >= thresh:
+        raise NumericError(f"Jacobi sweep did not converge in {max_sweeps} sweeps "
+                           f"(off-diagonal {off:.3e}, threshold {thresh:.3e})")
+    return np.ascontiguousarray(np.sort(np.diagonal(m).copy())[::-1])

@@ -27,11 +27,12 @@ from atconv.errors import (
     ArgumentError,
     DegenerateMapError,
     DimensionError,
+    NumericError,
     UndefinedMetricError,
 )
 from atconv.op import ATConv, ATConvConfig, ATConvParams, atconv_forward
 from atconv.rng import Rng
-from oracles import gaussian_blur_ref
+from oracles import gaussian_blur_ref, sym_eigenvalues_cyclic_ref
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +260,70 @@ def test_eigs_reject_asymmetric_and_nonsquare():
         sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(DimensionError):
         sym_eigenvalues(np.ones((2, 3)))
+
+
+def _random_symmetric(rng, n):
+    a = rng.normal(0, 1, (n, n))
+    return a + a.T
+
+
+def _with_spectrum(rng, lams):
+    q, _ = np.linalg.qr(rng.normal(0, 1, (len(lams), len(lams))))
+    a = (q * np.asarray(lams, dtype=np.float64)) @ q.T
+    return (a + a.T) / 2.0
+
+
+def _degenerate_spectra(rng):
+    yield "repeated", _with_spectrum(rng, [3.0] * 5 + [-1.0] * 4 + [0.5] * 3)
+    yield "rank-1", _with_spectrum(rng, [7.0] + [0.0] * 10)
+    v = rng.normal(0, 1, (9, 1))
+    yield "outer product", v @ v.T
+    yield "diagonal", np.diag(rng.normal(0, 1, (8,)))
+    yield "zero off-diagonal, repeated diagonal", np.diag([2.0, 2.0, -1.0, 2.0, 0.0])
+    yield "all zero", np.zeros((6, 6))
+
+
+def test_eigs_match_the_cyclic_solver():
+    rng = Rng(122)
+    cases = [(f"n={n} #{i}", _random_symmetric(rng, n))
+             for n in (1, 2, 7, 8, 63, 64) for i in range(2)]
+    cases += list(_degenerate_spectra(rng))
+    for name, a in cases:
+        lams = sym_eigenvalues(a)
+        ref = sym_eigenvalues_cyclic_ref(a)
+        assert lams.shape == ref.shape == (a.shape[0],), name
+        assert np.all(np.diff(lams) <= 0.0), name
+        err = np.abs(lams - ref).max()
+        assert err <= 1e-12 * max(np.abs(ref).max(), np.finfo(np.float64).tiny), (name, err)
+
+
+def test_eigs_single_element_returns_the_diagonal():
+    assert np.array_equal(sym_eigenvalues(np.array([[-2.5]])), np.array([-2.5]))
+
+
+@pytest.mark.parametrize("n", [7, 63])
+def test_eigs_odd_sizes_drop_the_padding(n):
+    # a positive definite matrix: a stray eigenvalue of the zero pad row
+    # would show as an extra (or a replaced) 0
+    rng = Rng(123)
+    b = rng.normal(0, 1, (n, n))
+    a = b @ b.T + n * np.eye(n)
+    lams = sym_eigenvalues(a)
+    assert lams.shape == (n,)
+    assert lams.min() > 0.0
+    assert abs(lams.sum() - np.trace(a)) <= 1e-12 * np.trace(a)
+
+
+def test_eigs_non_convergence_names_the_sweep_count():
+    a = _random_symmetric(Rng(124), 16)
+    with pytest.raises(NumericError, match="in 1 sweeps"):
+        sym_eigenvalues(a, max_sweeps=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12])
+def test_eigs_reject_non_positive_tolerance(tol):
+    with pytest.raises(ArgumentError):
+        sym_eigenvalues(np.eye(3), tol=tol)
 
 
 # ----------------------------------------------------------------------

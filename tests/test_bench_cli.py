@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from atconv import __version__
+from atconv import bench as atconv_bench
 from atconv.bench import (
     ABLATION_CSV_HEADER,
     ABLATION_STAGES,
@@ -23,6 +24,7 @@ from atconv.bench import (
 )
 from atconv.cli import block_param_count, gradcheck_report, main, preset_param_count
 from atconv.errors import ArgumentError
+from atconv.rng import Rng
 
 
 # ----------------------------------------------------------------------
@@ -68,6 +70,34 @@ def test_dry_run_csv_is_reproducible():
     first = lines[1].split(",")
     assert first[0] == "atconv"
     assert first[2] == "0.000000"
+
+
+def test_bench_interleaves_resolutions_within_each_rep(monkeypatch):
+    seen = []
+    make = atconv_bench.make_operator
+
+    class Recording:
+        def __init__(self, op):
+            self.op = op
+
+        def forward(self, x):
+            seen.append(x.copy())
+            return self.op.forward(x)
+
+    monkeypatch.setattr(atconv_bench, "make_operator",
+                        lambda *args: Recording(make(*args)))
+    settings = BenchSettings(operators=("static_dwconv",), resolutions=(4, 6),
+                             batch=1, channels=2, reps=3, warmup=1)
+    rows = run_bench(settings)
+    # one warm-up per resolution, three interleaved reps, one peak pass each
+    assert [x.shape[2] for x in seen] == [4, 6] * 5
+    assert [r["H"] for r in rows] == [4, 6]
+    assert not any(r["failed"] for r in rows)
+    # the rng still draws the weights, then one input per resolution in order
+    rng = Rng(0)
+    make("static_dwconv", 2, 3, rng, np.float32)
+    expect = {h: rng.normal(0.0, 1.0, (1, 2, h, h), np.float32) for h in (4, 6)}
+    assert all(np.array_equal(x, expect[x.shape[2]]) for x in seen)
 
 
 def test_live_rows_have_ordered_percentiles():

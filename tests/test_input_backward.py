@@ -1,0 +1,112 @@
+"""The input-only backward behind the influence probes.
+
+``need_param_grads=False`` must skip every weight gradient and leave the
+input gradient bit for bit what the full backward gives, so the routing
+maps built from it do not move.
+"""
+
+import numpy as np
+import pytest
+
+from atconv import op as atconv_op
+from atconv.analysis import influence_map
+from atconv.baselines import StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
+from atconv.op import ATConv, ATConvConfig, ATConvParams, atconv_backward
+from atconv.primitives import (conv1x1_backward, conv1x1_forward, linear_backward,
+                               linear_forward)
+from atconv.rng import Rng
+
+
+class FullBackward:
+    """``op`` with an input_backward that computes every weight gradient
+    and drops them, as input_backward did before it skipped them."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def forward_cached(self, x):
+        return self.op.forward_cached(x)
+
+    def input_backward(self, gy, cache):
+        return self.op.backward(gy, cache)[0]
+
+
+def _operators(rng, c, dtype):
+    return {
+        "atconv": ATConv(ATConvParams.init(rng, c, 3, dtype)),
+        "atconv_static": ATConv(
+            ATConvParams.init(rng, c, 3, dtype),
+            ATConvConfig(use_kernel_generator=False, kernel_mod="none",
+                         static_kernel=rng.normal(0, 1, (c, 9)))),
+        "static_conv": StaticConv.init(rng, c, c, 3, dtype),
+        "static_conv_1x1": StaticConv.init(rng, c, c, 1, dtype),
+        "static_dwconv": StaticDepthwise.init(rng, c, 3, dtype),
+        "toy_sa": ToySelfAttention(ToySAParams.init(rng, c, dtype=dtype)),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 4, 7, 7), (1, 6, 9, 8)])
+def test_influence_map_is_bitwise_that_of_the_full_backward(dtype, shape):
+    rng = Rng(601)
+    x = rng.normal(0, 1, shape, dtype)
+    anchor = (shape[2] // 2, shape[3] // 3)
+    for name, op in _operators(rng, shape[1], dtype).items():
+        g = influence_map(op, x, anchor)
+        ref = influence_map(FullBackward(op), x, anchor)
+        assert g.tobytes() == ref.tobytes(), name
+
+
+def test_influence_map_on_atconv_computes_no_weight_gradient(monkeypatch):
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, kwargs.get("need_param_grads", True)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(atconv_op, "conv1x1_backward", recording(conv1x1_backward))
+    monkeypatch.setattr(atconv_op, "linear_backward", recording(linear_backward))
+    rng = Rng(602)
+    op = ATConv(ATConvParams.init(rng, 3, 3))
+    influence_map(op, rng.normal(0, 1, (1, 3, 6, 6)), (2, 2))
+    # three conv1x1s (context, value, out) and the tap mixing, per channel
+    assert sorted({name for name, _ in calls}) == ["conv1x1_backward", "linear_backward"]
+    assert len(calls) == 3 * 4
+    assert not any(need for _, need in calls)
+
+
+def test_input_only_primitives_return_none_for_weights():
+    rng = Rng(603)
+    x = rng.normal(0, 1, (2, 3, 4, 5))
+    w = rng.normal(0, 1, (4, 3))
+    y, cache = conv1x1_forward(x, w, np.zeros(4))
+    gy = rng.normal(0, 1, y.shape)
+    gx, gw, gb = conv1x1_backward(gy, cache, need_param_grads=False)
+    assert gw is None and gb is None
+    assert gx.tobytes() == conv1x1_backward(gy, cache)[0].tobytes()
+    v = rng.normal(0, 1, (2, 5, 3))
+    y, cache = linear_forward(v, w, np.zeros(4))
+    gy = rng.normal(0, 1, y.shape)
+    gx, gw, gb = linear_backward(gy, cache, need_param_grads=False)
+    assert gw is None and gb is None
+    assert gx.tobytes() == linear_backward(gy, cache)[0].tobytes()
+
+
+def test_input_only_operator_backwards_return_no_gradients():
+    rng = Rng(604)
+    x = rng.normal(0, 1, (1, 3, 5, 5))
+    op = ATConv(ATConvParams.init(rng, 3, 3))
+    y, cache = op.forward_cached(x)
+    gy = rng.normal(0, 1, y.shape)
+    gx, grads = atconv_backward(gy, cache, need_param_grads=False)
+    assert grads is None
+    assert gx.tobytes() == atconv_backward(gy, cache)[0].tobytes()
+    for k in (1, 3):
+        sc = StaticConv.init(rng, 3, 3, k)
+        y, cache = sc.forward_cached(x)
+        assert sc.backward(gy, cache, need_param_grads=False)[1:] == (None, None)
+    sa = ToySelfAttention(ToySAParams.init(rng, 3))
+    y, cache = sa.forward_cached(x)
+    assert sa.backward(gy, cache, need_param_grads=False)[1] is None

@@ -29,6 +29,8 @@ from atconv.op import (
     dyn_depthwise,
     generate_kernels,
 )
+from atconv import op as atconv_op
+from atconv.micro import AdamHyper, adam_init, adam_step
 from atconv.primitives import conv1x1, gelu, sigmoid
 from atconv.rng import Rng
 from atconv.tensor import counting
@@ -365,6 +367,52 @@ def test_params_reject_even_kernel():
     rng = Rng(68)
     with pytest.raises(ArgumentError):
         ATConvParams.init(rng, 3, 2).validate()
+
+
+def test_params_validate_at_construction():
+    named = ATConvParams.init(Rng(69), 3, 3).named()
+    with pytest.raises(DimensionError):
+        ATConvParams(**{**named, "w_gen": np.eye(4)}, kernel_size=3)
+    with pytest.raises(DimensionError):
+        ATConvParams(**{**named, "gamma": np.zeros(4)}, kernel_size=3)
+    with pytest.raises(DimensionError):
+        ATConvParams.from_named({**named, "gamma": np.zeros(2)})
+
+
+def test_forward_reads_the_named_parameter_arrays(monkeypatch):
+    """The arrays ``named_parameters()`` returns are, by identity, the ones
+    every forward reads, also after an in-place Adam step; a forward that
+    re-validated and rebound them would train copies."""
+    read = []
+
+    def recording(fn, *positions):
+        def wrapper(*args, **kwargs):
+            read.extend(id(args[i]) for i in positions if args[i] is not None)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(atconv_op, "conv1x1_forward",
+                        recording(atconv_op.conv1x1_forward, 1, 2))
+    monkeypatch.setattr(atconv_op, "linear_forward", recording(atconv_op.linear_forward, 1))
+    monkeypatch.setattr(atconv_op, "dkm_forward", recording(atconv_op.dkm_forward, 1))
+    rng = Rng(70)
+    op = ATConv(ATConvParams.init(rng, 3, 3, np.float32))
+    named = op.named_parameters()
+    ids = sorted(id(a) for a in named.values())
+    x = rng.normal(0, 1, (2, 3, 6, 6), np.float32)
+    state = adam_init(named)
+    outputs = []
+    for step in range(3):
+        read.clear()
+        y, cache = op.forward_cached(x)
+        assert sorted(read) == ids, step
+        outputs.append(y)
+        if step == 1:
+            _, grads = op.backward(np.ones_like(y), cache)
+            assert adam_step(named, grads, state, AdamHyper()) is named
+    assert sorted(id(a) for a in op.named_parameters().values()) == ids
+    assert np.array_equal(outputs[0], outputs[1])
+    assert not np.array_equal(outputs[1], outputs[2])
 
 
 def test_forward_rejects_channel_mismatch():
