@@ -27,10 +27,8 @@ Spectral diagnostics summarize an activation tensor itself:
   eigenvalues) / C, in (0, 1]; 1 means isotropic channels, 1/C means one
   direction carries everything.
 
-Eigenvalues come from the library's own Jacobi solver, with the
-round-robin rotation ordering of Brent & Luk (SIAM J. Sci. Stat.
-Comput., 1985), so the whole stack stays dependency-light and
-deterministic.
+Eigenvalues come from numpy's ``eigvalsh`` (LAPACK) after a square and
+symmetric check, so the stack still needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ import math
 
 import numpy as np
 
+from .baselines import jacobian_rows
 from .errors import (ArgumentError, DegenerateMapError, DimensionError,
                      NumericError, UndefinedMetricError)
 from .tensor import as_tensor4
@@ -66,13 +65,9 @@ def influence_map(op, x, anchor) -> np.ndarray:
     x = as_tensor4(x)
     _, _, h_, w_ = x.shape
     ah, aw = _check_anchor(anchor, h_, w_)
-    y, cache = op.forward_cached(x)
     g = np.zeros((h_, w_), dtype=np.float64)
-    for co in range(y.shape[1]):
-        gy = np.zeros_like(y)
-        gy[0, co, ah, aw] = 1.0
-        gx = op.input_backward(gy, cache)
-        g += np.abs(gx[0]).sum(axis=0)
+    for row in jacobian_rows(op, x, (ah, aw)):
+        g += np.abs(row).sum(axis=0)
     return g
 
 
@@ -179,86 +174,23 @@ def csc(x, sigma: float = 1.0) -> float:
     return num / denom
 
 
-def _round_robin_pairs(n: int) -> tuple:
-    """Round-robin schedule for an even ``n``: (P, Q), each (n - 1, n / 2),
-    where stage r pairs index P[r, i] with Q[r, i] and every pair p < q
-    meets exactly once over the n - 1 stages.
+def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, sorted descending.
 
-    Index 0 stays put and the others turn one place per stage (the circle
-    ordering of Brent & Luk 1985), so each stage's pairs are disjoint.
-    """
-    ring = list(range(1, n))
-    ps, qs = [], []
-    for _ in range(n - 1):
-        order = [0] + ring
-        top, bottom = order[:n // 2], order[::-1][:n // 2]
-        ps.append([min(a, b) for a, b in zip(top, bottom)])
-        qs.append([max(a, b) for a, b in zip(top, bottom)])
-        ring = ring[-1:] + ring[:-1]
-    return np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)
-
-
-def sym_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix via round-robin Jacobi rotations.
-
-    A sweep visits every off-diagonal pair (p, q) once, in the parallel
-    (round-robin) ordering of Brent & Luk, "The solution of singular-value
-    and symmetric eigenvalue problems on multiprocessor arrays", SIAM J.
-    Sci. Stat. Comput. 6 (1985): n - 1 stages of n / 2 disjoint pairs. The
-    rotations of one stage commute, so each stage is one vectorised update
-    of the rows and one of the columns. A pair whose element is below
-    thresh / n is skipped. Odd n is padded with a zero row and column,
-    which no rotation couples to the rest, and the pad's eigenvalue is
-    dropped. Sweeps repeat until the largest off-diagonal magnitude falls
-    below thresh = tol * ||A||_F. Returns eigenvalues sorted descending.
+    Checks the input, then calls LAPACK through ``np.linalg.eigvalsh``;
+    a LAPACK failure to converge surfaces as ``NumericError``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
     scale = float(np.linalg.norm(a))
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, scale), rtol=0.0):
         raise ArgumentError("matrix must be symmetric")
-    if tol <= 0:
-        raise ArgumentError(f"tolerance must be positive, got {tol}")
-    if n == 1:
-        return a.diagonal().copy()
-    thresh = tol * max(scale, np.finfo(np.float64).tiny)
-    m = np.zeros((n + n % 2,) * 2)
-    m[:n, :n] = a
-    stages_p, stages_q = _round_robin_pairs(m.shape[0])
-
-    def off_diagonal() -> float:
-        return float(np.abs(m - np.diag(np.diagonal(m))).max())
-
-    for _ in range(max_sweeps):
-        if off_diagonal() < thresh:
-            break
-        for p, q in zip(stages_p, stages_q):
-            apq = m[p, q]
-            live = np.abs(apq) >= thresh / n
-            if not live.all():
-                p, q, apq = p[live], q[live], apq[live]
-                if not p.size:
-                    continue
-            theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-            with np.errstate(over="ignore"):
-                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t[theta == 0.0] = 1.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rows_p, rows_q = m[p], m[q]
-            m[p] = c[:, None] * rows_p - s[:, None] * rows_q
-            m[q] = s[:, None] * rows_p + c[:, None] * rows_q
-            cols_p, cols_q = m[:, p], m[:, q]
-            m[:, p] = c * cols_p - s * cols_q
-            m[:, q] = s * cols_p + c * cols_q
-    else:
-        off = off_diagonal()
-        if off >= thresh:
-            raise NumericError(f"Jacobi sweep did not converge in {max_sweeps} sweeps "
-                               f"(off-diagonal {off:.3e}, threshold {thresh:.3e})")
-    return np.ascontiguousarray(np.sort(np.diagonal(m)[:n])[::-1])
+    try:
+        lams = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigvalsh did not converge: {exc}") from exc
+    return np.ascontiguousarray(lams[::-1])
 
 
 def cer(x) -> float:

@@ -189,22 +189,25 @@ class ToySAParams:
     w_o: np.ndarray
     tau: float
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def init(cls, rng: Rng, channels: int, d: Optional[int] = None,
              tau: Optional[float] = None, dtype=np.float64) -> "ToySAParams":
         d = channels if d is None else int(d)
         bound = math.sqrt(1.0 / channels)
-        p = cls(
+        return cls(
             w_q=rng.uniform(-bound, bound, (d, channels), dtype),
             w_k=rng.uniform(-bound, bound, (d, channels), dtype),
             w_v=rng.uniform(-bound, bound, (d, channels), dtype),
             w_o=rng.uniform(-math.sqrt(1.0 / d), math.sqrt(1.0 / d), (channels, d), dtype),
             tau=float(tau) if tau is not None else math.sqrt(d),
         )
-        p.validate()
-        return p
 
     def validate(self) -> None:
+        """Check shapes and temperature, rebinding each weight to a
+        contiguous float matrix; runs once, at construction."""
         self.w_q = as_matrix(self.w_q, "w_q")
         self.w_k = as_matrix(self.w_k, "w_k")
         self.w_v = as_matrix(self.w_v, "w_v")
@@ -241,7 +244,6 @@ class ToySelfAttention:
     """
 
     def __init__(self, params: ToySAParams):
-        params.validate()
         self.params = params
 
     def forward(self, x):
@@ -341,11 +343,18 @@ def conv_jacobian_probe(op, x, position: tuple) -> np.ndarray:
     _, _, h_, w_ = x.shape
     if not (0 <= ph < h_ and 0 <= pw < w_):
         raise ArgumentError(f"position {position} outside spatial extent {(h_, w_)}")
+    return np.stack(list(jacobian_rows(op, x, (ph, pw))), axis=0)
+
+
+def jacobian_rows(op, x, position: tuple):
+    """Yield d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each
+    output channel in turn: one input backward per row, so a caller that
+    reduces the rows as they come never holds the whole slice.
+
+    ``x`` is a 4-D tensor and ``position`` a checked (ph, pw).
+    """
     y, cache = op.forward_cached(x)
-    c_out = y.shape[1]
-    rows = []
-    for co in range(c_out):
+    for co in range(y.shape[1]):
         gy = np.zeros_like(y)
-        gy[0, co, ph, pw] = 1.0
-        rows.append(op.input_backward(gy, cache)[0])
-    return np.stack(rows, axis=0)
+        gy[0, co, position[0], position[1]] = 1.0
+        yield op.input_backward(gy, cache)[0]

@@ -14,10 +14,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
-                        ToySelfAttention)
-from .bench import (BenchSettings, ablation_to_csv, run_ablation, run_bench,
-                    rows_to_csv)
+from .baselines import IdentityOp
+from .bench import (BenchSettings, ablation_to_csv, make_operator, run_ablation,
+                    run_bench, rows_to_csv)
 from .complexity import ShapeSpec, report
 from .data import IdxDataset, synth_dataset
 from .errors import ArgumentError
@@ -140,13 +139,9 @@ def _build_analyze_operator(args):
                       ATConvConfig(kernel_mod=args.kernel_mod))
     if args.load is not None:
         raise ArgumentError("--load only applies to the atconv operator")
-    if args.operator == "toy_sa":
-        return ToySelfAttention(ToySAParams.init(rng, args.channels))
-    if args.operator == "static_dwconv":
-        return StaticDepthwise.init(rng, args.channels, args.kernel)
-    if args.operator == "static_conv":
-        return StaticConv.init(rng, args.channels, args.channels, args.kernel)
-    return IdentityOp()
+    if args.operator == "identity":
+        return IdentityOp()
+    return make_operator(args.operator, args.channels, args.kernel, rng, np.float64)
 
 
 def _cmd_analyze(args) -> int:

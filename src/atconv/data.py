@@ -90,16 +90,8 @@ class IdxDataset:
 
     @classmethod
     def from_files(cls, image_path, label_path, num_classes: int = 10) -> "IdxDataset":
-        raw = load_idx_images(image_path)
-        labels = load_idx_labels(label_path)
-        if raw.shape[0] != labels.shape[0]:
-            raise DataConsistencyError(
-                f"{raw.shape[0]} images but {labels.shape[0]} labels")
-        if labels.size and labels.max() >= num_classes:
-            raise DataConsistencyError(
-                f"label {labels.max()} out of range for {num_classes} classes")
-        images = (raw.astype(np.float32) / 255.0)[:, None, :, :]
-        return cls(images=images, labels=labels.astype(np.int64))
+        return cls.from_arrays(load_idx_images(image_path),
+                               load_idx_labels(label_path), num_classes)
 
     @classmethod
     def from_arrays(cls, raw: np.ndarray, labels: np.ndarray,

@@ -48,6 +48,9 @@ class GluParams:
     w_c: np.ndarray
     b_c: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def init(cls, rng: Rng, channels: int, expansion: int = 4, dtype=np.float64):
         e = expansion * channels
@@ -66,6 +69,7 @@ class GluParams:
         )
 
     def validate(self) -> None:
+        """Check the weight shapes; runs once, at construction."""
         e, c = self.w_a.shape
         if e < c:
             raise DimensionError(f"hidden width {e} smaller than channels {c}")
@@ -75,7 +79,6 @@ class GluParams:
 
 def glu_forward(x, p: GluParams):
     """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels."""
-    p.validate()
     a, ca = conv1x1_forward(x, p.w_a, p.b_a)
     braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
     gate, cg = gelu_forward(braw)

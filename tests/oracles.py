@@ -439,10 +439,10 @@ def adam_step_out_of_place_ref(params: dict, grads: dict, state: dict, hyper) ->
 # ----------------------------------------------------------------------
 # the cyclic Jacobi eigensolver
 # ----------------------------------------------------------------------
-# ``analysis.sym_eigenvalues`` as it was before its rotations moved to the
-# round-robin ordering, copied verbatim: one Python-level rotation per
-# off-diagonal pair, row-major. Both orderings converge to the same
-# spectrum, so eigenvalues match within a tolerance, not bit for bit.
+# The library's first eigensolver, copied verbatim: one Python-level
+# rotation per off-diagonal pair, row-major. ``analysis.sym_eigenvalues``
+# now calls LAPACK, which reaches the same spectrum by another route, so
+# eigenvalues match within a tolerance, not bit for bit.
 
 def sym_eigenvalues_cyclic_ref(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.

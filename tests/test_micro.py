@@ -55,6 +55,13 @@ def test_glu_rejects_narrow_expansion():
         GluParams.init(Rng(141), 4, expansion=0)
 
 
+def test_glu_rejects_mis_shaped_weights_at_construction():
+    p = _identity_glu(3)
+    with pytest.raises(DimensionError):
+        GluParams(w_a=p.w_a, b_a=p.b_a, w_b=p.w_b, b_b=p.b_b,
+                  w_c=np.eye(3, 4), b_c=p.b_c)
+
+
 # ----------------------------------------------------------------------
 # patch embedding
 # ----------------------------------------------------------------------
