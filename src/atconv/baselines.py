@@ -2,8 +2,7 @@
 
 All three share the operator protocol the analysis code relies on:
 ``forward(x)``, ``forward_cached(x)`` and ``input_backward(gy, cache)``.
-``input_backward`` computes no weight gradients, except StaticDepthwise's:
-its kernel gradient comes out of the shared depthwise kernel with gx.
+``input_backward`` computes no weight gradients.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -174,7 +173,7 @@ class StaticDepthwise:
         return gx, galpha.sum(axis=0)
 
     def input_backward(self, gy, cache):
-        return self.backward(gy, cache)[0]
+        return atconv_op.dyn_depthwise_backward(gy, cache, need_param_grads=False)[0]
 
 
 # ======================================================================

@@ -32,7 +32,7 @@ from .primitives import (
     linear_backward, linear_forward,
 )
 from .rng import Rng
-from .tensor import as_tensor4
+from .tensor import as_matrix, as_tensor4, as_vector
 
 
 # ======================================================================
@@ -69,12 +69,19 @@ class GluParams:
         )
 
     def validate(self) -> None:
-        """Check the weight shapes; runs once, at construction."""
+        """Check shapes and dtypes, rebinding each array to a contiguous
+        float copy only where it is not one already; runs once, at
+        construction."""
+        for name in ("w_a", "w_b", "w_c"):
+            setattr(self, name, as_matrix(getattr(self, name), name))
         e, c = self.w_a.shape
         if e < c:
             raise DimensionError(f"hidden width {e} smaller than channels {c}")
         if self.w_b.shape != (e, c) or self.w_c.shape != (c, e):
             raise DimensionError("glu weight shapes disagree")
+        self.b_a = as_vector(self.b_a, e, "b_a")
+        self.b_b = as_vector(self.b_b, e, "b_b")
+        self.b_c = as_vector(self.b_c, c, "b_c")
 
 
 def glu_forward(x, p: GluParams):

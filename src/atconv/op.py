@@ -213,6 +213,60 @@ def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
+# Elements per block of the tap sum: 256 KiB of float32 sums plus one
+# product buffer and one padded input block of about the same size stay in
+# L2 across all k*k taps, where whole-tensor products would stream through
+# memory once per tap.
+_TAP_BLOCK = 1 << 16
+
+
+def _tap_sum(x, alpha, dtype, flip):
+    """sum_{u,t} alpha[b,c,u,t] * xpad[b,c,h+u',w+t'] as a (B, C, H, W)
+    array of ``dtype``, where xpad is ``x`` zero-padded by k // 2.
+
+    Tap (u, t) reads xpad at offset (u', t') = (u, t), or at the mirrored
+    (k-1-u, k-1-t) when ``flip`` is set, which gathers the transposed
+    correlation.
+
+    The flattened B*C axis is taken in blocks of whole planes, about
+    ``_TAP_BLOCK`` elements, each padded into one reused buffer. A plane's
+    sums are kept at the padded row width, so each tap is one contiguous
+    run of H*(W+k-1) elements per plane; the k-1 extra sums per row read
+    the neighbouring row and are dropped. For each tap, the product is
+    written into a reused buffer, computed in ``result_type(x, alpha)``,
+    and added into the sums, which start from +0 and visit the taps in
+    row-major order.
+    """
+    b_, c_, h, w = x.shape
+    k = alpha.shape[2]
+    p = k // 2
+    n, wp = b_ * c_, w + 2 * p
+    span = h * wp
+    x3 = x.reshape(n, h, w)
+    a3 = alpha.reshape(n, k, k)
+    out = np.empty((n, h, w), dtype=dtype)
+    rows = min(n, max(1, _TAP_BLOCK // span))
+    # the zero border is never written; the spare bottom row keeps the last
+    # tap's run inside its own plane
+    xpad = np.zeros((rows, h + 2 * p + 1, wp), dtype=x.dtype)
+    flat = xpad.reshape(rows, -1)
+    acc = np.empty((rows, span), dtype=dtype)
+    prod = np.empty((rows, span), dtype=np.result_type(x, alpha))
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        xpad[:m, p:p + h, p:p + w] = x3[lo:lo + m]
+        sums, pb = acc[:m], prod[:m]
+        sums.fill(0)
+        for u in range(k):
+            for t in range(k):
+                du, dt = (k - 1 - u, k - 1 - t) if flip else (u, t)
+                off = du * wp + dt
+                np.multiply(a3[lo:lo + m, u, t, None], flat[:m, off:off + span], out=pb)
+                sums += pb
+        out[lo:lo + m] = sums.reshape(m, h, wp)[:, :, :w]
+    return out.reshape(b_, c_, h, w)
+
+
 class DynDepthwiseCache(NamedTuple):
     v: np.ndarray
     alpha: np.ndarray
@@ -240,24 +294,26 @@ def dyn_depthwise_forward(v, alpha):
             f"alpha shape {alpha.shape} incompatible with input {v.shape}")
     if k % 2 == 0:
         raise ArgumentError(f"kernel side must be odd, got {k}")
-    vp = pad_hw(v, k // 2)
-    y = np.zeros_like(v)
-    for u in range(k):
-        for t in range(k):
-            y += alpha[:, :, u, t][:, :, None, None] * vp[:, :, u:u + h_, t:t + w_]
+    y = _tap_sum(v, alpha, v.dtype, flip=False)
     flop_counter.add(2 * b_ * c_ * k * k * h_ * w_)
     ensure_finite(y, "dyn_depthwise")
     return y, DynDepthwiseCache(v, alpha)
 
 
-def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
+def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=True):
     """Gradients of ``dyn_depthwise_forward`` w.r.t. v and alpha.
 
-    Tap (u, t) reads the shifted view vpad[:, :, u:u+H, t:t+W]. Its
-    galpha[b, c, u, t] is the dot product of gy with that view over H x W,
-    reduced by ``np.einsum`` without a B x C x H x W product temporary; its
-    gv contribution, alpha[b, c, u, t] * gy, is added into the same view of
-    the padded gradient.
+    gv is the transposed correlation, a gather on the zero-padded gy:
+    gv[b,c,h,w] = sum_{u,t} alpha[b,c,u,t] * gypad[b,c,h+k-1-u,w+k-1-t],
+    summed by ``_tap_sum`` in gy's product dtype into an array of v's
+    dtype. Tap (u, t) of galpha is the dot product of gy with the shifted
+    view vpad[:, :, u:u+H, t:t+W] over H x W, reduced by ``np.einsum``
+    without a B x C x H x W product temporary. With
+    ``need_param_grads=False`` galpha is None, and not computed.
+
+    The gather also adds the +-0 products of gy's padding. They leave every
+    sum as the scatter into a padded gradient gave it, save one case: an
+    f32 gv whose f64 products underflow to -0 may read +0 instead.
     """
     if cache is None:
         raise StateError("dyn_depthwise_backward needs the forward cache")
@@ -268,15 +324,15 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     b_, c_, h_, w_ = v.shape
     k = alpha.shape[2]
     p = k // 2
+    gv = _tap_sum(gy, alpha, v.dtype, flip=True)
+    if not need_param_grads:
+        return gv, None
     vp = pad_hw(v, p)
-    gvp = np.zeros_like(vp)
     galpha = np.empty_like(alpha)
     for u in range(k):
         for t in range(k):
             galpha[:, :, u, t] = np.einsum("bchw,bchw->bc", gy, vp[:, :, u:u + h_, t:t + w_])
-            gvp[:, :, u:u + h_, t:t + w_] += alpha[:, :, u, t][:, :, None, None] * gy
-    gv = gvp[:, :, p:p + h_, p:p + w_]
-    return np.ascontiguousarray(gv), galpha
+    return gv, galpha
 
 
 # ======================================================================

@@ -362,6 +362,45 @@ def dyn_depthwise_backward_sum_ref(gy, v, alpha):
 
 
 # ----------------------------------------------------------------------
+# bitwise oracle for the blocked tap sum
+# ----------------------------------------------------------------------
+# The dynamic depthwise forward and backward as they were before the taps
+# were summed in cache-sized blocks, copied verbatim (validation cut down
+# to the contiguous copy ``as_tensor4`` makes, the padding helper inlined). Every output element sums the same products
+# in the same tap order from +0, so the blocked kernel must match these
+# bit for bit.
+
+def dyn_depthwise_forward_unblocked_ref(v, alpha):
+    """y from one full B x C x H x W product per tap."""
+    v = np.ascontiguousarray(v)
+    b_, c_, h_, w_ = v.shape
+    k = alpha.shape[2]
+    vp = _pad_hw_ref(v, k // 2)
+    y = np.zeros_like(v)
+    for u in range(k):
+        for t in range(k):
+            y += alpha[:, :, u, t][:, :, None, None] * vp[:, :, u:u + h_, t:t + w_]
+    return y
+
+
+def dyn_depthwise_backward_scatter_ref(gy, v, alpha):
+    """(gv, galpha), gv scattered into a padded gradient and cropped."""
+    v, gy = np.ascontiguousarray(v), np.ascontiguousarray(gy)
+    b_, c_, h_, w_ = v.shape
+    k = alpha.shape[2]
+    p = k // 2
+    vp = _pad_hw_ref(v, p)
+    gvp = np.zeros_like(vp)
+    galpha = np.empty_like(alpha)
+    for u in range(k):
+        for t in range(k):
+            galpha[:, :, u, t] = np.einsum("bchw,bchw->bc", gy, vp[:, :, u:u + h_, t:t + w_])
+            gvp[:, :, u:u + h_, t:t + w_] += alpha[:, :, u, t][:, :, None, None] * gy
+    gv = gvp[:, :, p:p + h_, p:p + w_]
+    return np.ascontiguousarray(gv), galpha
+
+
+# ----------------------------------------------------------------------
 # the window-einsum static depthwise conv
 # ----------------------------------------------------------------------
 # StaticDepthwise's forward and backward before it ran through the dynamic

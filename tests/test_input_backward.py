@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from atconv import op as atconv_op
-from atconv.analysis import influence_map
+from atconv.analysis import influence_map, inhibition_map
 from atconv.baselines import StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
 from atconv.op import ATConv, ATConvConfig, ATConvParams, atconv_backward
 from atconv.primitives import (conv1x1_backward, conv1x1_forward, linear_backward,
@@ -23,6 +23,9 @@ class FullBackward:
 
     def __init__(self, op):
         self.op = op
+
+    def forward(self, x):
+        return self.op.forward(x)
 
     def forward_cached(self, x):
         return self.op.forward_cached(x)
@@ -52,9 +55,24 @@ def test_influence_map_is_bitwise_that_of_the_full_backward(dtype, shape):
     x = rng.normal(0, 1, shape, dtype)
     anchor = (shape[2] // 2, shape[3] // 3)
     for name, op in _operators(rng, shape[1], dtype).items():
-        g = influence_map(op, x, anchor)
-        ref = influence_map(FullBackward(op), x, anchor)
-        assert g.tobytes() == ref.tobytes(), name
+        for probe in (influence_map, inhibition_map):
+            g = probe(op, x, anchor)
+            ref = probe(FullBackward(op), x, anchor)
+            assert g.tobytes() == ref.tobytes(), (name, probe.__name__)
+
+
+def test_static_depthwise_probes_compute_no_kernel_gradient(monkeypatch):
+    calls = []
+    real = atconv_op.dyn_depthwise_backward
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("need_param_grads", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(atconv_op, "dyn_depthwise_backward", recording)
+    rng = Rng(605)
+    influence_map(StaticDepthwise.init(rng, 3), rng.normal(0, 1, (1, 3, 6, 6)), (2, 2))
+    assert calls == [False] * 3
 
 
 def test_influence_map_on_atconv_computes_no_weight_gradient(monkeypatch):
@@ -110,3 +128,7 @@ def test_input_only_operator_backwards_return_no_gradients():
     sa = ToySelfAttention(ToySAParams.init(rng, 3))
     y, cache = sa.forward_cached(x)
     assert sa.backward(gy, cache, need_param_grads=False)[1] is None
+    _, cache = atconv_op.dyn_depthwise_forward(x, rng.normal(0, 1, (1, 3, 3, 3)))
+    gv, galpha = atconv_op.dyn_depthwise_backward(gy, cache, need_param_grads=False)
+    assert galpha is None
+    assert gv.tobytes() == atconv_op.dyn_depthwise_backward(gy, cache)[0].tobytes()

@@ -62,6 +62,27 @@ def test_glu_rejects_mis_shaped_weights_at_construction():
                   w_c=np.eye(3, 4), b_c=p.b_c)
 
 
+@pytest.mark.parametrize("name, value, error", [
+    ("w_a", np.ones(3), DimensionError),
+    ("w_b", np.eye(3, dtype=np.int64), ArgumentError),
+    ("b_a", np.zeros(4), DimensionError),
+    ("b_c", np.zeros((3, 1)), DimensionError),
+    ("b_b", np.zeros(3, dtype=np.int64), ArgumentError),
+])
+def test_glu_validates_with_the_tensor_helpers(name, value, error):
+    kw = dict(vars(_identity_glu(3)))
+    kw[name] = value
+    with pytest.raises(error, match=name):
+        GluParams(**kw)
+
+
+def test_glu_keeps_valid_arrays_as_given():
+    # named_parameters() aliases these arrays for the in-place Adam step
+    kw = dict(vars(GluParams.init(Rng(143), 3, expansion=2, dtype=np.float32)))
+    p = GluParams(**kw)
+    assert all(getattr(p, name) is arr for name, arr in kw.items())
+
+
 # ----------------------------------------------------------------------
 # patch embedding
 # ----------------------------------------------------------------------
