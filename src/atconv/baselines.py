@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import op as atconv_op
 from .errors import ArgumentError, DimensionError, StateError
@@ -42,6 +41,14 @@ def _check_kernel(w: np.ndarray, name: str) -> int:
     if k % 2 == 0:
         raise ArgumentError(f"{name} side must be odd, got {k}")
     return k
+
+
+def _padded_planes(c_, h_, w_, p, dtype):
+    """A zeroed (c_, H+2p+1, W+2p) buffer and its (c_, -1) flat view: a
+    plane written at [p:p+H, p:p+W] keeps its zero border, and the spare
+    bottom row keeps every tap's run of H*(W+2p) elements inside it."""
+    buf = np.zeros((c_, h_ + 2 * p + 1, w_ + 2 * p), dtype=dtype)
+    return buf, buf.reshape(c_, -1)
 
 
 # ======================================================================
@@ -84,15 +91,42 @@ class StaticConv:
             return y, StaticConvCache(x, sub)
         # weights and bias take a float input's dtype, as in conv1x1_forward
         w = self.w.astype(x.dtype, copy=False)
-        xp = atconv_op.pad_hw(x, self.k // 2)
-        windows = sliding_window_view(xp, (self.k, self.k), axis=(2, 3))
-        y = np.einsum("oiuv,bihwuv->bohw", w, windows, optimize=True)
-        if self.bias is not None:
-            y = y + self.bias.astype(x.dtype, copy=False)[None, :, None, None]
         b_, _, h_, w_ = x.shape
+        c_out = w.shape[0]
+        wm = w.reshape(c_out, -1)
+        y = np.empty((b_, c_out, h_, w_), dtype=x.dtype)
+        rows = None
+        for yb, cols in zip(y, self._columns(x)):
+            rows = np.matmul(wm, cols, out=rows)
+            yb[...] = rows.reshape(c_out, h_, -1)[:, :, :w_]
+        if self.bias is not None:
+            y += self.bias.astype(x.dtype, copy=False)[None, :, None, None]
         flop_counter.add(2 * b_ * h_ * w_ * self.w.size)
         ensure_finite(y, "static_conv")
-        return np.ascontiguousarray(y), StaticConvCache(x, None)
+        return y, StaticConvCache(x, None)
+
+    def _columns(self, x):
+        """Yield each sample's (C_in*k*k, H*(W+2p)) column matrix, p = k // 2,
+        in one reused buffer.
+
+        The sample is zero-padded into planes of row width W+2p with one
+        spare row, so tap (u, t) of every output is the contiguous run at
+        offset u*(W+2p)+t; row i*k*k + u*k + t of the matrix is channel i's
+        run for tap (u, t). The 2p extra columns of each output row read the
+        neighbouring row and are dropped by the caller.
+        """
+        _, c_in, h_, w_ = x.shape
+        k, p = self.k, self.k // 2
+        xpad, flat = _padded_planes(c_in, h_, w_, p, x.dtype)
+        wp, span = w_ + 2 * p, h_ * (w_ + 2 * p)
+        cols = np.empty((c_in, k * k, span), dtype=x.dtype)
+        for xb in x:
+            xpad[:, p:p + h_, p:p + w_] = xb
+            for u in range(k):
+                for t in range(k):
+                    off = u * wp + t
+                    cols[:, u * k + t] = flat[:, off:off + span]
+            yield cols.reshape(c_in * k * k, span)
 
     def backward(self, gy, cache: StaticConvCache, *, need_param_grads=True):
         """(gx, gw, gb); gw and gb are None, and not computed, when
@@ -110,23 +144,37 @@ class StaticConv:
         if gy.shape != (b_, c_out, h_, w_):
             raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
         k, p = self.k, self.k // 2
-        xp = atconv_op.pad_hw(x, p)
-        gw = gb = None
+        w = self.w.astype(x.dtype, copy=False)
+        wp, span = w_ + 2 * p, h_ * (w_ + 2 * p)
+        gypad, gyflat = _padded_planes(c_out, h_, w_, p, gy.dtype)
+        # gx is a gather on the padded gy: tap (u, t) is one (C_in x C_out)
+        # @ (C_out x span) BLAS matmul on the run at the mirrored offset
+        # (k-1-u, k-1-t), added into sums that start from +0 in tap order
+        sums = np.empty((c_in, span), dtype=x.dtype)
+        prod = np.empty((c_in, span), dtype=np.result_type(w, gy))
+        gx = np.empty_like(x)
+        gw = gb = cols = None
         if need_param_grads:
-            windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-            gw = np.einsum("bohw,bihwuv->oiuv", gy, windows, optimize=True)
+            # the run at offset (p, p) is gy at row width W+2p with zeros in
+            # the extra columns, which the columns' extra entries meet
+            gyw = gyflat[:, p * wp + p:p * wp + p + span]
+            gw = np.zeros((c_out, c_in * k * k), dtype=np.result_type(gy, x))
+            cols = self._columns(x)
             if self.bias is not None:
                 gb = gy.sum(axis=(0, 2, 3))
-        # one (C_in x C_out) @ (C_out x HW) BLAS matmul per tap; stacking
-        # all k^2 taps into one GEMM is no faster and k^2 times the memory
-        w = self.w.astype(x.dtype, copy=False)
-        gyr = gy.reshape(b_, c_out, h_ * w_)
-        gxp = np.zeros_like(xp)
-        for u in range(k):
-            for t in range(k):
-                gxp[:, :, u:u + h_, t:t + w_] += np.matmul(
-                    w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
-        gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
+        for gxb, gyb in zip(gx, gy):
+            gypad[:, p:p + h_, p:p + w_] = gyb
+            sums.fill(0)
+            for u in range(k):
+                for t in range(k):
+                    off = (k - 1 - u) * wp + k - 1 - t
+                    np.matmul(w[:, :, u, t].T, gyflat[:, off:off + span], out=prod)
+                    sums += prod
+            gxb[...] = sums.reshape(c_in, h_, wp)[:, :, :w_]
+            if cols is not None:
+                gw += gyw @ next(cols).T
+        if gw is not None:
+            gw = gw.reshape(self.w.shape)
         return gx, gw, gb
 
     def input_backward(self, gy, cache):

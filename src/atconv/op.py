@@ -228,14 +228,14 @@ def _tap_sum(x, alpha, dtype, flip):
     (k-1-u, k-1-t) when ``flip`` is set, which gathers the transposed
     correlation.
 
-    The flattened B*C axis is taken in blocks of whole planes, about
-    ``_TAP_BLOCK`` elements, each padded into one reused buffer. A plane's
-    sums are kept at the padded row width, so each tap is one contiguous
-    run of H*(W+k-1) elements per plane; the k-1 extra sums per row read
-    the neighbouring row and are dropped. For each tap, the product is
-    written into a reused buffer, computed in ``result_type(x, alpha)``,
-    and added into the sums, which start from +0 and visit the taps in
-    row-major order.
+    The flattened B*C axis is taken in blocks of whole planes, as few as
+    keep each block within about ``_TAP_BLOCK`` elements and of near-equal
+    size, each padded into one reused buffer. A plane's sums are kept at
+    the padded row width, so each tap is one contiguous run of H*(W+k-1)
+    elements per plane; the k-1 extra sums per row read the neighbouring
+    row and are dropped. For each tap, the product is written into a reused
+    buffer, computed in ``result_type(x, alpha)``, and added into the sums,
+    which start from +0 and visit the taps in row-major order.
     """
     b_, c_, h, w = x.shape
     k = alpha.shape[2]
@@ -245,7 +245,8 @@ def _tap_sum(x, alpha, dtype, flip):
     x3 = x.reshape(n, h, w)
     a3 = alpha.reshape(n, k, k)
     out = np.empty((n, h, w), dtype=dtype)
-    rows = min(n, max(1, _TAP_BLOCK // span))
+    blocks = -(-n // max(1, _TAP_BLOCK // span))
+    rows = -(-n // blocks)
     # the zero border is never written; the spare bottom row keeps the last
     # tap's run inside its own plane
     xpad = np.zeros((rows, h + 2 * p + 1, wp), dtype=x.dtype)
@@ -533,8 +534,9 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     arrays; a "static_kernel" entry appears instead of the generator
     parameters when the generator is off. With ``need_param_grads=False``
     the projections and the generator compute only their input gradients
-    and grads is None; the kernel gradient is still propagated, because gx
-    depends on it through the generator.
+    and grads is None; the kernel gradient is still propagated when the
+    generator is on, because gx depends on it through the generator, and
+    not computed when it is off.
     """
     if cache is None:
         raise StateError("atconv_backward needs the forward cache")
@@ -549,7 +551,8 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     else:
         g_y = gy
 
-    g_v, g_alpha = dyn_depthwise_backward(g_y, cache.dd)
+    g_v, g_alpha = dyn_depthwise_backward(
+        g_y, cache.dd, need_param_grads=need_param_grads or cache.gen is not None)
 
     if cache.value is not None:
         gx_value, gw_val, gb_val = conv1x1_backward(g_v, cache.value,
@@ -560,7 +563,9 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
         gx_value = g_v
 
     mod = cache.mod_kind
-    if mod == "dkm":
+    if g_alpha is None:
+        g_raw = None
+    elif mod == "dkm":
         g_raw, ggamma = dkm_backward(g_alpha, cache.mod_cache)
         grads["gamma"] = ggamma
     elif mod == "softmax":
@@ -572,16 +577,16 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     else:
         g_raw = g_alpha
 
+    gx = gx_value
     if cache.gen is not None:
         gx_kernel, gen_grads = generate_kernels_backward(
             g_raw, cache.gen, need_param_grads=need_param_grads)
         if need_param_grads:
             grads.update(gen_grads)
         gx = gx_value + gx_kernel
-    else:
+    elif g_raw is not None:
         b_, c_, k, _ = g_raw.shape
         grads["static_kernel"] = g_raw.sum(axis=0).reshape(c_, k * k)
-        gx = gx_value
 
     return np.ascontiguousarray(gx), (grads if need_param_grads else None)
 

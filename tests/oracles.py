@@ -445,6 +445,55 @@ def static_depthwise_window_backward_ref(gy, x, w):
 
 
 # ----------------------------------------------------------------------
+# the window-einsum dense static conv
+# ----------------------------------------------------------------------
+# StaticConv's forward and backward (k > 1) before they ran as per-sample
+# GEMMs over padded rows, copied verbatim (as functions of the weight ``w``
+# and ``bias``, with the padding helper inlined). gx then scattered one
+# BLAS matmul per tap into a padded gradient; the gather visits the taps
+# in the same order from +0 and adds only exact zeros besides, so gx must
+# match bit for bit. y and gw came from window einsums, which sum in
+# another order than the column GEMMs, so they match within a tolerance.
+
+def static_conv_window_forward_ref(x, w, bias):
+    """StaticConv's y from one einsum over materialised windows."""
+    x = np.ascontiguousarray(x)
+    k = w.shape[-1]
+    # weights and bias take a float input's dtype, as in conv1x1_forward
+    w = w.astype(x.dtype, copy=False)
+    xp = _pad_hw_ref(x, k // 2)
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+    y = np.einsum("oiuv,bihwuv->bohw", w, windows, optimize=True)
+    if bias is not None:
+        y = y + bias.astype(x.dtype, copy=False)[None, :, None, None]
+    return np.ascontiguousarray(y)
+
+
+def static_conv_scatter_backward_ref(gy, x, w, bias):
+    """StaticConv's (gx, gw, gb): gw from a window einsum, gx scattered
+    from one (C_in x C_out) @ (C_out x HW) matmul per tap."""
+    x, gy = np.ascontiguousarray(x), np.ascontiguousarray(gy)
+    b_, c_in, h_, w_ = x.shape
+    c_out = w.shape[0]
+    k, p = w.shape[-1], w.shape[-1] // 2
+    xp = _pad_hw_ref(x, p)
+    gb = None
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+    gw = np.einsum("bohw,bihwuv->oiuv", gy, windows, optimize=True)
+    if bias is not None:
+        gb = gy.sum(axis=(0, 2, 3))
+    w = w.astype(x.dtype, copy=False)
+    gyr = gy.reshape(b_, c_out, h_ * w_)
+    gxp = np.zeros_like(xp)
+    for u in range(k):
+        for t in range(k):
+            gxp[:, :, u:u + h_, t:t + w_] += np.matmul(
+                w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
+    gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
+    return gx, gw, gb
+
+
+# ----------------------------------------------------------------------
 # bitwise oracle for the in-place Adam step
 # ----------------------------------------------------------------------
 

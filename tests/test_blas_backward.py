@@ -1,12 +1,15 @@
 """The BLAS backward reductions against the einsum forms they replaced.
 
 conv1x1's weight gradient is one matmul per sample, StaticConv's input
-gradient one matmul per tap, and the dynamic depthwise galpha one
-product-free einsum per tap. They sum in another order than the forms in
-``oracles`` they replaced, so f64 results are compared to those within
-1e-12 relative, and each input gradient also passes a dot-product adjoint
-test against the scalar-loop convolution oracles:
-<conv(x), gy> = <x, gx>.
+gradient one matmul per sample and tap on a run of the padded gy, and the
+dynamic depthwise galpha one product-free einsum per tap. They sum in
+another order than the einsum forms in ``oracles`` they replaced, so f64
+results are compared to those within 1e-12 relative, and each input
+gradient also passes a dot-product adjoint test against the scalar-loop
+convolution oracles: <conv(x), gy> = <x, gx>. StaticConv's input gradient
+is also bit for bit the per-tap scatter that came before the gather; that
+and its column-GEMM forward and weight gradient are checked in
+``test_static_conv_gemm``.
 """
 
 import numpy as np

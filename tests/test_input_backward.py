@@ -132,3 +132,32 @@ def test_input_only_operator_backwards_return_no_gradients():
     gv, galpha = atconv_op.dyn_depthwise_backward(gy, cache, need_param_grads=False)
     assert galpha is None
     assert gv.tobytes() == atconv_op.dyn_depthwise_backward(gy, cache)[0].tobytes()
+
+
+@pytest.mark.parametrize("mod", ("none", "dkm", "softmax", "central_diff"))
+def test_static_kernel_input_backward_computes_no_kernel_gradient(monkeypatch, mod):
+    # with the generator off, galpha only feeds the static_kernel gradient
+    calls = []
+    real = np.einsum
+
+    def counting(*operands, **kwargs):
+        calls.append(operands[0])
+        return real(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    rng = Rng(606)
+    x = rng.normal(0, 1, (2, 3, 6, 5))
+    gy = rng.normal(0, 1, x.shape)
+    static = ATConv(ATConvParams.init(rng, 3, 3),
+                    ATConvConfig(use_kernel_generator=False, kernel_mod=mod,
+                                 static_kernel=rng.normal(0, 1, (3, 9))))
+    generated = ATConv(ATConvParams.init(rng, 3, 3), ATConvConfig(kernel_mod=mod))
+    for op, galphas in ((static, 0), (generated, 9)):
+        _, cache = op.forward_cached(x)
+        calls.clear()
+        gx = op.input_backward(gy, cache)
+        assert calls.count("bchw,bchw->bc") == galphas
+        full_gx, grads = op.backward(gy, cache)
+        assert calls.count("bchw,bchw->bc") == galphas + 9
+        assert gx.tobytes() == full_gx.tobytes()
+        assert ("static_kernel" in grads) == (op is static)
