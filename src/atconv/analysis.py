@@ -140,11 +140,21 @@ def inhibition_map(op, x, anchor, eps: float | None = None) -> np.ndarray:
 # spectral diagnostics
 # ======================================================================
 
+# Elements per block of planes in the blur: a block's padded float64 copy,
+# its row-pass sums and one product buffer stay small next to the output.
+_BLUR_BLOCK = 1 << 14
+
+
 def gaussian_blur(x, sigma: float = 1.0) -> np.ndarray:
     """Per-channel Gaussian blur, radius ceil(3 sigma), replicate padding.
 
     Separable passes; identical to the dense 2-D kernel because replicate
-    padding clamps each axis independently.
+    padding clamps each axis independently. The B*C planes are taken in
+    blocks of about ``_BLUR_BLOCK`` elements. Each block is edge-padded by
+    the radius on both axes in float64; the row pass, then the column
+    pass, adds kern[j] times the copy shifted by j into sums that start
+    from +0, over j in order. Beyond the output, only one block's buffers
+    are allocated.
     """
     x = as_tensor4(x)
     if sigma <= 0:
@@ -153,14 +163,28 @@ def gaussian_blur(x, sigma: float = 1.0) -> np.ndarray:
     t = np.arange(-r, r + 1, dtype=np.float64)
     kern = np.exp(-0.5 * (t / sigma) ** 2)
     kern /= kern.sum()
-    h_, w_ = x.shape[2], x.shape[3]
-    idx_h = np.clip(np.arange(h_)[:, None] + t[None, :].astype(np.int64), 0, h_ - 1)
-    idx_w = np.clip(np.arange(w_)[:, None] + t[None, :].astype(np.int64), 0, w_ - 1)
-    xd = x.astype(np.float64)
-    # rows pass: out[h] = sum_j kern[j] * x[clamp(h + j - r)]
-    rows = np.einsum("j,bchjw->bchw", kern, xd[:, :, idx_h, :])
-    cols = np.einsum("j,bchwj->bchw", kern, rows[:, :, :, idx_w])
-    return cols.astype(x.dtype, copy=False)
+    b_, c_, h_, w_ = x.shape
+    n = b_ * c_
+    x3 = x.reshape(n, h_, w_)
+    out = np.empty_like(x3)
+    step = max(1, _BLUR_BLOCK // (h_ * w_))
+    for lo in range(0, n, step):
+        xp = np.pad(x3[lo:lo + step].astype(np.float64, copy=False),
+                    ((0, 0), (r, r), (r, r)), mode="edge")
+        m = len(xp)
+        # rows pass, at every padded column: rows[h] = sum_j kern[j] * x[clamp(h + j - r)]
+        rows = np.zeros((m, h_, w_ + 2 * r))
+        prod = np.empty_like(rows)
+        for j, kj in enumerate(kern):
+            np.multiply(kj, xp[:, j:j + h_], out=prod)
+            rows += prod
+        cols = np.zeros((m, h_, w_))
+        prod = np.empty_like(cols)
+        for j, kj in enumerate(kern):
+            np.multiply(kj, rows[:, :, j:j + w_], out=prod)
+            cols += prod
+        out[lo:lo + m] = cols
+    return out.reshape(x.shape)
 
 
 def csc(x, sigma: float = 1.0) -> float:

@@ -95,16 +95,24 @@ def glu_forward(x, p: GluParams):
 
 
 def glu_backward(gy, cache):
+    """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
+
+    The work is ordered so that at most two hidden-width maps are alive
+    beyond the cache: gh with gh * gate while W_a's backward runs, then
+    gh * a (written over gh) with the GELU gradient, then that gradient
+    alone. The two input gradients are summed in place.
+    """
     ca, cb, cg, cc, a, gate = cache
     gh, gw_c, gb_c = conv1x1_backward(gy, cc)
-    ga = gh * gate
-    ggate = gh * a
-    gbraw = gelu_backward(ggate, cg)
-    gx_a, gw_a, gb_a = conv1x1_backward(ga, ca)
+    gx, gw_a, gb_a = conv1x1_backward(gh * gate, ca)
+    gh *= a  # gh is fresh and at least as wide as a
+    gbraw = gelu_backward(gh, cg)
+    del gh
     gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)
+    gx += gx_b
     grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
              "w_c": gw_c, "b_c": gb_c}
-    return gx_a + gx_b, grads
+    return gx, grads
 
 
 # ======================================================================

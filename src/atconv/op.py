@@ -203,21 +203,34 @@ class ATConvConfig:
 # dynamic depthwise aggregation
 # ======================================================================
 
-def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
-    """``x`` zero-padded by ``p`` on both sides of H and W."""
-    if p == 0:
-        return x
-    b_, c_, h_, w_ = x.shape
-    xp = np.zeros((b_, c_, h_ + 2 * p, w_ + 2 * p), dtype=x.dtype)
-    xp[:, :, p:p + h_, p:p + w_] = x
-    return xp
-
-
 # Elements per block of the tap sum: 256 KiB of float32 sums plus one
 # product buffer and one padded input block of about the same size stay in
 # L2 across all k*k taps, where whole-tensor products would stream through
 # memory once per tap.
 _TAP_BLOCK = 1 << 16
+
+
+def _block_rows(n, span):
+    """Planes per block when n planes of ``span`` elements go into as few
+    near-equal blocks as keep each within about ``_TAP_BLOCK`` elements."""
+    blocks = -(-n // max(1, _TAP_BLOCK // span))
+    return -(-n // blocks)
+
+
+def _padded_blocks(x3, p, rows):
+    """Yield (lo, xpad) for the (N, H, W) planes of ``x3``, ``rows`` at a
+    time: xpad holds planes lo.. zero-padded by ``p``, shape
+    (m, H+2p+1, W+2p), in one reused buffer.
+
+    The zero border is never written. The spare bottom row keeps a run of
+    H*(W+2p) elements from the last tap's offset inside its own plane.
+    """
+    n, h, w = x3.shape
+    xpad = np.zeros((rows, h + 2 * p + 1, w + 2 * p), dtype=x3.dtype)
+    for lo in range(0, n, rows):
+        m = min(rows, n - lo)
+        xpad[:m, p:p + h, p:p + w] = x3[lo:lo + m]
+        yield lo, xpad[:m]
 
 
 def _tap_sum(x, alpha, dtype, flip):
@@ -228,41 +241,34 @@ def _tap_sum(x, alpha, dtype, flip):
     (k-1-u, k-1-t) when ``flip`` is set, which gathers the transposed
     correlation.
 
-    The flattened B*C axis is taken in blocks of whole planes, as few as
-    keep each block within about ``_TAP_BLOCK`` elements and of near-equal
-    size, each padded into one reused buffer. A plane's sums are kept at
-    the padded row width, so each tap is one contiguous run of H*(W+k-1)
-    elements per plane; the k-1 extra sums per row read the neighbouring
-    row and are dropped. For each tap, the product is written into a reused
-    buffer, computed in ``result_type(x, alpha)``, and added into the sums,
-    which start from +0 and visit the taps in row-major order.
+    The flattened B*C axis is taken in the blocks of ``_padded_blocks``,
+    sized by ``_block_rows``. A plane's sums are kept at the padded row
+    width, so each tap is one contiguous run of H*(W+k-1) elements per
+    plane; the k-1 extra sums per row read the neighbouring row and are
+    dropped. For each tap, the product is written into a reused buffer,
+    computed in ``result_type(x, alpha)``, and added into the sums, which
+    start from +0 and visit the taps in row-major order.
     """
     b_, c_, h, w = x.shape
     k = alpha.shape[2]
     p = k // 2
     n, wp = b_ * c_, w + 2 * p
     span = h * wp
-    x3 = x.reshape(n, h, w)
     a3 = alpha.reshape(n, k, k)
     out = np.empty((n, h, w), dtype=dtype)
-    blocks = -(-n // max(1, _TAP_BLOCK // span))
-    rows = -(-n // blocks)
-    # the zero border is never written; the spare bottom row keeps the last
-    # tap's run inside its own plane
-    xpad = np.zeros((rows, h + 2 * p + 1, wp), dtype=x.dtype)
-    flat = xpad.reshape(rows, -1)
+    rows = _block_rows(n, span)
     acc = np.empty((rows, span), dtype=dtype)
     prod = np.empty((rows, span), dtype=np.result_type(x, alpha))
-    for lo in range(0, n, rows):
-        m = min(rows, n - lo)
-        xpad[:m, p:p + h, p:p + w] = x3[lo:lo + m]
+    for lo, xpad in _padded_blocks(x.reshape(n, h, w), p, rows):
+        m = len(xpad)
+        flat = xpad.reshape(m, -1)
         sums, pb = acc[:m], prod[:m]
         sums.fill(0)
         for u in range(k):
             for t in range(k):
                 du, dt = (k - 1 - u, k - 1 - t) if flip else (u, t)
                 off = du * wp + dt
-                np.multiply(a3[lo:lo + m, u, t, None], flat[:m, off:off + span], out=pb)
+                np.multiply(a3[lo:lo + m, u, t, None], flat[:, off:off + span], out=pb)
                 sums += pb
         out[lo:lo + m] = sums.reshape(m, h, wp)[:, :, :w]
     return out.reshape(b_, c_, h, w)
@@ -308,8 +314,11 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=Tru
     gv[b,c,h,w] = sum_{u,t} alpha[b,c,u,t] * gypad[b,c,h+k-1-u,w+k-1-t],
     summed by ``_tap_sum`` in gy's product dtype into an array of v's
     dtype. Tap (u, t) of galpha is the dot product of gy with the shifted
-    view vpad[:, :, u:u+H, t:t+W] over H x W, reduced by ``np.einsum``
-    without a B x C x H x W product temporary. With
+    view vpad[u:u+H, t:t+W] over H x W, reduced by ``np.einsum`` without a
+    product temporary. v is padded block by block, in the tap sum's blocks,
+    so no whole-tensor padded copy of v is made. galpha has alpha's dtype
+    and ``np.empty_like``'s layout: for a batch-broadcast alpha its batch
+    axis is innermost, which fixes the summation order of a batch sum. With
     ``need_param_grads=False`` galpha is None, and not computed.
 
     The gather also adds the +-0 products of gy's padding. They leave every
@@ -328,11 +337,18 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=Tru
     gv = _tap_sum(gy, alpha, v.dtype, flip=True)
     if not need_param_grads:
         return gv, None
-    vp = pad_hw(v, p)
+    n = b_ * c_
+    gy3 = gy.reshape(n, h_, w_)
+    ga = np.empty((n, k, k), dtype=alpha.dtype)
+    rows = _block_rows(n, h_ * (w_ + 2 * p))
+    for lo, vpad in _padded_blocks(v.reshape(n, h_, w_), p, rows):
+        hi = lo + len(vpad)
+        for u in range(k):
+            for t in range(k):
+                ga[lo:hi, u, t] = np.einsum("nhw,nhw->n", gy3[lo:hi],
+                                            vpad[:, u:u + h_, t:t + w_])
     galpha = np.empty_like(alpha)
-    for u in range(k):
-        for t in range(k):
-            galpha[:, :, u, t] = np.einsum("bchw,bchw->bc", gy, vp[:, :, u:u + h_, t:t + w_])
+    galpha[...] = ga.reshape(alpha.shape)
     return gv, galpha
 
 
@@ -537,6 +553,13 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     and grads is None; the kernel gradient is still propagated when the
     generator is on, because gx depends on it through the generator, and
     not computed when it is off.
+
+    Each full-size gradient map is dropped at its last use: g_y once the
+    depthwise backward returns, g_v once the value projection's backward
+    returns. So while the generator's backward runs, the maps alive are the
+    forward's cached v and y, its output, gx_value and the generator's own
+    two (the pooled gradient spread back to full size, then gx_kernel),
+    which is then added into gx_value in place.
     """
     if cache is None:
         raise StateError("atconv_backward needs the forward cache")
@@ -553,6 +576,7 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
 
     g_v, g_alpha = dyn_depthwise_backward(
         g_y, cache.dd, need_param_grads=need_param_grads or cache.gen is not None)
+    del g_y
 
     if cache.value is not None:
         gx_value, gw_val, gb_val = conv1x1_backward(g_v, cache.value,
@@ -561,6 +585,7 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
         grads["w_value_bias"] = gb_val
     else:
         gx_value = g_v
+    del g_v
 
     mod = cache.mod_kind
     if g_alpha is None:
@@ -583,7 +608,7 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
             g_raw, cache.gen, need_param_grads=need_param_grads)
         if need_param_grads:
             grads.update(gen_grads)
-        gx = gx_value + gx_kernel
+        gx += gx_kernel  # both are fresh arrays of x's dtype
     elif g_raw is not None:
         b_, c_, k, _ = g_raw.shape
         grads["static_kernel"] = g_raw.sum(axis=0).reshape(c_, k * k)

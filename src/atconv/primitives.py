@@ -384,13 +384,28 @@ def gelu_forward(x):
 
 
 def gelu_backward(gy, cache: GeluCache):
+    """gx = gy * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi).
+
+    The chain runs in place on one buffer of x's dtype, in the order
+    -0.5 * x, * x, exp, * INV_SQRT_2PI, * x, + cdf, * gy, so it allocates
+    one map (two when gy's dtype is wider than x's, since gx has dtype
+    ``result_type(gy, x)``).
+    """
     cache = _need_cache(cache, "gelu")
     x = cache.x
     gy = np.asarray(gy)
     if gy.shape != x.shape:
         raise DimensionError(f"gy shape {gy.shape} != input shape {x.shape}")
-    pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
-    return gy * (cache.cdf + x * pdf)
+    g = np.multiply(-0.5, x)
+    g *= x
+    np.exp(g, out=g)
+    g *= INV_SQRT_2PI
+    g *= x
+    g += cache.cdf
+    if np.result_type(gy, g) != g.dtype:
+        return gy * g
+    g *= gy
+    return g
 
 
 class SigmoidCache(NamedTuple):

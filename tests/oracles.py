@@ -11,6 +11,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
+from atconv.op import _tap_sum
+from atconv.primitives import conv1x1_backward
+from atconv.tensor import as_tensor4
 
 
 def conv1x1_ref(x, w, bias=None):
@@ -579,3 +582,66 @@ def sym_eigenvalues_cyclic_ref(a: np.ndarray, tol: float = 1e-12, max_sweeps: in
         raise NumericError(f"Jacobi sweep did not converge in {max_sweeps} sweeps "
                            f"(off-diagonal {off:.3e}, threshold {thresh:.3e})")
     return np.ascontiguousarray(np.sort(np.diagonal(m).copy())[::-1])
+
+
+# ----------------------------------------------------------------------
+# backward passes and blur before their dead maps were freed
+# ----------------------------------------------------------------------
+# ``dyn_depthwise_backward``, ``gelu_backward``, ``glu_backward`` and
+# ``gaussian_blur`` as they were when galpha read a whole-tensor padded
+# copy of v, the GELU backward and the GLU backward built each product as
+# a fresh array, and the blur gathered 2r+1 clamped copies of the map
+# (copied verbatim; the padding helper is ``_pad_hw_ref``, the same code).
+# The library versions must match them bit for bit.
+
+def dyn_depthwise_backward_padded_v_ref(gy, cache, *, need_param_grads=True):
+    v, alpha = cache
+    gy = as_tensor4(gy, "gy")
+    b_, c_, h_, w_ = v.shape
+    k = alpha.shape[2]
+    p = k // 2
+    gv = _tap_sum(gy, alpha, v.dtype, flip=True)
+    if not need_param_grads:
+        return gv, None
+    vp = _pad_hw_ref(v, p)
+    galpha = np.empty_like(alpha)
+    for u in range(k):
+        for t in range(k):
+            galpha[:, :, u, t] = np.einsum("bchw,bchw->bc", gy, vp[:, :, u:u + h_, t:t + w_])
+    return gv, galpha
+
+
+def gelu_backward_fresh_ref(gy, cache):
+    x = cache.x
+    gy = np.asarray(gy)
+    pdf = np.exp(-0.5 * x * x) * _REF_INV_SQRT_2PI
+    return gy * (cache.cdf + x * pdf)
+
+
+def glu_backward_fresh_ref(gy, cache):
+    ca, cb, cg, cc, a, gate = cache
+    gh, gw_c, gb_c = conv1x1_backward(gy, cc)
+    ga = gh * gate
+    ggate = gh * a
+    gbraw = gelu_backward_fresh_ref(ggate, cg)
+    gx_a, gw_a, gb_a = conv1x1_backward(ga, ca)
+    gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)
+    grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
+             "w_c": gw_c, "b_c": gb_c}
+    return gx_a + gx_b, grads
+
+
+def gaussian_blur_gather_ref(x, sigma=1.0):
+    x = np.ascontiguousarray(x)
+    r = math.ceil(3.0 * sigma)
+    t = np.arange(-r, r + 1, dtype=np.float64)
+    kern = np.exp(-0.5 * (t / sigma) ** 2)
+    kern /= kern.sum()
+    h_, w_ = x.shape[2], x.shape[3]
+    idx_h = np.clip(np.arange(h_)[:, None] + t[None, :].astype(np.int64), 0, h_ - 1)
+    idx_w = np.clip(np.arange(w_)[:, None] + t[None, :].astype(np.int64), 0, w_ - 1)
+    xd = x.astype(np.float64)
+    # rows pass: out[h] = sum_j kern[j] * x[clamp(h + j - r)]
+    rows = np.einsum("j,bchjw->bchw", kern, xd[:, :, idx_h, :])
+    cols = np.einsum("j,bchwj->bchw", kern, rows[:, :, :, idx_w])
+    return cols.astype(x.dtype, copy=False)

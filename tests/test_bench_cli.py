@@ -117,7 +117,11 @@ def test_model_peak_bytes_formulas():
     assert model_peak_bytes("toy_sa", 8, 64, 32, 32, k, e) == e * (3 * b * n * c + b * n * n)
     assert model_peak_bytes("atconv", 8, 64, 32, 32, k, e) == e * (b * n * c + b * c * k * k)
     assert model_peak_bytes("static_dwconv", 8, 64, 32, 32, k, e) == e * (b * n * c + c * k * k)
-    assert model_peak_bytes("static_conv", 8, 64, 32, 32, k, e) == e * (b * n * c + c * c * k * k)
+    # plus the column buffer, the padded planes and the GEMM output at row width W+2p
+    wp = 32 + 2
+    assert model_peak_bytes("static_conv", 8, 64, 32, 32, k, e) == e * (
+        b * n * c + c * c * k * k + c * k * k * 32 * wp + c * (32 + 3) * wp + c * 32 * wp)
+    assert model_peak_bytes("static_conv", 8, 64, 32, 32, 1, e) == e * (b * n * c + c * c)
     with pytest.raises(ArgumentError):
         model_peak_bytes("conv3x3", 8, 64, 32, 32, k, e)
 

@@ -1,0 +1,181 @@
+"""Backward passes and the blur that free their dead maps, against the code
+they replaced, and the peak-memory guards that hold them there.
+
+The ``*_ref`` oracles in ``oracles.py`` are ``dyn_depthwise_backward``,
+``gelu_backward``, ``glu_backward`` and ``gaussian_blur`` as they were
+before: galpha from a whole-tensor padded copy of v, every GELU and GLU
+product a fresh array, and the blur summing 2r+1 gathered copies of the
+map. The arithmetic is unchanged, so every output is compared on raw bytes
+and dtype.
+"""
+
+import numpy as np
+import pytest
+
+from atconv.analysis import _BLUR_BLOCK, gaussian_blur
+from atconv.baselines import StaticDepthwise
+from atconv.micro import GluParams, glu_backward, glu_forward
+from atconv.op import (ATConv, ATConvParams, _block_rows, atconv_backward,
+                       dyn_depthwise_backward, dyn_depthwise_forward)
+from atconv.primitives import gelu_backward, gelu_forward
+from atconv.rng import Rng
+from oracles import (dyn_depthwise_backward_padded_v_ref, gaussian_blur_gather_ref,
+                     gelu_backward_fresh_ref, glu_backward_fresh_ref)
+
+F32, F64 = np.float32, np.float64
+# (x dtype, gy dtype): plain f32 and f64, and an f64 gradient on f32 input
+DTYPES = ((F32, F32), (F64, F64), (F32, F64))
+MIB = 1 << 20
+
+
+def same(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+# ----------------------------------------------------------------------
+# dynamic depthwise backward: galpha from v padded block by block
+# ----------------------------------------------------------------------
+
+# one block; H != W; several tap-sum blocks with a partial last one (k > 1)
+DD_SHAPES = ((2, 3, 6, 5), (3, 10, 9, 13), (3, 101, 20, 31))
+
+
+def test_the_large_shape_spans_blocks_with_a_partial_last_one():
+    b_, c_, h_, w_ = DD_SHAPES[-1]
+    n = b_ * c_
+    for k in (3, 5):
+        rows = _block_rows(n, h_ * (w_ + k - 1))
+        assert n > rows and n % rows
+
+
+@pytest.mark.parametrize("dtypes", DTYPES)
+@pytest.mark.parametrize("k", (1, 3, 5))
+@pytest.mark.parametrize("shape", DD_SHAPES)
+def test_dyn_depthwise_backward_matches_the_padded_v_einsums(shape, k, dtypes):
+    xdt, gdt = dtypes
+    rng = Rng(sum(shape) + k)
+    v = rng.normal(0, 1, shape, xdt)
+    alpha = rng.normal(0, 1, shape[:2] + (k, k), xdt)
+    gy = rng.normal(0, 1, shape, gdt)
+    _, cache = dyn_depthwise_forward(v, alpha)
+    gv, galpha = dyn_depthwise_backward(gy, cache)
+    ref_gv, ref_galpha = dyn_depthwise_backward_padded_v_ref(gy, cache)
+    same(gv, ref_gv)
+    same(galpha, ref_galpha)
+
+
+@pytest.mark.parametrize("dtype", (F32, F64))
+@pytest.mark.parametrize("shape", ((8, 16, 12, 10), (16, 101, 20, 31)))
+def test_static_depthwise_batch_summed_gradient(shape, dtype):
+    # the broadcast alpha's galpha keeps its batch axis innermost, which
+    # sets the order of the batch sum behind gw
+    rng = Rng(sum(shape))
+    op = StaticDepthwise.init(rng, shape[1], 3, dtype)
+    x = rng.normal(0, 1, shape, dtype)
+    gy = rng.normal(0, 1, shape, dtype)
+    _, cache = op.forward_cached(x)
+    gx, gw = op.backward(gy, cache)
+    ref_gx, ref_galpha = dyn_depthwise_backward_padded_v_ref(gy, cache)
+    same(gx, ref_gx)
+    same(gw, ref_galpha.sum(axis=0))
+
+
+# ----------------------------------------------------------------------
+# GELU and GLU backward in place
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtypes", DTYPES)
+@pytest.mark.parametrize("shape", ((2, 3, 5, 7), (64, 128, 7, 7)))
+def test_gelu_backward_in_place_chain(shape, dtypes):
+    xdt, gdt = dtypes
+    rng = Rng(sum(shape))
+    # wide enough that exp underflows and the CDF saturates at both ends
+    x = rng.normal(0, 6, shape, xdt)
+    gy = rng.normal(0, 1, shape, gdt)
+    _, cache = gelu_forward(x)
+    same(gelu_backward(gy, cache), gelu_backward_fresh_ref(gy, cache))
+
+
+@pytest.mark.parametrize("dtypes", DTYPES)
+@pytest.mark.parametrize("shape", ((2, 4, 5, 6), (64, 32, 7, 7)))
+def test_glu_backward_matches_the_fresh_products(shape, dtypes):
+    xdt, gdt = dtypes
+    rng = Rng(sum(shape) + 1)
+    p = GluParams.init(rng, shape[1], 4, xdt)
+    x = rng.normal(0, 1, shape, xdt)
+    gy = rng.normal(0, 1, shape, gdt)
+    _, cache = glu_forward(x, p)
+    gx, grads = glu_backward(gy, cache)
+    ref_gx, ref_grads = glu_backward_fresh_ref(gy, cache)
+    same(gx, ref_gx)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        same(grads[name], ref_grads[name])
+
+
+# ----------------------------------------------------------------------
+# gaussian blur from edge-padded blocks
+# ----------------------------------------------------------------------
+
+# analyze's shape; H != W; several blur blocks with a partial last one
+BLUR_SHAPES = ((1, 64, 32, 32), (2, 3, 9, 14), (5, 11, 30, 20))
+
+
+def test_the_last_blur_shape_spans_blocks_with_a_partial_last_one():
+    b_, c_, h_, w_ = BLUR_SHAPES[-1]
+    step = _BLUR_BLOCK // (h_ * w_)
+    assert b_ * c_ > step and (b_ * c_) % step
+
+
+@pytest.mark.parametrize("sigma", (0.7, 1.0, 2.5))
+@pytest.mark.parametrize("dtype", (F32, F64))
+@pytest.mark.parametrize("shape", BLUR_SHAPES)
+def test_gaussian_blur_matches_the_gathered_copies(shape, dtype, sigma):
+    x = Rng(sum(shape)).normal(0, 1, shape, dtype)
+    same(gaussian_blur(x, sigma), gaussian_blur_gather_ref(x, sigma))
+
+
+def test_gaussian_blur_on_a_non_contiguous_input():
+    x = Rng(7).normal(0, 1, (2, 3, 11, 8), F64).transpose(0, 1, 3, 2)[:, ::-1]
+    assert not x.flags.c_contiguous
+    same(gaussian_blur(x, 1.0), gaussian_blur_gather_ref(x, 1.0))
+
+
+# ----------------------------------------------------------------------
+# peak guards
+# ----------------------------------------------------------------------
+
+def test_operator_forward_and_backward_peak(traced_peak):
+    # 8 maps of 2 MiB (16.2 MiB) while the dead gradients were kept; the
+    # cached v and y, the output, gx_value and the generator's two are 6 (12.2 MiB)
+    rng = Rng(910)
+    shape = (8, 64, 32, 32)
+    op = ATConv(ATConvParams.init(rng, 64, 3, F32))
+    x = rng.normal(0, 1, shape, F32)
+    gy = rng.normal(0, 1, shape, F32)
+
+    def forward_backward():
+        y, cache = op.forward_cached(x)  # y stays alive, as in a training step
+        return y, atconv_backward(gy, cache)
+
+    assert traced_peak(forward_backward) <= 12.5 * MIB
+
+
+def test_glu_backward_transient_peak(traced_peak):
+    # at most two hidden maps are transient (five while every product was fresh)
+    rng = Rng(911)
+    shape = (64, 32, 7, 7)
+    p = GluParams.init(rng, 32, 4, F32)
+    x = rng.normal(0, 1, shape, F32)
+    gy = rng.normal(0, 1, shape, F32)
+    _, cache = glu_forward(x, p)
+    hidden = cache[4].nbytes  # a = W_a x, one hidden map
+    assert hidden == 4 * x.nbytes
+    assert traced_peak(glu_backward, gy, cache) <= 2.5 * hidden
+
+
+def test_gaussian_blur_peak(traced_peak):
+    # the two gathers held 2r+1 = 7 copies of the map each (10 maps in all)
+    x = Rng(912).normal(0, 1, (1, 64, 32, 32), F64)
+    assert traced_peak(gaussian_blur, x, 1.0) <= 3 * x.nbytes

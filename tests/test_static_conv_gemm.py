@@ -9,8 +9,6 @@ and gw sum in another order and are compared within a tolerance: 1e-12
 relative in f64.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -78,17 +76,7 @@ def test_no_bias_and_f64_weights_on_f32_input():
     assert rel_err(gw, ref_gw) < RTOL[F32]
 
 
-def traced_peak(fn, *args):
-    """tracemalloc peak, in bytes, of the arrays ``fn(*args)`` allocates."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_peak_stays_within_six_activation_maps():
+def test_peak_stays_within_six_activation_maps(traced_peak):
     # the window einsums peaked at about 11 maps (22.3 and 22.4 MiB)
     rng = Rng(83)
     shape = (8, 64, 32, 32)

@@ -11,7 +11,7 @@ dtype, not within a tolerance.
 import numpy as np
 import pytest
 
-from atconv.op import _TAP_BLOCK, dyn_depthwise_backward, dyn_depthwise_forward
+from atconv.op import _TAP_BLOCK, _block_rows, dyn_depthwise_backward, dyn_depthwise_forward
 from atconv.rng import Rng
 from oracles import dyn_depthwise_backward_scatter_ref, dyn_depthwise_forward_unblocked_ref
 
@@ -70,17 +70,10 @@ def test_batch_broadcast_kernel(dtypes):
     check(v, shared, gy)
 
 
-def block_rows(n, span):
-    """Planes per block: n planes in as few near-equal blocks as keep each
-    within _TAP_BLOCK elements."""
-    blocks = -(-n // max(1, _TAP_BLOCK // span))
-    return -(-n // blocks)
-
-
 def test_last_block_is_a_partial_one():
     shape = (3, 101, 16, 16)
     n = shape[0] * shape[1]
-    rows = block_rows(n, 16 * (16 + 2))  # k=3
+    rows = _block_rows(n, 16 * (16 + 2))  # k=3
     assert n > rows and n % rows != 0
     check(*draw(73, shape, 3, (F32, F32, F32)))
 
@@ -88,7 +81,7 @@ def test_last_block_is_a_partial_one():
 def test_analyze_shape_in_two_equal_blocks():
     # one f64 sample of 64 channels at 32 x 32 once split into 60 + 4 planes
     shape = (1, 64, 32, 32)
-    assert block_rows(64, 32 * (32 + 2)) == 32
+    assert _block_rows(64, 32 * (32 + 2)) == 32
     check(*draw(76, shape, 3, (F64, F64, F64)))
 
 
