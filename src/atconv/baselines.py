@@ -7,6 +7,10 @@ All three share the operator protocol the analysis code relies on:
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
   the k-neighborhood, independent of the input.
+- Both convolutions read their taps, at every k, as the flat runs of the
+  operator's zero-padded row layout (``op._padded_blocks`` and
+  ``op._tap_runs``): StaticConv as per-sample column GEMMs, StaticDepthwise
+  through the dynamic depthwise tap sum.
 - StaticDepthwise: one static k x k kernel per channel, applied by the
   operator's own dynamic depthwise kernel with the weights broadcast over
   the batch.
@@ -26,7 +30,6 @@ from . import op as atconv_op
 from .errors import ArgumentError, DimensionError, StateError
 from .primitives import (
     LinearCache, SoftmaxCache,
-    conv1x1_backward, conv1x1_forward,
     linear_backward, linear_forward,
     softmax_backward, softmax_forward,
 )
@@ -43,25 +46,18 @@ def _check_kernel(w: np.ndarray, name: str) -> int:
     return k
 
 
-def _padded_planes(c_, h_, w_, p, dtype):
-    """A zeroed (c_, H+2p+1, W+2p) buffer and its (c_, -1) flat view: a
-    plane written at [p:p+H, p:p+W] keeps its zero border, and the spare
-    bottom row keeps every tap's run of H*(W+2p) elements inside it."""
-    buf = np.zeros((c_, h_ + 2 * p + 1, w_ + 2 * p), dtype=dtype)
-    return buf, buf.reshape(c_, -1)
-
-
 # ======================================================================
 # dense static convolution
 # ======================================================================
 
-class StaticConvCache(NamedTuple):
-    x: np.ndarray
-    delegate: Optional[object]  # Conv1x1Cache when k == 1
-
-
 class StaticConv:
-    """y[b,o,h,w] = sum_{i,u,v} w[o,i,u,v] * xpad[b,i,h+u,w+v] + bias[o]"""
+    """y[b,o,h,w] = sum_{i,u,v} w[o,i,u,v] * xpad[b,i,h+u,w+v] + bias[o]
+
+    One padded block per sample, in op's tap-run layout at every k: y is
+    one (C_out x C_in*k*k) @ column-matrix GEMM per sample, gx gathers the
+    mirrored runs of the padded gy, and gw meets the columns with its
+    centre run.
+    """
 
     def __init__(self, w: np.ndarray, bias: Optional[np.ndarray] = None):
         w = np.asarray(w)
@@ -85,10 +81,6 @@ class StaticConv:
         c_in = self.w.shape[1]
         if x.shape[1] != c_in:
             raise DimensionError(f"input has {x.shape[1]} channels, weights expect {c_in}")
-        if self.k == 1:
-            # a 1-tap kernel is exactly a pointwise conv; reuse that path
-            y, sub = conv1x1_forward(x, self.w[:, :, 0, 0], self.bias)
-            return y, StaticConvCache(x, sub)
         # weights and bias take a float input's dtype, as in conv1x1_forward
         w = self.w.astype(x.dtype, copy=False)
         b_, _, h_, w_ = x.shape
@@ -103,76 +95,59 @@ class StaticConv:
             y += self.bias.astype(x.dtype, copy=False)[None, :, None, None]
         flop_counter.add(2 * b_ * h_ * w_ * self.w.size)
         ensure_finite(y, "static_conv")
-        return y, StaticConvCache(x, None)
+        return y, x
 
     def _columns(self, x):
-        """Yield each sample's (C_in*k*k, H*(W+2p)) column matrix, p = k // 2,
-        in one reused buffer.
+        """Yield each sample's (C_in*k*k, H*(W+k-1)) column matrix, in one
+        reused buffer: row i*k*k + u*k + t is channel i's ``_tap_runs`` run
+        for tap (u, t), whose k-1 extra columns per output row the caller
+        drops."""
+        b_, c_in, h_, w_ = x.shape
+        k = self.k
+        cols = np.empty((c_in, k * k, h_ * (w_ + k - 1)), dtype=x.dtype)
+        for _, xpad in atconv_op._padded_blocks(x.reshape(b_ * c_in, h_, w_), k // 2, c_in):
+            for i, run in enumerate(atconv_op._tap_runs(xpad, k)):
+                cols[:, i] = run
+            yield cols.reshape(c_in * k * k, -1)
 
-        The sample is zero-padded into planes of row width W+2p with one
-        spare row, so tap (u, t) of every output is the contiguous run at
-        offset u*(W+2p)+t; row i*k*k + u*k + t of the matrix is channel i's
-        run for tap (u, t). The 2p extra columns of each output row read the
-        neighbouring row and are dropped by the caller.
-        """
-        _, c_in, h_, w_ = x.shape
-        k, p = self.k, self.k // 2
-        xpad, flat = _padded_planes(c_in, h_, w_, p, x.dtype)
-        wp, span = w_ + 2 * p, h_ * (w_ + 2 * p)
-        cols = np.empty((c_in, k * k, span), dtype=x.dtype)
-        for xb in x:
-            xpad[:, p:p + h_, p:p + w_] = xb
-            for u in range(k):
-                for t in range(k):
-                    off = u * wp + t
-                    cols[:, u * k + t] = flat[:, off:off + span]
-            yield cols.reshape(c_in * k * k, span)
-
-    def backward(self, gy, cache: StaticConvCache, *, need_param_grads=True):
+    def backward(self, gy, cache, *, need_param_grads=True):
         """(gx, gw, gb); gw and gb are None, and not computed, when
-        ``need_param_grads`` is False."""
+        ``need_param_grads`` is False. The cache is the forward's input."""
         if cache is None:
             raise StateError("static conv backward needs the forward cache")
-        if cache.delegate is not None:
-            gx, gw11, gb = conv1x1_backward(gy, cache.delegate,
-                                            need_param_grads=need_param_grads)
-            return gx, None if gw11 is None else gw11[:, :, None, None], gb
         gy = as_tensor4(gy, "gy")
-        x = cache.x
+        x = cache
         b_, c_in, h_, w_ = x.shape
         c_out = self.w.shape[0]
         if gy.shape != (b_, c_out, h_, w_):
             raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
-        k, p = self.k, self.k // 2
-        w = self.w.astype(x.dtype, copy=False)
-        wp, span = w_ + 2 * p, h_ * (w_ + 2 * p)
-        gypad, gyflat = _padded_planes(c_out, h_, w_, p, gy.dtype)
+        k = self.k
+        wt = self.w.astype(x.dtype, copy=False).reshape(c_out, c_in, k * k)
         # gx is a gather on the padded gy: tap (u, t) is one (C_in x C_out)
-        # @ (C_out x span) BLAS matmul on the run at the mirrored offset
-        # (k-1-u, k-1-t), added into sums that start from +0 in tap order
+        # @ (C_out x span) BLAS matmul on its mirrored run, added into sums
+        # that start from +0 in tap order
+        span = h_ * (w_ + k - 1)
         sums = np.empty((c_in, span), dtype=x.dtype)
-        prod = np.empty((c_in, span), dtype=np.result_type(w, gy))
+        prod = np.empty((c_in, span), dtype=np.result_type(wt, gy))
         gx = np.empty_like(x)
         gw = gb = cols = None
         if need_param_grads:
-            # the run at offset (p, p) is gy at row width W+2p with zeros in
-            # the extra columns, which the columns' extra entries meet
-            gyw = gyflat[:, p * wp + p:p * wp + p + span]
             gw = np.zeros((c_out, c_in * k * k), dtype=np.result_type(gy, x))
             cols = self._columns(x)
             if self.bias is not None:
                 gb = gy.sum(axis=(0, 2, 3))
-        for gxb, gyb in zip(gx, gy):
-            gypad[:, p:p + h_, p:p + w_] = gyb
+        gyblocks = atconv_op._padded_blocks(gy.reshape(b_ * c_out, h_, w_), k // 2, c_out)
+        for gxb, (_, gypad) in zip(gx, gyblocks):
+            runs = atconv_op._tap_runs(gypad, k, flip=True)
             sums.fill(0)
-            for u in range(k):
-                for t in range(k):
-                    off = (k - 1 - u) * wp + k - 1 - t
-                    np.matmul(w[:, :, u, t].T, gyflat[:, off:off + span], out=prod)
-                    sums += prod
-            gxb[...] = sums.reshape(c_in, h_, wp)[:, :, :w_]
+            for i, run in enumerate(runs):
+                np.matmul(wt[:, :, i].T, run, out=prod)
+                sums += prod
+            gxb[...] = sums.reshape(c_in, h_, -1)[:, :, :w_]
             if cols is not None:
-                gw += gyw @ next(cols).T
+                # the centre run is gy at the padded row width with zeros in
+                # the extra columns, which the columns' extra entries meet
+                gw += runs[k * k // 2] @ next(cols).T
         if gw is not None:
             gw = gw.reshape(self.w.shape)
         return gx, gw, gb

@@ -94,7 +94,7 @@ def model_peak_bytes(name: str, batch: int, channels: int, h: int, w: int,
 
     The two modeled operators defer to the cost model; the static convs
     hold one activation map plus their (input-independent) kernels. The
-    dense conv (k > 1) adds its per-sample forward scratch, all at the
+    dense conv adds its per-sample forward scratch at every k, all at the
     padded row width W+2p: the (C_in*k*k, H*(W+2p)) column buffer, the
     C_in padded planes with their spare row, and the C_out x H*(W+2p) GEMM
     output.
@@ -108,11 +108,9 @@ def model_peak_bytes(name: str, batch: int, channels: int, h: int, w: int,
     if name == "static_dwconv":
         return elt_bytes * (batch * n * channels + channels * kernel * kernel)
     if name == "static_conv":
+        wp = w + kernel - 1
         held = batch * n * channels + channels * channels * kernel * kernel
-        if kernel > 1:
-            p = kernel // 2
-            wp = w + 2 * p
-            held += channels * (kernel * kernel * h * wp + (h + 2 * p + 1) * wp + h * wp)
+        held += channels * (kernel * kernel * h * wp + (h + kernel) * wp + h * wp)
         return elt_bytes * held
     raise ArgumentError(f"unknown operator {name!r}")
 

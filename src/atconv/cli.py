@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .baselines import IdentityOp
 from .bench import (BenchSettings, ablation_to_csv, make_operator, run_ablation,
-                    run_bench, rows_to_csv)
+                    run_bench, rows_to_csv, stage_param_count)
 from .complexity import ShapeSpec, report
 from .data import IdxDataset, synth_dataset
 from .errors import ArgumentError
@@ -40,7 +40,7 @@ _PRESETS = {
 def block_param_count(channels: int, kernel: int = 3, expansion: int = 4) -> int:
     """Parameters of one residual block: two norms, the mixer, the GLU."""
     c, e = channels, expansion * channels
-    mixer = 3 * c * c + 4 * c + kernel**4
+    mixer = stage_param_count(ATConvConfig(), c, kernel)
     glu = 3 * e * c + 2 * e + c
     return 2 * c + mixer + 2 * c + glu
 

@@ -337,10 +337,11 @@ def cross_entropy(logits, labels):
     if labels.min() < 0 or labels.max() >= nc:
         raise ArgumentError("labels out of range for the class count")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    soft = np.exp(shifted)
+    total = soft.sum(axis=1, keepdims=True)
     picked = shifted[np.arange(b_), labels]
-    loss = float((lse - picked).mean())
-    soft = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    loss = float((np.log(total[:, 0]) - picked).mean())
+    soft /= total
     soft[np.arange(b_), labels] -= 1.0
     return loss, soft / b_
 

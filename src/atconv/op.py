@@ -233,44 +233,53 @@ def _padded_blocks(x3, p, rows):
         yield lo, xpad[:m]
 
 
+def _tap_runs(xpad, k, flip=False):
+    """The k*k taps of one ``_padded_blocks`` block as flat (m, H*(W+k-1))
+    runs, in row-major tap order.
+
+    Tap (u, t) is the run at offset u*(W+k-1)+t of each padded plane, or
+    at the mirrored (k-1-u, k-1-t) when ``flip`` is set, which gathers the
+    transposed correlation. A run holds each output row at the padded row
+    width; its k-1 extra entries per row read the neighbouring row.
+    """
+    m, hp, wp = xpad.shape
+    flat = xpad.reshape(m, -1)
+    span = (hp - k) * wp
+    offs = [u * wp + t for u in range(k) for t in range(k)]
+    if flip:
+        offs.reverse()
+    return [flat[:, o:o + span] for o in offs]
+
+
 def _tap_sum(x, alpha, dtype, flip):
     """sum_{u,t} alpha[b,c,u,t] * xpad[b,c,h+u',w+t'] as a (B, C, H, W)
-    array of ``dtype``, where xpad is ``x`` zero-padded by k // 2.
-
-    Tap (u, t) reads xpad at offset (u', t') = (u, t), or at the mirrored
-    (k-1-u, k-1-t) when ``flip`` is set, which gathers the transposed
-    correlation.
+    array of ``dtype``, where xpad is ``x`` zero-padded by k // 2 and tap
+    (u, t) is the ``_tap_runs`` run, mirrored when ``flip`` is set.
 
     The flattened B*C axis is taken in the blocks of ``_padded_blocks``,
     sized by ``_block_rows``. A plane's sums are kept at the padded row
-    width, so each tap is one contiguous run of H*(W+k-1) elements per
-    plane; the k-1 extra sums per row read the neighbouring row and are
-    dropped. For each tap, the product is written into a reused buffer,
-    computed in ``result_type(x, alpha)``, and added into the sums, which
-    start from +0 and visit the taps in row-major order.
+    width, in the layout ``StaticConv`` shares, and the k-1 extra sums per
+    row are dropped. For each tap, the product is written into a reused
+    buffer, computed in ``result_type(x, alpha)``, and added into the sums,
+    which start from +0 and visit the taps in row-major order.
     """
     b_, c_, h, w = x.shape
     k = alpha.shape[2]
-    p = k // 2
-    n, wp = b_ * c_, w + 2 * p
-    span = h * wp
-    a3 = alpha.reshape(n, k, k)
+    n = b_ * c_
+    span = h * (w + k - 1)
+    a2 = alpha.reshape(n, k * k)
     out = np.empty((n, h, w), dtype=dtype)
     rows = _block_rows(n, span)
     acc = np.empty((rows, span), dtype=dtype)
     prod = np.empty((rows, span), dtype=np.result_type(x, alpha))
-    for lo, xpad in _padded_blocks(x.reshape(n, h, w), p, rows):
+    for lo, xpad in _padded_blocks(x.reshape(n, h, w), k // 2, rows):
         m = len(xpad)
-        flat = xpad.reshape(m, -1)
         sums, pb = acc[:m], prod[:m]
         sums.fill(0)
-        for u in range(k):
-            for t in range(k):
-                du, dt = (k - 1 - u, k - 1 - t) if flip else (u, t)
-                off = du * wp + dt
-                np.multiply(a3[lo:lo + m, u, t, None], flat[:, off:off + span], out=pb)
-                sums += pb
-        out[lo:lo + m] = sums.reshape(m, h, wp)[:, :, :w]
+        for i, run in enumerate(_tap_runs(xpad, k, flip)):
+            np.multiply(a2[lo:lo + m, i, None], run, out=pb)
+            sums += pb
+        out[lo:lo + m] = sums.reshape(m, h, -1)[:, :, :w]
     return out.reshape(b_, c_, h, w)
 
 

@@ -506,10 +506,9 @@ def layer_norm_forward(x, gain, offset, eps: float = 1e-6):
     if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
         gain = gain.astype(x.dtype, copy=False)
         offset = offset.astype(x.dtype, copy=False)
-    mu = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat = x - x.mean(axis=axis, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=axis, keepdims=True) + eps)
+    xhat *= inv_std
     shape = [1] * x.ndim
     shape[axis] = c
     y = gain.reshape(shape) * xhat + offset.reshape(shape)

@@ -1,5 +1,4 @@
 import os
-import tracemalloc
 
 import pytest
 
@@ -11,18 +10,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 
 
-def _traced_peak(fn, *args):
-    """tracemalloc peak, in bytes, of the arrays ``fn(*args)`` allocates;
-    arrays alive before the call are not counted."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture
 def traced_peak():
-    """The peak-memory helper every peak guard uses: ``traced_peak(fn, *args)``."""
-    return _traced_peak
+    """The peak-memory helper every peak guard uses: ``traced_peak(fn, *args)``
+    is the tracemalloc peak, in bytes, that ``atconv bench`` would measure
+    for the call; arrays alive before the call are not counted."""
+    from atconv.bench import _measure_peak_bytes  # numpy loads after the thread caps
+    return lambda fn, *args: _measure_peak_bytes(lambda: fn(*args))

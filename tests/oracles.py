@@ -12,8 +12,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.op import _tap_sum
-from atconv.primitives import conv1x1_backward
-from atconv.tensor import as_tensor4
+from atconv.primitives import LayerNormCache, conv1x1_backward
+from atconv.tensor import FLOAT_DTYPES, as_tensor4, as_vector, ensure_finite
 
 
 def conv1x1_ref(x, w, bias=None):
@@ -645,3 +645,61 @@ def gaussian_blur_gather_ref(x, sigma=1.0):
     rows = np.einsum("j,bchjw->bchw", kern, xd[:, :, idx_h, :])
     cols = np.einsum("j,bchwj->bchw", kern, rows[:, :, :, idx_w])
     return cols.astype(x.dtype, copy=False)
+
+
+# layer_norm_forward as it was when x.var recomputed the mean
+def layer_norm_forward_var_ref(x, gain, offset, eps: float = 1e-6):
+    """Normalize to zero mean / unit variance, then rescale and shift.
+
+    For a (B, C, H, W) input the statistics run over the channel axis at
+    each spatial position; a bare 1-D input is normalized whole. Variance
+    is the population variance (divide by C).
+    """
+    x = np.asarray(x)
+    if x.ndim == 4:
+        axis = 1
+    elif x.ndim == 1:
+        axis = 0
+    else:
+        raise DimensionError(f"layer_norm expects a 4-D or 1-D input, got shape {x.shape}")
+    if eps <= 0:
+        raise ArgumentError(f"eps must be positive, got {eps}")
+    c = x.shape[axis]
+    gain = as_vector(gain, c, "gain")
+    offset = as_vector(offset, c, "offset")
+    if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
+        gain = gain.astype(x.dtype, copy=False)
+        offset = offset.astype(x.dtype, copy=False)
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    shape = [1] * x.ndim
+    shape[axis] = c
+    y = gain.reshape(shape) * xhat + offset.reshape(shape)
+    ensure_finite(y, "layer_norm")
+    return y, LayerNormCache(xhat, inv_std, gain, axis)
+
+
+# cross_entropy as it was with three exps and two row sums
+def cross_entropy_three_exp_ref(logits, labels):
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits.
+
+    Stabilized with log-sum-exp; gradient is (softmax - onehot) / B.
+    """
+    logits = np.asarray(logits)
+    labels = np.asarray(labels)
+    if logits.ndim != 2:
+        raise DimensionError(f"logits must be (B, classes), got {logits.shape}")
+    b_, nc = logits.shape
+    if labels.shape != (b_,):
+        raise DimensionError(f"labels must be ({b_},), got {labels.shape}")
+    if labels.min() < 0 or labels.max() >= nc:
+        raise ArgumentError("labels out of range for the class count")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(b_), labels]
+    loss = float((lse - picked).mean())
+    soft = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    soft[np.arange(b_), labels] -= 1.0
+    return loss, soft / b_

@@ -121,7 +121,9 @@ def test_model_peak_bytes_formulas():
     wp = 32 + 2
     assert model_peak_bytes("static_conv", 8, 64, 32, 32, k, e) == e * (
         b * n * c + c * c * k * k + c * k * k * 32 * wp + c * (32 + 3) * wp + c * 32 * wp)
-    assert model_peak_bytes("static_conv", 8, 64, 32, 32, 1, e) == e * (b * n * c + c * c)
+    # k = 1 allocates the same buffers, at row width W
+    assert model_peak_bytes("static_conv", 8, 64, 32, 32, 1, e) == e * (
+        b * n * c + c * c + c * 32 * 32 + c * (32 + 1) * 32 + c * 32 * 32)
     with pytest.raises(ArgumentError):
         model_peak_bytes("conv3x3", 8, 64, 32, 32, k, e)
 
