@@ -1,8 +1,9 @@
 """Reference operators the adaptive one is measured against.
 
-All three share the operator protocol the analysis code relies on:
-``forward(x)``, ``forward_cached(x)`` and ``input_backward(gy, cache)``.
-``input_backward`` computes no weight gradients.
+All three, and the identity, are ``op.Operator`` subclasses: each defines
+``forward_cached`` and ``backward`` with ``need_param_grads``, and takes
+the ``forward`` and weight-gradient-free ``input_backward`` that the
+analysis code relies on from the protocol.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -27,9 +28,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import op as atconv_op
-from .errors import ArgumentError, DimensionError, StateError
+from .errors import ArgumentError, DimensionError
 from .primitives import (
-    LinearCache, SoftmaxCache,
+    LinearCache, SoftmaxCache, _need_cache,
     linear_backward, linear_forward,
     softmax_backward, softmax_forward,
 )
@@ -50,7 +51,7 @@ def _check_kernel(w: np.ndarray, name: str) -> int:
 # dense static convolution
 # ======================================================================
 
-class StaticConv:
+class StaticConv(atconv_op.Operator):
     """y[b,o,h,w] = sum_{i,u,v} w[o,i,u,v] * xpad[b,i,h+u,w+v] + bias[o]
 
     One padded block per sample, in op's tap-run layout at every k: y is
@@ -72,9 +73,6 @@ class StaticConv:
         bound = math.sqrt(1.0 / (c_in * k * k))
         return cls(rng.uniform(-bound, bound, (c_out, c_in, k, k), dtype),
                    np.zeros(c_out, dtype=dtype))
-
-    def forward(self, x):
-        return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         x = as_tensor4(x)
@@ -113,10 +111,8 @@ class StaticConv:
     def backward(self, gy, cache, *, need_param_grads=True):
         """(gx, gw, gb); gw and gb are None, and not computed, when
         ``need_param_grads`` is False. The cache is the forward's input."""
-        if cache is None:
-            raise StateError("static conv backward needs the forward cache")
+        x = _need_cache(cache, "static_conv")
         gy = as_tensor4(gy, "gy")
-        x = cache
         b_, c_in, h_, w_ = x.shape
         c_out = self.w.shape[0]
         if gy.shape != (b_, c_out, h_, w_):
@@ -152,15 +148,12 @@ class StaticConv:
             gw = gw.reshape(self.w.shape)
         return gx, gw, gb
 
-    def input_backward(self, gy, cache):
-        return self.backward(gy, cache, need_param_grads=False)[0]
-
 
 # ======================================================================
 # static depthwise convolution
 # ======================================================================
 
-class StaticDepthwise:
+class StaticDepthwise(atconv_op.Operator):
     """y[b,c,h,w] = sum_{u,v} w[c,u,v] * xpad[b,c,h+u,w+v]
 
     The dynamic depthwise kernel with ``w`` broadcast over the batch; the
@@ -179,9 +172,6 @@ class StaticDepthwise:
         bound = math.sqrt(1.0 / (k * k))
         return cls(rng.uniform(-bound, bound, (channels, k, k), dtype))
 
-    def forward(self, x):
-        return self.forward_cached(x)[0]
-
     def forward_cached(self, x):
         x = as_tensor4(x)
         b_, c_, _, _ = x.shape
@@ -191,12 +181,12 @@ class StaticDepthwise:
         alpha = np.broadcast_to(self.w.astype(x.dtype, copy=False), (b_, c_, self.k, self.k))
         return atconv_op.dyn_depthwise_forward(x, alpha)
 
-    def backward(self, gy, cache: atconv_op.DynDepthwiseCache):
-        gx, galpha = atconv_op.dyn_depthwise_backward(gy, cache)
-        return gx, galpha.sum(axis=0)
-
-    def input_backward(self, gy, cache):
-        return atconv_op.dyn_depthwise_backward(gy, cache, need_param_grads=False)[0]
+    def backward(self, gy, cache: atconv_op.DynDepthwiseCache, *, need_param_grads=True):
+        """(gx, gw); gw is None, and not computed, when
+        ``need_param_grads`` is False."""
+        gx, galpha = atconv_op.dyn_depthwise_backward(
+            gy, cache, need_param_grads=need_param_grads)
+        return gx, (galpha.sum(axis=0) if need_param_grads else None)
 
 
 # ======================================================================
@@ -244,7 +234,6 @@ class ToySAParams:
 
 
 class ToySACache(NamedTuple):
-    xt: np.ndarray          # (B, N, C)
     q_cache: LinearCache
     k_cache: LinearCache
     v_cache: LinearCache
@@ -257,7 +246,7 @@ class ToySACache(NamedTuple):
     shape: tuple
 
 
-class ToySelfAttention:
+class ToySelfAttention(atconv_op.Operator):
     """out = W_o (alpha V), alpha = softmax(Q K^T / tau) row-wise.
 
     Tokens are the H*W spatial positions in row-major order; there is no
@@ -267,9 +256,6 @@ class ToySelfAttention:
 
     def __init__(self, params: ToySAParams):
         self.params = params
-
-    def forward(self, x):
-        return self.forward_cached(x)[0]
 
     def forward_cached(self, x):
         x = as_tensor4(x)
@@ -291,7 +277,7 @@ class ToySelfAttention:
         out_t, oc = linear_forward(ytok, p.w_o)
         y = np.ascontiguousarray(out_t.transpose(0, 2, 1).reshape(b_, c_, h_, w_))
         ensure_finite(y, "toy_self_attention")
-        return y, ToySACache(xt, qc, kc, vc, oc, q, k, v, alpha, smc, x.shape)
+        return y, ToySACache(qc, kc, vc, oc, q, k, v, alpha, smc, x.shape)
 
     def attention(self, x) -> np.ndarray:
         """The (B, N, N) attention map for ``x``."""
@@ -300,8 +286,7 @@ class ToySelfAttention:
     def backward(self, gy, cache: ToySACache, *, need_param_grads=True):
         """(gx, grads); grads is None, and no weight gradient is computed,
         when ``need_param_grads`` is False."""
-        if cache is None:
-            raise StateError("toy attention backward needs the forward cache")
+        cache = _need_cache(cache, "toy_self_attention")
         gy = as_tensor4(gy, "gy")
         b_, c_, h_, w_ = cache.shape
         if gy.shape != cache.shape:
@@ -325,25 +310,20 @@ class ToySelfAttention:
             return gx, None
         return gx, {"w_q": gw_q, "w_k": gw_k, "w_v": gw_v, "w_o": gw_o}
 
-    def input_backward(self, gy, cache):
-        return self.backward(gy, cache, need_param_grads=False)[0]
 
-
-class IdentityOp:
+class IdentityOp(atconv_op.Operator):
     """Pass-through operator; handy as a ground truth in map tests."""
-
-    def forward(self, x):
-        return as_tensor4(x)
 
     def forward_cached(self, x):
         x = as_tensor4(x)
         return x, x.shape
 
-    def input_backward(self, gy, cache):
+    def backward(self, gy, cache, *, need_param_grads=True):
+        """(gy, None): the identity has no weights."""
         gy = as_tensor4(gy, "gy")
         if gy.shape != cache:
             raise DimensionError(f"gy shape {gy.shape} != cached shape {cache}")
-        return gy
+        return gy, None
 
 
 # ======================================================================

@@ -29,9 +29,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import atck
-from .errors import ArgumentError, DimensionError, StateError, UnsupportedConfigError
+from .errors import ArgumentError, DimensionError, UnsupportedConfigError
 from .primitives import (
-    Conv1x1Cache, GeluCache, LinearCache, PoolCache, SoftmaxCache,
+    Conv1x1Cache, GeluCache, LinearCache, PoolCache, SoftmaxCache, _need_cache,
     adaptive_avg_pool_backward, adaptive_avg_pool_forward,
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
@@ -322,21 +322,20 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=Tru
     gv is the transposed correlation, a gather on the zero-padded gy:
     gv[b,c,h,w] = sum_{u,t} alpha[b,c,u,t] * gypad[b,c,h+k-1-u,w+k-1-t],
     summed by ``_tap_sum`` in gy's product dtype into an array of v's
-    dtype. Tap (u, t) of galpha is the dot product of gy with the shifted
-    view vpad[u:u+H, t:t+W] over H x W, reduced by ``np.einsum`` without a
-    product temporary. v is padded block by block, in the tap sum's blocks,
-    so no whole-tensor padded copy of v is made. galpha has alpha's dtype
-    and ``np.empty_like``'s layout: for a batch-broadcast alpha its batch
-    axis is innermost, which fixes the summation order of a batch sum. With
-    ``need_param_grads=False`` galpha is None, and not computed.
+    dtype. Tap (u, t) of galpha is the dot product of gy with the H x W
+    window of v's ``_tap_runs`` run, the view vpad[u:u+H, t:t+W], reduced
+    by ``np.einsum`` without a product temporary. v is padded block by
+    block, in the tap sum's blocks, so no whole-tensor padded copy of v is
+    made. galpha has alpha's dtype and ``np.empty_like``'s layout: for a
+    batch-broadcast alpha its batch axis is innermost, which fixes the
+    summation order of a batch sum. With ``need_param_grads=False`` galpha
+    is None, and not computed.
 
     The gather also adds the +-0 products of gy's padding. They leave every
     sum as the scatter into a padded gradient gave it, save one case: an
     f32 gv whose f64 products underflow to -0 may read +0 instead.
     """
-    if cache is None:
-        raise StateError("dyn_depthwise_backward needs the forward cache")
-    v, alpha = cache
+    v, alpha = _need_cache(cache, "dyn_depthwise")
     gy = as_tensor4(gy, "gy")
     if gy.shape != v.shape:
         raise DimensionError(f"gy shape {gy.shape} != output shape {v.shape}")
@@ -348,14 +347,13 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=Tru
         return gv, None
     n = b_ * c_
     gy3 = gy.reshape(n, h_, w_)
-    ga = np.empty((n, k, k), dtype=alpha.dtype)
+    ga = np.empty((n, k * k), dtype=alpha.dtype)
     rows = _block_rows(n, h_ * (w_ + 2 * p))
     for lo, vpad in _padded_blocks(v.reshape(n, h_, w_), p, rows):
-        hi = lo + len(vpad)
-        for u in range(k):
-            for t in range(k):
-                ga[lo:hi, u, t] = np.einsum("nhw,nhw->n", gy3[lo:hi],
-                                            vpad[:, u:u + h_, t:t + w_])
+        m = len(vpad)
+        for i, run in enumerate(_tap_runs(vpad, k)):
+            ga[lo:lo + m, i] = np.einsum("nhw,nhw->n", gy3[lo:lo + m],
+                                         run.reshape(m, h_, -1)[:, :, :w_])
     galpha = np.empty_like(alpha)
     galpha[...] = ga.reshape(alpha.shape)
     return gv, galpha
@@ -370,7 +368,6 @@ class C2KCache(NamedTuple):
     pool: PoolCache
     act: GeluCache
     mix: LinearCache
-    k: int
 
 
 def generate_kernels(x, params: ATConvParams):
@@ -389,14 +386,13 @@ def generate_kernels_forward(x, params: ATConvParams):
     # vec() flattens each k x k context row-major before the tap mixing
     vec, c_mix = linear_forward(a.reshape(b_, c_, k * k), params.w_gen)
     raw = np.ascontiguousarray(vec.reshape(b_, c_, k, k))
-    return raw, C2KCache(c_conv, c_pool, c_act, c_mix, k)
+    return raw, C2KCache(c_conv, c_pool, c_act, c_mix)
 
 
 def generate_kernels_backward(graw, cache: C2KCache, *, need_param_grads=True):
     """(gx, generator weight gradients); the gradients are None, and not
     computed, when ``need_param_grads`` is False."""
-    if cache is None:
-        raise StateError("generate_kernels_backward needs the forward cache")
+    cache = _need_cache(cache, "generate_kernels")
     graw = np.asarray(graw)
     b_, c_, k, _ = graw.shape
     gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix,
@@ -448,10 +444,8 @@ def dkm_forward(raw, gamma, lambda_override=None):
 
 
 def dkm_backward(galpha, cache: DkmCache):
-    if cache is None:
-        raise StateError("dkm_backward needs the forward cache")
     galpha = np.asarray(galpha)
-    mean, lam, gamma_active = cache
+    mean, lam, gamma_active = _need_cache(cache, "dkm")
     kk = galpha.shape[2] * galpha.shape[3]
     s = galpha.sum(axis=(2, 3), keepdims=True)
     graw = galpha - (lam[None, :, None, None] / kk) * s
@@ -494,7 +488,6 @@ def central_diff_backward(galpha):
 
 @dataclass
 class ATConvCache:
-    x_shape: tuple
     gen: Optional[C2KCache]
     mod_kind: str
     mod_cache: object
@@ -548,8 +541,7 @@ def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig
     else:
         out, out_cache = y, None
 
-    return out, ATConvCache(x.shape, gen_cache, mod, mod_cache,
-                            value_cache, dd_cache, out_cache)
+    return out, ATConvCache(gen_cache, mod, mod_cache, value_cache, dd_cache, out_cache)
 
 
 def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
@@ -570,8 +562,7 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     two (the pooled gradient spread back to full size, then gx_kernel),
     which is then added into gx_value in place.
     """
-    if cache is None:
-        raise StateError("atconv_backward needs the forward cache")
+    cache = _need_cache(cache, "atconv")
     gy = as_tensor4(gy, "gy")
     grads = {}
 
@@ -625,7 +616,25 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     return np.ascontiguousarray(gx), (grads if need_param_grads else None)
 
 
-class ATConv:
+class Operator:
+    """The protocol the analysis probes rely on.
+
+    A subclass defines ``forward_cached(x) -> (y, cache)`` and
+    ``backward(gy, cache, *, need_param_grads=True)``, which returns gx
+    followed by the weight gradients; those are None, and not computed,
+    when ``need_param_grads`` is False. ``forward`` and ``input_backward``
+    follow from those two.
+    """
+
+    def forward(self, x):
+        return self.forward_cached(x)[0]
+
+    def input_backward(self, gy, cache):
+        """Input gradient alone: no weight gradient is computed."""
+        return self.backward(gy, cache, need_param_grads=False)[0]
+
+
+class ATConv(Operator):
     """Stateful wrapper pairing parameters with a configuration."""
 
     def __init__(self, params: ATConvParams, config: Optional[ATConvConfig] = None):
@@ -633,26 +642,14 @@ class ATConv:
         self.config = config if config is not None else ATConvConfig()
         self.config.validate(params.channels, params.kernel_size)
 
-    def forward(self, x):
-        return atconv_forward(x, self.params, self.config)
-
     def forward_cached(self, x):
         return atconv_forward_cached(x, self.params, self.config)
 
-    def backward(self, gy, cache):
-        return atconv_backward(gy, cache)
-
-    def input_backward(self, gy, cache):
-        """Input gradient alone: no weight gradient is computed."""
-        gx, _ = atconv_backward(gy, cache, need_param_grads=False)
-        return gx
+    def backward(self, gy, cache, *, need_param_grads=True):
+        return atconv_backward(gy, cache, need_param_grads=need_param_grads)
 
     def named_parameters(self) -> dict:
         return self.params.named()
 
     def save(self, path) -> None:
         self.params.save(path)
-
-    @classmethod
-    def load(cls, path, config: Optional[ATConvConfig] = None) -> "ATConv":
-        return cls(ATConvParams.load(path), config)

@@ -86,16 +86,7 @@ def _erf_block(x, out):
     idx = np.flatnonzero(inner)
     if idx.size:
         xs = xd.take(idx)
-        z = xs * xs
-        num = _ERF_A[4] * z
-        den = z.copy()
-        for i in range(3):
-            num += _ERF_A[i]
-            num *= z
-            den += _ERF_B[i]
-            den *= z
-        num += _ERF_A[3]
-        den += _ERF_B[3]
+        num, den = _rational(xs * xs, _ERF_A, _ERF_B)
         xs *= num
         xs /= den
         out[idx] = xs
@@ -103,15 +94,7 @@ def _erf_block(x, out):
     idx = np.flatnonzero(inner != not_outer)
     if idx.size:
         ys = y.take(idx)
-        num = _ERF_C[8] * ys
-        den = ys.copy()
-        for i in range(7):
-            num += _ERF_C[i]
-            num *= ys
-            den += _ERF_D[i]
-            den *= ys
-        num += _ERF_C[7]
-        den += _ERF_D[7]
+        num, den = _rational(ys, _ERF_C, _ERF_D)
         num /= den
         out[idx] = _erf_from_scaled_erfc(xd.take(idx), ys, num)
 
@@ -125,20 +108,29 @@ def _erf_block(x, out):
             idx, ys = idx[finite], ys[finite]
         z = ys * ys
         np.divide(1.0, z, out=z)
-        num = _ERF_P[5] * z
-        den = z.copy()
-        for i in range(4):
-            num += _ERF_P[i]
-            num *= z
-            den += _ERF_Q[i]
-            den *= z
-        num += _ERF_P[4]
-        den += _ERF_Q[4]
+        num, den = _rational(z, _ERF_P, _ERF_Q)
         num *= z
         num /= den
         np.subtract(_INV_SQRT_PI, num, out=num)
         num /= ys
         out[idx] = _erf_from_scaled_erfc(xd.take(idx), ys, num)
+
+
+def _rational(t, a, b):
+    """(num, den) of one Cody region as new arrays, by Horner's rule in t:
+    num = (..((a[n] t + a[0]) t + a[1]) t ..) + a[n-1] and
+    den = (..((t + b[0]) t + b[1]) t ..) + b[n-1], for n = len(b)."""
+    n = len(b)
+    num = a[n] * t
+    den = t.copy()
+    for i in range(n - 1):
+        num += a[i]
+        num *= t
+        den += b[i]
+        den *= t
+    num += a[n - 1]
+    den += b[n - 1]
+    return num, den
 
 
 def _erf_from_scaled_erfc(xs, ys, r):

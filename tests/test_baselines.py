@@ -142,9 +142,9 @@ def test_static_depthwise_runs_through_the_dynamic_kernel(monkeypatch):
     for name in ("dyn_depthwise_forward", "dyn_depthwise_backward"):
         real = getattr(atconv_op, name)
 
-        def counted(*args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(atconv_op, name, counted)
     op = StaticDepthwise.init(Rng(87), 2)

@@ -10,8 +10,9 @@ import pytest
 
 from atconv import op as atconv_op
 from atconv.analysis import influence_map, inhibition_map
-from atconv.baselines import StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
-from atconv.op import ATConv, ATConvConfig, ATConvParams, atconv_backward
+from atconv.baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
+                              ToySelfAttention)
+from atconv.op import ATConv, ATConvConfig, ATConvParams, Operator, atconv_backward
 from atconv.primitives import (conv1x1_backward, conv1x1_forward, linear_backward,
                                linear_forward)
 from atconv.rng import Rng
@@ -132,6 +133,28 @@ def test_input_only_operator_backwards_return_no_gradients():
     gv, galpha = atconv_op.dyn_depthwise_backward(gy, cache, need_param_grads=False)
     assert galpha is None
     assert gv.tobytes() == atconv_op.dyn_depthwise_backward(gy, cache)[0].tobytes()
+
+
+@pytest.mark.parametrize("cls", (ATConv, StaticConv, StaticDepthwise, ToySelfAttention,
+                                 IdentityOp), ids=lambda cls: cls.__name__)
+def test_operators_take_forward_and_input_backward_from_the_protocol(cls):
+    assert issubclass(cls, Operator)
+    assert "forward" not in vars(cls) and "input_backward" not in vars(cls)
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_static_depthwise_input_only_backward_returns_no_kernel_gradient(dtype, k):
+    rng = Rng(607 + k)
+    op = StaticDepthwise.init(rng, 4, k, dtype)
+    x = rng.normal(0, 1, (2, 4, 7, 6), dtype)
+    gy = rng.normal(0, 1, x.shape, dtype)
+    _, cache = op.forward_cached(x)
+    gx, gw = op.backward(gy, cache)
+    assert gw.shape == op.w.shape
+    gx_only, gw_none = op.backward(gy, cache, need_param_grads=False)
+    assert gw_none is None
+    assert gx_only.dtype == gx.dtype and gx_only.tobytes() == gx.tobytes()
 
 
 @pytest.mark.parametrize("mod", ("none", "dkm", "softmax", "central_diff"))

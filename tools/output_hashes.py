@@ -1,0 +1,130 @@
+"""Print sha256s of the package's deterministic outputs as one JSON object.
+
+Run from the repository root:
+
+    python3 tools/output_hashes.py > hashes.json
+
+Two trees give the same bytes exactly when their objects are equal, so a
+refactor meant to be bit for bit is checked by running this on both trees
+and comparing the objects. It covers:
+
+- the fixed-seed training checkpoints, f32 and f64;
+- ``atconv gradcheck --seed 0`` stdout and the ``atconv ablate --dry-run``
+  CSV;
+- ``atconv analyze --maps`` stdout for every operator it offers;
+- a seeded kernel sweep in f32 and f64 at k in {1, 3, 5}: ``dyn_depthwise``
+  y/gv/galpha, ``StaticDepthwise`` y/gx/gw/input_backward and ``ATConv``
+  y/gx/grads/input_backward.
+
+The package is imported from ``src`` and the CLI runs as a subprocess of
+the same interpreter, with ``ATCONV_THREADS=1``.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.abspath("src"))
+os.environ["ATCONV_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+
+from atconv import op as atconv_op  # noqa: E402
+from atconv.baselines import StaticDepthwise  # noqa: E402
+from atconv.data import synth_dataset  # noqa: E402
+from atconv.micro import MicroConfig  # noqa: E402
+from atconv.rng import Rng  # noqa: E402
+from atconv.train import TrainSettings, train  # noqa: E402
+
+ANALYZE_OPERATORS = ("atconv", "static_dwconv", "static_conv", "toy_sa", "identity")
+# more planes than one tap-sum block holds, so the blocking is exercised
+SWEEP_SHAPE = (4, 32, 32, 32)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_sha(a) -> str:
+    """sha256 of an array's dtype, shape and bytes."""
+    a = np.asarray(a)
+    return sha(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+
+
+def grads_sha(grads: dict) -> str:
+    return sha("".join(f"{k}:{array_sha(v)};" for k, v in sorted(grads.items())).encode())
+
+
+def cli_stdout(*argv) -> bytes:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+    return subprocess.run([sys.executable, "-m", "atconv.cli", *argv], env=env,
+                          check=True, capture_output=True).stdout
+
+
+def checkpoints(out: dict) -> None:
+    config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
+    train_set, test_set = synth_dataset(0, 128, 64)
+    with tempfile.TemporaryDirectory() as tmp:
+        for dtype in ("f32", "f64"):
+            path = os.path.join(tmp, f"{dtype}.atck")
+            settings = TrainSettings(epochs=2, batch_size=64, seed=0, dtype=dtype)
+            train(config, train_set, test_set, settings, checkpoint_path=path)
+            with open(path, "rb") as f:
+                out[f"checkpoint.{dtype}"] = sha(f.read())
+
+
+def cli_outputs(out: dict) -> None:
+    out["gradcheck.seed0"] = sha(cli_stdout("gradcheck", "--seed", "0"))
+    out["ablate.dry_run"] = sha(cli_stdout("ablate", "--dry-run"))
+    for name in ANALYZE_OPERATORS:
+        out[f"analyze.{name}"] = sha(cli_stdout("analyze", "--operator", name, "--maps"))
+
+
+def kernel_sweep(out: dict) -> None:
+    b_, c_, h_, w_ = SWEEP_SHAPE
+    for dtype in (np.float32, np.float64):
+        for k in (1, 3, 5):
+            tag = f"{np.dtype(dtype).name}.k{k}"
+            rng = Rng(1000 + k)
+            x = rng.normal(0, 1, SWEEP_SHAPE, dtype)
+            gy = rng.normal(0, 1, SWEEP_SHAPE, dtype)
+
+            alpha = rng.normal(0, 1, (b_, c_, k, k), dtype)
+            y, cache = atconv_op.dyn_depthwise_forward(x, alpha)
+            gv, galpha = atconv_op.dyn_depthwise_backward(gy, cache)
+            out[f"dyn_depthwise.{tag}.y"] = array_sha(y)
+            out[f"dyn_depthwise.{tag}.gv"] = array_sha(gv)
+            out[f"dyn_depthwise.{tag}.galpha"] = array_sha(galpha)
+
+            sd = StaticDepthwise.init(rng, c_, k, dtype)
+            y, cache = sd.forward_cached(x)
+            gx, gw = sd.backward(gy, cache)
+            out[f"static_dwconv.{tag}.y"] = array_sha(y)
+            out[f"static_dwconv.{tag}.gx"] = array_sha(gx)
+            out[f"static_dwconv.{tag}.gw"] = array_sha(gw)
+            out[f"static_dwconv.{tag}.input_backward"] = array_sha(sd.input_backward(gy, cache))
+
+            op = atconv_op.ATConv(atconv_op.ATConvParams.init(rng, c_, k, dtype))
+            y, cache = op.forward_cached(x)
+            gx, grads = op.backward(gy, cache)
+            out[f"atconv.{tag}.y"] = array_sha(y)
+            out[f"atconv.{tag}.gx"] = array_sha(gx)
+            out[f"atconv.{tag}.grads"] = grads_sha(grads)
+            out[f"atconv.{tag}.input_backward"] = array_sha(op.input_backward(gy, cache))
+
+
+def main() -> int:
+    out = {}
+    checkpoints(out)
+    cli_outputs(out)
+    kernel_sweep(out)
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
