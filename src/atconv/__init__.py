@@ -24,9 +24,8 @@ from .errors import (ArgumentError, DataConsistencyError, DegenerateMapError,
 from .rng import Rng
 from .tensor import as_tensor4, ensure_finite, flop_counter, counting
 from .op import (ATConv, ATConvConfig, ATConvParams, atconv_forward,
-                 atconv_forward_cached, atconv_backward, dkm, dkm_forward,
-                 dkm_backward, central_diff_mod, generate_kernels,
-                 dyn_depthwise)
+                 atconv_forward_cached, atconv_backward, dkm_forward,
+                 dkm_backward, central_diff_mod)
 from .baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
                         ToySelfAttention, conv_jacobian_probe)
 from .analysis import (analyze_operator, cer, csc, far, gaussian_blur,
@@ -47,8 +46,8 @@ __all__ = [
     "TrainingDiverged", "UndefinedMetricError", "UnsupportedConfigError",
     "Rng", "as_tensor4", "ensure_finite", "flop_counter", "counting",
     "ATConv", "ATConvConfig", "ATConvParams", "atconv_forward",
-    "atconv_forward_cached", "atconv_backward", "dkm", "dkm_forward",
-    "dkm_backward", "central_diff_mod", "generate_kernels", "dyn_depthwise",
+    "atconv_forward_cached", "atconv_backward", "dkm_forward",
+    "dkm_backward", "central_diff_mod",
     "IdentityOp", "StaticConv", "StaticDepthwise", "ToySAParams",
     "ToySelfAttention", "conv_jacobian_probe",
     "analyze_operator", "cer", "csc", "far", "gaussian_blur",

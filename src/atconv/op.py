@@ -16,8 +16,10 @@ input itself, in four stages:
    and stride 1, so spatial size is preserved;
 4. a pointwise output projection.
 
-Everything differentiable has a hand-derived backward; caches are explicit
-and produced only by the ``*_cached`` forward variants.
+Everything differentiable has a hand-derived backward. Each stage has one
+forward, ``*_forward`` -> (output, cache), and one ``*_backward`` that
+consumes the cache; the whole operator's are ``atconv_forward_cached`` and
+``atconv_backward``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .primitives import (
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
     linear_backward, linear_forward,
-    sigmoid, softmax_backward, softmax_forward,
+    sigmoid_forward, softmax_backward, softmax_forward,
 )
 from .rng import Rng
 from .tensor import FLOAT_DTYPES, as_matrix, as_tensor4, as_vector, ensure_finite, flop_counter
@@ -288,11 +290,6 @@ class DynDepthwiseCache(NamedTuple):
     alpha: np.ndarray
 
 
-def dyn_depthwise(v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    y, _ = dyn_depthwise_forward(v, alpha)
-    return y
-
-
 def dyn_depthwise_forward(v, alpha):
     """Apply a per-(batch, channel) k x k kernel as depthwise
     cross-correlation, zero padding floor(k/2), stride 1.
@@ -370,11 +367,6 @@ class C2KCache(NamedTuple):
     mix: LinearCache
 
 
-def generate_kernels(x, params: ATConvParams):
-    raw, _ = generate_kernels_forward(x, params)
-    return raw
-
-
 def generate_kernels_forward(x, params: ATConvParams):
     """Raw per-(batch, channel) kernels from the input's pooled context."""
     x = as_tensor4(x)
@@ -411,11 +403,6 @@ class DkmCache(NamedTuple):
     gamma_active: bool
 
 
-def dkm(raw, gamma, lambda_override=None):
-    alpha, _ = dkm_forward(raw, gamma, lambda_override)
-    return alpha
-
-
 def dkm_forward(raw, gamma, lambda_override=None):
     """alpha[b,c] = raw[b,c] - lam[c] * mean(raw[b,c]), lam = sigmoid(gamma).
 
@@ -431,7 +418,7 @@ def dkm_forward(raw, gamma, lambda_override=None):
         gamma = as_vector(gamma, c_, "gamma")
         if raw.dtype in FLOAT_DTYPES:  # float input keeps its precision
             gamma = gamma.astype(raw.dtype, copy=False)
-        lam = sigmoid(gamma)
+        lam, _ = sigmoid_forward(gamma)
         gamma_active = True
     else:
         lam = np.full(c_, float(lambda_override), dtype=raw.dtype)

@@ -1,9 +1,9 @@
 """Differentiable building blocks: pointwise convolution, adaptive average
 pooling, dense layers, and the usual nonlinearities.
 
-Every primitive comes in three parts: a plain forward, a cached forward
-(``*_forward``) returning the state its backward needs, and a hand-derived
-backward (``*_backward``) consuming that cache. There is no tape; composite
+Every primitive comes in two parts: a forward (``*_forward``) returning its
+output and the cache its backward needs, and a hand-derived backward
+(``*_backward``) consuming that cache. There is no tape; composite
 operators chain these calls explicitly and keep their own cache objects.
 
 Backward passes return gradients in the same order as the forward's
@@ -12,7 +12,7 @@ differentiable arguments and None for absent optional biases.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,12 +100,9 @@ def _erf_block(x, out):
 
     idx = np.flatnonzero(~not_outer)
     if idx.size:
-        ys = y.take(idx)
-        infinite = np.isinf(ys)
-        if infinite.any():  # erf(+-inf) = +-1; the split exp below gives inf - inf
-            out[idx[infinite]] = np.sign(xd.take(idx[infinite]))
-            finite = ~infinite
-            idx, ys = idx[finite], ys[finite]
+        # erf is exactly +-1 in float64 from |x| = 5.93 on; the clamp keeps
+        # ys * 16 and the split exp finite for huge and infinite x
+        ys = np.minimum(y.take(idx), 6.0)
         z = ys * ys
         np.divide(1.0, z, out=z)
         num, den = _rational(z, _ERF_P, _ERF_Q)
@@ -165,11 +162,6 @@ class Conv1x1Cache(NamedTuple):
     x: np.ndarray
     w: np.ndarray
     has_bias: bool
-
-
-def conv1x1(x: np.ndarray, w: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
-    y, _ = conv1x1_forward(x, w, bias)
-    return y
 
 
 def conv1x1_forward(x, w, bias=None):
@@ -244,11 +236,6 @@ def _pool_bounds(size: int, k: int) -> tuple:
     return tuple((i * size // k, -((i + 1) * size // -k)) for i in range(k))
 
 
-def adaptive_avg_pool(x: np.ndarray, k: int) -> np.ndarray:
-    y, _ = adaptive_avg_pool_forward(x, k)
-    return y
-
-
 def adaptive_avg_pool_forward(x, k: int):
     """Average the input over a k x k grid of (possibly overlapping) windows.
 
@@ -297,11 +284,6 @@ class LinearCache(NamedTuple):
     x: np.ndarray
     w: np.ndarray
     has_bias: bool
-
-
-def linear(x, w, bias=None):
-    y, _ = linear_forward(x, w, bias)
-    return y
 
 
 def linear_forward(x, w, bias=None):
@@ -358,11 +340,6 @@ class GeluCache(NamedTuple):
     cdf: np.ndarray
 
 
-def gelu(x):
-    y, _ = gelu_forward(x)
-    return y
-
-
 def gelu_forward(x):
     """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate."""
     x = np.asarray(x)
@@ -404,11 +381,6 @@ class SigmoidCache(NamedTuple):
     y: np.ndarray
 
 
-def sigmoid(x):
-    y, _ = sigmoid_forward(x)
-    return y
-
-
 def sigmoid_forward(x):
     """Logistic gate, evaluated on the non-overflowing branch per sign."""
     x = np.asarray(x)
@@ -431,11 +403,6 @@ def sigmoid_backward(gy, cache: SigmoidCache):
 class SoftmaxCache(NamedTuple):
     y: np.ndarray
     axis: int
-
-
-def softmax(x, axis: int = -1):
-    y, _ = softmax_forward(x, axis)
-    return y
 
 
 def softmax_forward(x, axis: int = -1):
@@ -468,60 +435,42 @@ class LayerNormCache(NamedTuple):
     xhat: np.ndarray
     inv_std: np.ndarray
     gain: np.ndarray
-    axis: int
-
-
-def layer_norm(x, gain, offset, eps: float = 1e-6):
-    y, _ = layer_norm_forward(x, gain, offset, eps)
-    return y
 
 
 def layer_norm_forward(x, gain, offset, eps: float = 1e-6):
-    """Normalize to zero mean / unit variance, then rescale and shift.
-
-    For a (B, C, H, W) input the statistics run over the channel axis at
-    each spatial position; a bare 1-D input is normalized whole. Variance
+    """Normalize a (B, C, H, W) input to zero mean / unit variance over the
+    channel axis at each spatial position, then rescale and shift. Variance
     is the population variance (divide by C).
     """
     x = np.asarray(x)
-    if x.ndim == 4:
-        axis = 1
-    elif x.ndim == 1:
-        axis = 0
-    else:
-        raise DimensionError(f"layer_norm expects a 4-D or 1-D input, got shape {x.shape}")
+    if x.ndim != 4:
+        raise DimensionError(f"layer_norm expects a 4-D input, got shape {x.shape}")
     if eps <= 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
-    c = x.shape[axis]
+    c = x.shape[1]
     gain = as_vector(gain, c, "gain")
     offset = as_vector(offset, c, "offset")
     if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
         gain = gain.astype(x.dtype, copy=False)
         offset = offset.astype(x.dtype, copy=False)
-    xhat = x - x.mean(axis=axis, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=axis, keepdims=True) + eps)
+    xhat = x - x.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
     xhat *= inv_std
-    shape = [1] * x.ndim
-    shape[axis] = c
-    y = gain.reshape(shape) * xhat + offset.reshape(shape)
+    y = gain[:, None, None] * xhat + offset[:, None, None]
     ensure_finite(y, "layer_norm")
-    return y, LayerNormCache(xhat, inv_std, gain, axis)
+    return y, LayerNormCache(xhat, inv_std, gain)
 
 
 def layer_norm_backward(gy, cache: LayerNormCache):
     cache = _need_cache(cache, "layer_norm")
-    xhat, inv_std, gain, axis = cache
+    xhat, inv_std, gain = cache
     gy = np.asarray(gy)
     if gy.shape != xhat.shape:
         raise DimensionError(f"gy shape {gy.shape} != input shape {xhat.shape}")
-    shape = [1] * xhat.ndim
-    shape[axis] = gain.shape[0]
-    g = gain.reshape(shape)
-    sum_axes = tuple(i for i in range(xhat.ndim) if i != axis)
-    ggain = (gy * xhat).sum(axis=sum_axes)
-    goffset = gy.sum(axis=sum_axes)
-    gxhat = gy * g
-    m1 = gxhat.mean(axis=axis, keepdims=True)
-    m2 = (gxhat * xhat).mean(axis=axis, keepdims=True)
+    ggain = (gy * xhat).sum(axis=(0, 2, 3))
+    goffset = gy.sum(axis=(0, 2, 3))
+    gxhat = gy * gain[:, None, None]
+    m1 = gxhat.mean(axis=1, keepdims=True)
+    m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
     gx = (gxhat - m1 - xhat * m2) * inv_std
     return gx, ggain, goffset

@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.op import _tap_sum
-from atconv.primitives import LayerNormCache, conv1x1_backward
+from atconv.primitives import conv1x1_backward
 from atconv.tensor import FLOAT_DTYPES, as_tensor4, as_vector, ensure_finite
 
 
@@ -678,7 +678,7 @@ def layer_norm_forward_var_ref(x, gain, offset, eps: float = 1e-6):
     shape[axis] = c
     y = gain.reshape(shape) * xhat + offset.reshape(shape)
     ensure_finite(y, "layer_norm")
-    return y, LayerNormCache(xhat, inv_std, gain, axis)
+    return y, (xhat, inv_std, gain)
 
 
 # cross_entropy as it was with three exps and two row sums

@@ -24,8 +24,7 @@ from atconv.micro import AdamHyper, MicroConfig, MicroModel
 from atconv.op import (ATConv, ATConvConfig, ATConvParams, atconv_forward,
                        dkm_backward, dkm_forward, dyn_depthwise_forward,
                        generate_kernels_forward)
-from atconv.primitives import (adaptive_avg_pool, conv1x1, gelu,
-                               softmax_backward, softmax_forward)
+from atconv.primitives import conv1x1_forward, softmax_backward, softmax_forward
 from atconv.rng import Rng
 from atconv.train import TrainSettings, overfit_single_sample, train
 from oracles import depthwise_ref
@@ -259,9 +258,9 @@ def test_criterion_07_operator_equivalences():
         raw, _ = generate_kernels_forward(x, params)
         lam = 1.0 / (1.0 + np.exp(-params.gamma))
         alpha = raw - lam[None, :, None, None] * raw.mean(axis=(2, 3), keepdims=True)
-        v = conv1x1(x, params.w_value, params.w_value_bias)
+        v, _ = conv1x1_forward(x, params.w_value, params.w_value_bias)
         mixed, _ = dyn_depthwise_forward(v, alpha)
-        y_stages = conv1x1(mixed, params.w_out, params.w_out_bias)
+        y_stages, _ = conv1x1_forward(mixed, params.w_out, params.w_out_bias)
         assert np.abs(y_fused - y_stages).max() <= 1e-12
 
         delta = np.zeros((c, k * k))

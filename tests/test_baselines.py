@@ -13,8 +13,8 @@ from atconv.baselines import (
     conv_jacobian_probe,
 )
 from atconv.errors import ArgumentError, DimensionError
-from atconv.op import ATConv, ATConvParams, dyn_depthwise
-from atconv.primitives import conv1x1, softmax
+from atconv.op import ATConv, ATConvParams, dyn_depthwise_forward
+from atconv.primitives import conv1x1_forward, softmax_forward
 from atconv.rng import Rng
 from oracles import (
     attention_ref,
@@ -43,7 +43,7 @@ def test_static_conv_1x1_is_pointwise_conv():
     w = rng.normal(0, 1, (4, 3, 1, 1))
     x = rng.normal(0, 1, (2, 3, 6, 6))
     y = StaticConv(w).forward(x)
-    assert np.array_equal(y, conv1x1(x, w[:, :, 0, 0]))
+    assert np.array_equal(y, conv1x1_forward(x, w[:, :, 0, 0])[0])
 
 
 def test_static_conv_delta_kernel_is_identity():
@@ -82,7 +82,7 @@ def test_static_depthwise_equals_broadcast_dynamic_kernel():
     w = rng.normal(0, 1, (3, 3, 3))
     x = rng.normal(0, 1, (2, 3, 6, 6))
     alpha = np.broadcast_to(w[None], (2, 3, 3, 3)).copy()
-    assert np.abs(StaticDepthwise(w).forward(x) - dyn_depthwise(x, alpha)).max() < 1e-12
+    assert np.abs(StaticDepthwise(w).forward(x) - dyn_depthwise_forward(x, alpha)[0]).max() < 1e-12
 
 
 def test_static_depthwise_box_kernel():
@@ -224,7 +224,7 @@ def test_attention_softmax_jacobian_forms_agree():
     rng = Rng(93)
     for tau in (1.0, 2.0):
         z = rng.normal(0, 1, (5,))
-        alpha = softmax(z / tau)
+        alpha = softmax_forward(z / tau)[0]
         j_matrix = (np.diag(alpha) - np.outer(alpha, alpha)) / tau
         j_elt = np.array([[alpha[i] * ((1.0 if i == j else 0.0) - alpha[j]) / tau
                            for j in range(5)] for i in range(5)])
@@ -237,7 +237,7 @@ def test_attention_softmax_jacobian_forms_agree():
             zp[j] += h
             zm = z.copy()
             zm[j] -= h
-            fd = (softmax(zp / tau) - softmax(zm / tau)) / (2 * h)
+            fd = (softmax_forward(zp / tau)[0] - softmax_forward(zm / tau)[0]) / (2 * h)
             assert np.abs(fd - j_matrix[:, j]).max() < 1e-8
 
 

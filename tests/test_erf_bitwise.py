@@ -26,12 +26,13 @@ def assert_bitwise(got, ref):
 
 
 def region_edges(dtype):
-    """±0.46875 and ±4 (erf's region boundaries) with their nextafter
-    neighbours, plus 0, -0.0, ±27 (deep saturation) and a subnormal."""
+    """±0.46875 and ±4 (erf's region boundaries) and ±6 (where the outer
+    region clamps |x|) with their nextafter neighbours, plus 0, -0.0, ±27
+    (deep saturation) and a subnormal."""
     vals = [0.0, -0.0, 27.0, -27.0]
     sub = np.finfo(dtype).smallest_subnormal
     vals += [sub, -sub]
-    for edge in (0.46875, 4.0):
+    for edge in (0.46875, 4.0, 6.0):
         for sign in (1.0, -1.0):
             v = dtype(sign * edge)
             vals += [v, np.nextafter(v, dtype(0.0)), np.nextafter(v, dtype(sign * np.inf))]

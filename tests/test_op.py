@@ -24,14 +24,13 @@ from atconv.op import (
     atconv_forward,
     atconv_forward_cached,
     central_diff_mod,
-    dkm,
     dkm_forward,
-    dyn_depthwise,
-    generate_kernels,
+    dyn_depthwise_forward,
+    generate_kernels_forward,
 )
 from atconv import op as atconv_op
 from atconv.micro import AdamHyper, adam_init, adam_step
-from atconv.primitives import conv1x1, gelu, sigmoid
+from atconv.primitives import conv1x1_forward, gelu_forward, sigmoid_forward
 from atconv.rng import Rng
 from atconv.tensor import counting
 from oracles import c2k_ref, depthwise_ref, dkm_ref
@@ -66,25 +65,25 @@ def _center_delta_kernel(channels, k=3):
 def test_c2k_constant_input_gives_flat_kernels():
     p = _identity_params(2)
     x = np.full((1, 2, 6, 6), 0.4)
-    raw = generate_kernels(x, p)
+    raw = generate_kernels_forward(x, p)[0]
     # every pooled tap sees the same context, so all taps agree
     assert np.abs(raw - raw[:, :, :1, :1]).max() < 1e-14
-    assert abs(raw[0, 0, 0, 0] - float(gelu(np.array([0.4]))[0])) < 1e-14
+    assert abs(raw[0, 0, 0, 0] - float(gelu_forward(np.array([0.4]))[0][0])) < 1e-14
 
 
 def test_c2k_input_already_kernel_sized():
     p = _identity_params(2)
     x = Rng(50).normal(0, 1, (1, 2, 3, 3))
-    raw = generate_kernels(x, p)
+    raw = generate_kernels_forward(x, p)[0]
     # pooling over 1x1 windows is the identity, so the kernel is the gate
-    assert np.abs(raw - gelu(x)).max() < 1e-14
+    assert np.abs(raw - gelu_forward(x)[0]).max() < 1e-14
 
 
 def test_c2k_matches_loop_reference():
     rng = Rng(51)
     p = ATConvParams.init(rng, 2, 3)
     x = rng.normal(0, 1, (1, 2, 5, 5))
-    raw = generate_kernels(x, p)
+    raw = generate_kernels_forward(x, p)[0]
     ref = c2k_ref(x, p.w_f, p.w_f_bias, p.w_gen, 3)
     assert np.abs(raw - ref).max() < 1e-12
 
@@ -92,7 +91,7 @@ def test_c2k_matches_loop_reference():
 def test_c2k_kernel_shape():
     rng = Rng(52)
     p = ATConvParams.init(rng, 3, 5)
-    raw = generate_kernels(rng.normal(0, 1, (2, 3, 8, 8)), p)
+    raw = generate_kernels_forward(rng.normal(0, 1, (2, 3, 8, 8)), p)[0]
     assert raw.shape == (2, 3, 5, 5)
 
 
@@ -102,27 +101,27 @@ def test_c2k_kernel_shape():
 
 def test_dkm_override_zero_is_identity():
     raw = Rng(53).normal(0, 1, (2, 3, 3, 3))
-    alpha = dkm(raw, np.zeros(3), lambda_override=0.0)
+    alpha = dkm_forward(raw, np.zeros(3), lambda_override=0.0)[0]
     assert np.array_equal(alpha, raw)
 
 
 def test_dkm_override_one_kills_constant_kernels():
     raw = np.ones((1, 2, 3, 3))
-    alpha = dkm(raw, np.zeros(2), lambda_override=1.0)
+    alpha = dkm_forward(raw, np.zeros(2), lambda_override=1.0)[0]
     assert np.abs(alpha).max() < 1e-15
 
 
 def test_dkm_override_one_gives_zero_mean():
     raw = Rng(54).normal(0, 1, (2, 4, 5, 5))
-    alpha = dkm(raw, np.zeros(4), lambda_override=1.0)
+    alpha = dkm_forward(raw, np.zeros(4), lambda_override=1.0)[0]
     assert np.abs(alpha.mean(axis=(2, 3))).max() < 1e-14
 
 
 def test_dkm_learned_strength_via_gamma():
     raw = Rng(55).normal(0, 1, (1, 2, 3, 3))
     gamma = np.array([0.3, -1.1])
-    alpha = dkm(raw, gamma)
-    lam = sigmoid(gamma)
+    alpha = dkm_forward(raw, gamma)[0]
+    lam = sigmoid_forward(gamma)[0]
     for c in range(2):
         ref = dkm_ref(raw[0, c], float(lam[c]))
         assert np.abs(alpha[0, c] - ref).max() < 1e-14
@@ -134,13 +133,13 @@ def test_dkm_jacobian_structure():
     k = 3
     lam = 0.5
     raw = Rng(56).normal(0, 1, (1, 1, k, k))
-    base = dkm(raw, np.zeros(1), lambda_override=lam)
+    base = dkm_forward(raw, np.zeros(1), lambda_override=lam)[0]
     h = 1e-6
     jac = np.zeros((k * k, k * k))
     for j in range(k * k):
         pert = raw.copy()
         pert[0, 0, j // k, j % k] += h
-        jac[:, j] = ((dkm(pert, np.zeros(1), lambda_override=lam) - base)
+        jac[:, j] = ((dkm_forward(pert, np.zeros(1), lambda_override=lam)[0] - base)
                      .reshape(-1) / h)
     expect = np.eye(k * k) - lam / (k * k)
     assert np.abs(jac - expect).max() < 1e-9
@@ -150,7 +149,7 @@ def test_dkm_jacobian_structure():
 
 def test_dkm_rejects_bad_rank():
     with pytest.raises(DimensionError):
-        dkm(np.ones((3, 3)), np.zeros(1))
+        dkm_forward(np.ones((3, 3)), np.zeros(1))
 
 
 # ----------------------------------------------------------------------
@@ -229,25 +228,25 @@ def test_value_projection_is_pointwise_conv():
     # center-delta kernel turns aggregation into identity, so the output
     # is exactly the value projection
     y = atconv_forward(x, p, cfg)
-    assert np.array_equal(y, conv1x1(x, p.w_value, p.w_value_bias))
+    assert np.array_equal(y, conv1x1_forward(x, p.w_value, p.w_value_bias)[0])
 
 
 def test_dyn_depthwise_center_delta_identity():
     v = Rng(60).normal(0, 1, (2, 3, 5, 5))
     alpha = np.zeros((2, 3, 3, 3))
     alpha[:, :, 1, 1] = 1.0
-    assert np.array_equal(dyn_depthwise(v, alpha), v)
+    assert np.array_equal(dyn_depthwise_forward(v, alpha)[0], v)
 
 
 def test_dyn_depthwise_zero_kernel():
     v = Rng(61).normal(0, 1, (1, 2, 4, 4))
-    assert np.abs(dyn_depthwise(v, np.zeros((1, 2, 3, 3)))).max() == 0.0
+    assert np.abs(dyn_depthwise_forward(v, np.zeros((1, 2, 3, 3)))[0]).max() == 0.0
 
 
 def test_dyn_depthwise_box_kernel_hand_values():
     v = np.arange(1.0, 10.0).reshape(1, 1, 3, 3)  # 1..9
     alpha = np.ones((1, 1, 3, 3))
-    y = dyn_depthwise(v, alpha)
+    y = dyn_depthwise_forward(v, alpha)[0]
     assert y[0, 0, 1, 1] == 45.0  # full box sum
     assert y[0, 0, 0, 0] == 1 + 2 + 4 + 5  # corner sees a 2x2 slice
 
@@ -256,17 +255,17 @@ def test_dyn_depthwise_matches_loop_reference():
     rng = Rng(62)
     v = rng.normal(0, 1, (2, 3, 5, 5))
     alpha = rng.normal(0, 1, (2, 3, 3, 3))
-    assert np.abs(dyn_depthwise(v, alpha) - depthwise_ref(v, alpha)).max() < 1e-12
+    assert np.abs(dyn_depthwise_forward(v, alpha)[0] - depthwise_ref(v, alpha)).max() < 1e-12
 
 
 def test_dyn_depthwise_rejects_even_kernel():
     with pytest.raises(ArgumentError):
-        dyn_depthwise(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)))
+        dyn_depthwise_forward(np.ones((1, 1, 4, 4)), np.ones((1, 1, 2, 2)))
 
 
 def test_dyn_depthwise_rejects_shape_mismatch():
     with pytest.raises(DimensionError):
-        dyn_depthwise(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)))
+        dyn_depthwise_forward(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)))
 
 
 # ----------------------------------------------------------------------
@@ -300,11 +299,11 @@ def test_full_operator_decomposes_against_frozen_kernels():
     y, cache = atconv_forward_cached(x, p)
 
     # recompute by hand from the stage outputs
-    raw = generate_kernels(x, p)
+    raw = generate_kernels_forward(x, p)[0]
     alpha, _ = dkm_forward(raw, p.gamma)
-    v = conv1x1(x, p.w_value, p.w_value_bias)
+    v = conv1x1_forward(x, p.w_value, p.w_value_bias)[0]
     agg = depthwise_ref(v, alpha)
-    ref = conv1x1(agg, p.w_out, p.w_out_bias)
+    ref = conv1x1_forward(agg, p.w_out, p.w_out_bias)[0]
     assert np.abs(y - ref).max() < 1e-12
 
 
@@ -312,7 +311,7 @@ def test_kernels_differ_across_batch_elements():
     rng = Rng(66)
     p = ATConvParams.init(rng, 3, 3)
     x = rng.normal(0, 1, (2, 3, 6, 6))
-    raw = generate_kernels(x, p)
+    raw = generate_kernels_forward(x, p)[0]
     assert np.abs(raw[0] - raw[1]).max() > 1e-3
 
 
@@ -472,5 +471,5 @@ def test_conv1x1_flop_count_is_exact():
     x = Rng(72).normal(0, 1, (2, 3, 4, 4))
     w = Rng(73).normal(0, 1, (5, 3))
     with counting() as ctr:
-        conv1x1(x, w)
+        conv1x1_forward(x, w)
     assert ctr.total == 2 * 2 * 16 * 5 * 3

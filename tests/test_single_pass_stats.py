@@ -25,18 +25,17 @@ def assert_bitwise(got, ref):
 
 @pytest.mark.parametrize("dtype", (F32, F64))
 @pytest.mark.parametrize("shape", ((1, 3, 5, 6), (2, 4, 7, 7), (3, 32, 8, 8),
-                                   (4, 64, 4, 5), (2, 7, 1, 9), (13,)))
+                                   (4, 64, 4, 5), (2, 7, 1, 9)))
 def test_layer_norm_is_bitwise_the_var_form(shape, dtype):
     rng = Rng(sum(shape))
-    c = shape[1] if len(shape) == 4 else shape[0]
+    c = shape[1]
     x = rng.normal(0.5, 3.0, shape, dtype)
     gain, offset = rng.normal(1, 0.5, (c,), dtype), rng.normal(0, 0.5, (c,), dtype)
     y, cache = layer_norm_forward(x, gain, offset)
     ref_y, ref_cache = layer_norm_forward_var_ref(x, gain, offset)
     assert_bitwise(y, ref_y)
-    for got, ref in zip(cache[:3], ref_cache[:3]):
+    for got, ref in zip(cache, ref_cache):
         assert_bitwise(got, ref)
-    assert cache.axis == ref_cache.axis
 
 
 @pytest.mark.parametrize("dtype", (F32, F64))
