@@ -3,7 +3,9 @@
 The routing diagnostics ask where an output pixel's gradient mass lives:
 
 - influence_map: G(h, w) = sum over output channels c* and input channels
-  c of |d y[0, c*, h*, w*] / d x[0, c, h, w]|, one backward per c*.
+  c of |d y[0, c*, h*, w*] / d x[0, c, h, w]|, one Jacobian row per c*
+  from the operator's ``jacobian_rows``: a dense input backward each by
+  default, read from its structure for ATConv.
 - far: fraction of G's mass strictly beyond Euclidean radius r0 of the
   anchor. A k x k conv has FAR = 0 for any r0 >= the kernel radius.
 - routing_centroid: intensity-weighted centroid of G restricted to its
@@ -37,7 +39,6 @@ import math
 
 import numpy as np
 
-from .baselines import jacobian_rows
 from .errors import (ArgumentError, DegenerateMapError, DimensionError,
                      NumericError, UndefinedMetricError)
 from .tensor import as_tensor4
@@ -66,7 +67,7 @@ def influence_map(op, x, anchor) -> np.ndarray:
     _, _, h_, w_ = x.shape
     ah, aw = _check_anchor(anchor, h_, w_)
     g = np.zeros((h_, w_), dtype=np.float64)
-    for row in jacobian_rows(op, x, (ah, aw)):
+    for row in op.jacobian_rows(x, (ah, aw)):
         g += np.abs(row).sum(axis=0)
     return g
 
@@ -118,6 +119,13 @@ def inhibition_map(op, x, anchor, eps: float | None = None) -> np.ndarray:
     x = as_tensor4(x)
     _, _, h_, w_ = x.shape
     ah, aw = _check_anchor(anchor, h_, w_)
+    return _inhibition(op, x, (ah, aw), eps)
+
+
+def _inhibition(op, x, anchor, eps, base=None):
+    """``inhibition_map`` for a checked ``x`` and ``anchor``; ``base`` is
+    ``op.forward(x)`` when the caller already has it."""
+    ah, aw = anchor
     if eps is None:
         rms = float(np.sqrt(np.mean(x.astype(np.float64) ** 2)))
         if rms == 0.0:
@@ -125,7 +133,8 @@ def inhibition_map(op, x, anchor, eps: float | None = None) -> np.ndarray:
         eps = 0.01 * rms
     if eps <= 0:
         raise ArgumentError(f"probe amplitude must be positive, got {eps}")
-    base = op.forward(x)
+    if base is None:
+        base = op.forward(x)
     bumped = x.copy()
     bumped[0, :, ah, aw] += eps
     resp = op.forward(bumped)
@@ -259,8 +268,8 @@ def analyze_operator(op, x, anchor=None, r0: float = 4.0, sigma: float = 1.0,
         anchor = (h_ // 2, w_ // 2)
     ah, aw = _check_anchor(anchor, h_, w_)
     g = influence_map(op, x, (ah, aw))
-    d = inhibition_map(op, x, (ah, aw), eps)
     y = op.forward(x)
+    d = _inhibition(op, x, (ah, aw), eps, base=y)
     centroid = routing_centroid(g, quantile)
     report = {
         "anchor": [ah, aw],

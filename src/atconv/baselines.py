@@ -2,8 +2,8 @@
 
 All three, and the identity, are ``op.Operator`` subclasses: each defines
 ``forward_cached`` and ``backward`` with ``need_param_grads``, and takes
-the ``forward`` and weight-gradient-free ``input_backward`` that the
-analysis code relies on from the protocol.
+the ``forward``, weight-gradient-free ``input_backward`` and generic
+``jacobian_rows`` that the analysis code relies on from the protocol.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -334,8 +334,8 @@ def conv_jacobian_probe(op, x, position: tuple) -> np.ndarray:
     """Input Jacobian slice of ``op`` at one output position.
 
     Returns J with J[c_out, c_in, h, w] = d y[0, c_out, ph, pw] /
-    d x[0, c_in, h, w], computed with one backward pass per output
-    channel. For a static convolution this slice is the kernel weights
+    d x[0, c_in, h, w], one ``op.jacobian_rows`` row per output channel.
+    For a static convolution this slice is the kernel weights
     scattered over the neighborhood of ``position`` and zero elsewhere,
     whatever the input; operators with input-dependent kernels produce
     input-dependent slices.
@@ -345,18 +345,4 @@ def conv_jacobian_probe(op, x, position: tuple) -> np.ndarray:
     _, _, h_, w_ = x.shape
     if not (0 <= ph < h_ and 0 <= pw < w_):
         raise ArgumentError(f"position {position} outside spatial extent {(h_, w_)}")
-    return np.stack(list(jacobian_rows(op, x, (ph, pw))), axis=0)
-
-
-def jacobian_rows(op, x, position: tuple):
-    """Yield d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each
-    output channel in turn: one input backward per row, so a caller that
-    reduces the rows as they come never holds the whole slice.
-
-    ``x`` is a 4-D tensor and ``position`` a checked (ph, pw).
-    """
-    y, cache = op.forward_cached(x)
-    for co in range(y.shape[1]):
-        gy = np.zeros_like(y)
-        gy[0, co, position[0], position[1]] = 1.0
-        yield op.input_backward(gy, cache)[0]
+    return np.stack(list(op.jacobian_rows(x, (ph, pw))), axis=0)

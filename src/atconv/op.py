@@ -473,6 +473,20 @@ def central_diff_backward(galpha):
 # the full operator
 # ======================================================================
 
+def _kernel_mod_backward(g_alpha, kind: str, mod_cache):
+    """(g_raw, ggamma) through the kernel modulation ``kind``; ggamma is
+    None unless the modulation is dkm."""
+    if kind == "dkm":
+        return dkm_backward(g_alpha, mod_cache)
+    if kind == "softmax":
+        b_, c_, k, _ = g_alpha.shape
+        g_raw = softmax_backward(g_alpha.reshape(b_, c_, k * k), mod_cache)
+        return g_raw.reshape(b_, c_, k, k), None
+    if kind == "central_diff":
+        return central_diff_backward(g_alpha), None
+    return g_alpha, None
+
+
 @dataclass
 class ATConvCache:
     gen: Optional[C2KCache]
@@ -574,20 +588,12 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
         gx_value = g_v
     del g_v
 
-    mod = cache.mod_kind
     if g_alpha is None:
         g_raw = None
-    elif mod == "dkm":
-        g_raw, ggamma = dkm_backward(g_alpha, cache.mod_cache)
-        grads["gamma"] = ggamma
-    elif mod == "softmax":
-        b_, c_, k, _ = g_alpha.shape
-        g_raw = softmax_backward(
-            g_alpha.reshape(b_, c_, k * k), cache.mod_cache).reshape(b_, c_, k, k)
-    elif mod == "central_diff":
-        g_raw = central_diff_backward(g_alpha)
     else:
-        g_raw = g_alpha
+        g_raw, ggamma = _kernel_mod_backward(g_alpha, cache.mod_kind, cache.mod_cache)
+        if ggamma is not None:
+            grads["gamma"] = ggamma
 
     gx = gx_value
     if cache.gen is not None:
@@ -609,8 +615,9 @@ class Operator:
     A subclass defines ``forward_cached(x) -> (y, cache)`` and
     ``backward(gy, cache, *, need_param_grads=True)``, which returns gx
     followed by the weight gradients; those are None, and not computed,
-    when ``need_param_grads`` is False. ``forward`` and ``input_backward``
-    follow from those two.
+    when ``need_param_grads`` is False. ``forward``, ``input_backward`` and
+    ``jacobian_rows`` follow from those two; an operator whose structure
+    gives its Jacobian rows more cheaply overrides ``jacobian_rows``.
     """
 
     def forward(self, x):
@@ -619,6 +626,33 @@ class Operator:
     def input_backward(self, gy, cache):
         """Input gradient alone: no weight gradient is computed."""
         return self.backward(gy, cache, need_param_grads=False)[0]
+
+    def jacobian_rows(self, x, position: tuple):
+        """Yield d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each
+        output channel in turn: one input backward per row, so a caller that
+        reduces the rows as they come never holds the whole slice.
+
+        ``x`` is a 4-D tensor and ``position`` a checked (ph, pw).
+        """
+        y, cache = self.forward_cached(x)
+        for co in range(y.shape[1]):
+            gy = np.zeros_like(y)
+            gy[0, co, position[0], position[1]] = 1.0
+            yield self.input_backward(gy, cache)[0]
+
+
+def _rows_view(a, rows: int):
+    """Batch element 0 of a cached array, broadcast over ``rows`` rows."""
+    return np.broadcast_to(a[:1], (rows,) + a.shape[1:])
+
+
+def _pool_spread(bounds, size: int, dtype):
+    """(size, k) matrix with 1/len where a position lies in a pooling
+    window and 0 elsewhere: one axis of the pooling backward."""
+    m = np.zeros((size, len(bounds)), dtype=dtype)
+    for i, (lo, hi) in enumerate(bounds):
+        m[lo:hi, i] = 1.0 / (hi - lo)
+    return m
 
 
 class ATConv(Operator):
@@ -634,6 +668,66 @@ class ATConv(Operator):
 
     def backward(self, gy, cache, *, need_param_grads=True):
         return atconv_backward(gy, cache, need_param_grads=need_param_grads)
+
+    def jacobian_rows(self, x, position: tuple):
+        """The protocol's rows, read from the operator's structure after one
+        forward instead of from one dense backward per row.
+
+        For gy one-hot at (c*, ph, pw) of batch element 0, the output
+        projection's backward is w_out[c*, :] at the anchor. The depthwise
+        backward puts g_v = g_y * alpha only in the anchor's k x k window,
+        which the value projection's backward maps alone, and g_alpha is g_y
+        times v's k x k window. On the generator path, the stage backwards
+        run on (C, C, k, k) arrays, one (C, k, k) slab per row, over
+        broadcast views of their batch-0 caches. The pointwise context conv
+        commutes with the pooling spread, so each row's gx_kernel is
+        Mh (w_f^T gz) Mw, where Mh (H x k) and Mw (k x W) are
+        ``_pool_spread``'s matrices for the two axes.
+        """
+        cache = self.forward_cached(x)[1]
+        v, alpha = cache.dd
+        _, c_, h_, w_ = v.shape
+        k = alpha.shape[2]
+        p = k // 2
+        dtype = v.dtype
+        ph, pw = position
+        # the anchor's window clipped to the map: map rows h0:h1 meet taps us
+        h0, h1 = max(ph - p, 0), min(ph + p + 1, h_)
+        w0, w1 = max(pw - p, 0), min(pw + p + 1, w_)
+        us = slice(h0 - ph + p, h1 - ph + p)
+        ts = slice(w0 - pw + p, w1 - pw + p)
+        g_y = cache.out.w if cache.out is not None else np.eye(c_, dtype=dtype)
+        g_win = g_y[:, :, None, None] * alpha[0, :, us, ts]
+        if cache.value is not None:
+            g_win = np.matmul(cache.value.w.T, g_win.reshape(c_, c_, -1)).reshape(g_win.shape)
+        gen, q = cache.gen, None
+        if gen is not None:
+            v_win = np.zeros((c_, k, k), dtype=dtype)
+            v_win[:, us, ts] = v[0, :, h0:h1, w0:w1]
+            mod_cache = cache.mod_cache
+            if cache.mod_kind == "dkm":
+                mod_cache = mod_cache._replace(mean=_rows_view(mod_cache.mean, c_))
+            elif cache.mod_kind == "softmax":
+                mod_cache = mod_cache._replace(y=_rows_view(mod_cache.y, c_))
+            g_raw, _ = _kernel_mod_backward(g_y[:, :, None, None] * v_win,
+                                            cache.mod_kind, mod_cache)
+            g_vec, _, _ = linear_backward(
+                g_raw.reshape(c_, c_, k * k),
+                gen.mix._replace(x=_rows_view(gen.mix.x, c_)), need_param_grads=False)
+            gz = gelu_backward(g_vec.reshape(c_, c_, k, k),
+                               GeluCache(_rows_view(gen.act.x, c_), _rows_view(gen.act.cdf, c_)))
+            q = np.matmul(gen.conv.w.T, gz.reshape(c_, c_, k * k)).reshape(gz.shape)
+            mh = _pool_spread(gen.pool.h_bounds, h_, q.dtype)
+            mw = _pool_spread(gen.pool.w_bounds, w_, q.dtype).T
+        # the rows need none of the forward's maps
+        del v, cache, gen
+        for r in range(c_):
+            if q is None:
+                row = np.zeros((c_, h_, w_), dtype=dtype)
+            else:
+                row = mh @ q[r] @ mw
+            row[:, h0:h1, w0:w1] += g_win[r]
+            yield row
 
     def named_parameters(self) -> dict:
         return self.params.named()

@@ -703,3 +703,18 @@ def cross_entropy_three_exp_ref(logits, labels):
     soft = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     soft[np.arange(b_), labels] -= 1.0
     return loss, soft / b_
+
+
+# baselines.jacobian_rows as it was: one dense input backward per output channel
+def jacobian_rows_generic_ref(op, x, position: tuple):
+    """Yield d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each
+    output channel in turn: one input backward per row, so a caller that
+    reduces the rows as they come never holds the whole slice.
+
+    ``x`` is a 4-D tensor and ``position`` a checked (ph, pw).
+    """
+    y, cache = op.forward_cached(x)
+    for co in range(y.shape[1]):
+        gy = np.zeros_like(y)
+        gy[0, co, position[0], position[1]] = 1.0
+        yield op.input_backward(gy, cache)[0]

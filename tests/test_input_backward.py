@@ -2,7 +2,8 @@
 
 ``need_param_grads=False`` must skip every weight gradient and leave the
 input gradient bit for bit what the full backward gives, so the routing
-maps built from it do not move.
+maps built from it do not move. ATConv reads its Jacobian rows from its
+structure instead, within a tolerance of the dense backward's.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from atconv.op import ATConv, ATConvConfig, ATConvParams, Operator, atconv_backw
 from atconv.primitives import (conv1x1_backward, conv1x1_forward, linear_backward,
                                linear_forward)
 from atconv.rng import Rng
+from oracles import jacobian_rows_generic_ref
 
 
 class FullBackward:
@@ -34,6 +36,9 @@ class FullBackward:
     def input_backward(self, gy, cache):
         return self.op.backward(gy, cache)[0]
 
+    def jacobian_rows(self, x, position):
+        return jacobian_rows_generic_ref(self, x, position)
+
 
 def _operators(rng, c, dtype):
     return {
@@ -49,6 +54,11 @@ def _operators(rng, c, dtype):
     }
 
 
+# ATConv's structured rows against the dense backward's, relative to the
+# largest reference entry
+STRUCTURED_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(2, 4, 7, 7), (1, 6, 9, 8)])
 def test_influence_map_is_bitwise_that_of_the_full_backward(dtype, shape):
@@ -59,7 +69,11 @@ def test_influence_map_is_bitwise_that_of_the_full_backward(dtype, shape):
         for probe in (influence_map, inhibition_map):
             g = probe(op, x, anchor)
             ref = probe(FullBackward(op), x, anchor)
-            assert g.tobytes() == ref.tobytes(), (name, probe.__name__)
+            if probe is influence_map and isinstance(op, ATConv):
+                err = np.abs(g - ref).max()
+                assert err <= STRUCTURED_RTOL[dtype] * np.abs(ref).max(), (name, err)
+            else:
+                assert g.tobytes() == ref.tobytes(), (name, probe.__name__)
 
 
 def test_static_depthwise_probes_compute_no_kernel_gradient(monkeypatch):
@@ -77,23 +91,32 @@ def test_static_depthwise_probes_compute_no_kernel_gradient(monkeypatch):
 
 
 def test_influence_map_on_atconv_computes_no_weight_gradient(monkeypatch):
+    # the rows come from the operator's structure: no dense backward at all
     calls = []
 
     def recording(fn):
         def wrapper(*args, **kwargs):
-            calls.append((fn.__name__, kwargs.get("need_param_grads", True)))
+            calls.append(fn.__name__)
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(atconv_op, "atconv_backward", recording(atconv_backward))
     monkeypatch.setattr(atconv_op, "conv1x1_backward", recording(conv1x1_backward))
-    monkeypatch.setattr(atconv_op, "linear_backward", recording(linear_backward))
     rng = Rng(602)
-    op = ATConv(ATConvParams.init(rng, 3, 3))
-    influence_map(op, rng.normal(0, 1, (1, 3, 6, 6)), (2, 2))
-    # three conv1x1s (context, value, out) and the tap mixing, per channel
-    assert sorted({name for name, _ in calls}) == ["conv1x1_backward", "linear_backward"]
-    assert len(calls) == 3 * 4
-    assert not any(need for _, need in calls)
+    static = ATConvConfig(use_kernel_generator=False, static_kernel=rng.normal(0, 1, (3, 9)))
+    for config in (ATConvConfig(), static):
+        op = ATConv(ATConvParams.init(rng, 3, 3), config)
+        influence_map(op, rng.normal(0, 1, (1, 3, 6, 6)), (2, 2))
+    assert calls == []
+
+
+def test_influence_map_on_atconv_peak_bytes(traced_peak):
+    # B1 C64 H32 f64, the analyze_c64 shape: the dense-backward rows peaked
+    # at 4.47 MiB here
+    rng = Rng(609)
+    op = ATConv(ATConvParams.init(rng, 64, 3))
+    x = rng.normal(0, 1, (1, 64, 32, 32))
+    assert traced_peak(influence_map, op, x, (16, 16)) < 4.0 * 2**20
 
 
 def test_input_only_primitives_return_none_for_weights():
