@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError
 from .op import ATConvCache, ATConvConfig, ATConvParams, atconv_backward, atconv_forward_cached
 from .primitives import (
+    Conv1x1Cache, GeluCache,
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
     layer_norm_backward, layer_norm_forward,
@@ -84,27 +85,56 @@ class GluParams:
         self.b_c = as_vector(self.b_c, c, "b_c")
 
 
+class GluCache(NamedTuple):
+    """What ``glu_backward`` reads. Of the hidden-width maps it keeps only
+    a and the GELU's input and CDF; W_c's cache comes without its input h,
+    which the backward rebuilds from them."""
+    ca: Conv1x1Cache
+    cb: Conv1x1Cache
+    cg: GeluCache
+    cc: Conv1x1Cache
+    a: np.ndarray
+
+
 def glu_forward(x, p: GluParams):
     """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels."""
     a, ca = conv1x1_forward(x, p.w_a, p.b_a)
     braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
-    gate, cg = gelu_forward(braw)
-    h = a * gate
+    h, cg = gelu_forward(braw)
+    h *= a  # h = gate * a, written over the fresh gate
     y, cc = conv1x1_forward(h, p.w_c, p.b_c)
-    return y, (ca, cb, cg, cc, a, gate)
+    return y, GluCache(ca, cb, cg, cc._replace(x=None), a)
 
 
-def glu_backward(gy, cache):
+def _gate(cg: GeluCache):
+    """The GELU output, rebuilt bit for bit: the forward's (0.5 x)(1 + erf)
+    equals x * cdf, since cdf = (1 + erf) / 2 exactly and 0.5 x is exact
+    wherever 1 + erf != 1 (where it is 1, both round 0.5 x once)."""
+    return np.multiply(cg.x, cg.cdf)
+
+
+def glu_backward(gy, cache: GluCache):
     """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
 
-    The work is ordered so that at most two hidden-width maps are alive
-    beyond the cache: gh with gh * gate while W_a's backward runs, then
-    gh * a (written over gh) with the GELU gradient, then that gradient
-    alone. The two input gradients are summed in place.
+    h = gate * a is rebuilt for W_c's backward and dropped after it. The
+    gate is then rebuilt again and gh multiplied into it in place (a fresh
+    product when gy is wider than the GLU, to keep ``result_type``), for
+    W_a's backward. Then gh * a is written over gh for the GELU gradient,
+    which runs alone. So at most two hidden-width maps are transient at
+    any time, and the two input gradients are summed in place.
     """
-    ca, cb, cg, cc, a, gate = cache
-    gh, gw_c, gb_c = conv1x1_backward(gy, cc)
-    gx, gw_a, gb_a = conv1x1_backward(gh * gate, ca)
+    ca, cb, cg, cc, a = cache
+    h = _gate(cg)
+    h *= a
+    gh, gw_c, gb_c = conv1x1_backward(gy, cc._replace(x=h))
+    del h
+    ga = _gate(cg)
+    if np.result_type(gh, ga) == ga.dtype:
+        ga *= gh
+    else:
+        ga = gh * ga
+    gx, gw_a, gb_a = conv1x1_backward(ga, ca)
+    del ga
     gh *= a  # gh is fresh and at least as wide as a
     gbraw = gelu_backward(gh, cg)
     del gh
@@ -257,7 +287,13 @@ class MicroModel:
         )
 
     def forward(self, x):
-        return self.forward_cached(x)[0]
+        """The logits alone. Each stage's cache is dropped as soon as the
+        stage returns, so at most one block's caches are alive at a time."""
+        x = as_tensor4(x)
+        h = patch_embed_forward(x, self.embed_w, self.embed_b, self.config.patch)[0]
+        for bp in self.blocks:
+            h = block_forward(h, bp, self.op_config)[0]
+        return linear_forward(h.mean(axis=(2, 3)), self.head_w, self.head_b)[0]
 
     def forward_cached(self, x):
         x = as_tensor4(x)

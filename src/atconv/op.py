@@ -731,6 +731,3 @@ class ATConv(Operator):
 
     def named_parameters(self) -> dict:
         return self.params.named()
-
-    def save(self, path) -> None:
-        self.params.save(path)

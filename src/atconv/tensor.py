@@ -14,6 +14,7 @@ activations or biases, mirroring what the analytic model includes.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -57,9 +58,15 @@ def as_vector(v, n: int | None = None, name: str = "v") -> np.ndarray:
 
 
 def ensure_finite(x: np.ndarray, op: str) -> np.ndarray:
-    """Raise NumericError if any element of ``x`` is NaN or infinite."""
-    if not np.isfinite(x).all():
-        bad = int(np.size(x) - np.count_nonzero(np.isfinite(x)))
+    """Raise NumericError if any element of ``x`` is NaN or infinite.
+
+    min and max propagate NaN and reach any infinity, so the check reads
+    the array twice without building a whole-map temporary; only the
+    failure path counts the bad elements.
+    """
+    a = np.asarray(x)
+    if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
+        bad = int(a.size - np.count_nonzero(np.isfinite(a)))
         raise NumericError(f"{op} produced {bad} non-finite element(s)")
     return x
 

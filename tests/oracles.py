@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.op import _tap_sum
-from atconv.primitives import conv1x1_backward
+from atconv.primitives import conv1x1_backward, conv1x1_forward, gelu_backward, gelu_forward
 from atconv.tensor import FLOAT_DTYPES, as_tensor4, as_vector, ensure_finite
 
 
@@ -618,6 +618,40 @@ def gelu_backward_fresh_ref(gy, cache):
     return gy * (cache.cdf + x * pdf)
 
 
+# glu_forward and glu_backward as they were when the cache kept five
+# hidden-width maps (a, the GELU input and CDF, gate and h) in a 6-tuple
+def glu_forward_six_tuple_ref(x, p):
+    """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels."""
+    a, ca = conv1x1_forward(x, p.w_a, p.b_a)
+    braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
+    gate, cg = gelu_forward(braw)
+    h = a * gate
+    y, cc = conv1x1_forward(h, p.w_c, p.b_c)
+    return y, (ca, cb, cg, cc, a, gate)
+
+
+def glu_backward_six_tuple_ref(gy, cache):
+    """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
+
+    The work is ordered so that at most two hidden-width maps are alive
+    beyond the cache: gh with gh * gate while W_a's backward runs, then
+    gh * a (written over gh) with the GELU gradient, then that gradient
+    alone. The two input gradients are summed in place.
+    """
+    ca, cb, cg, cc, a, gate = cache
+    gh, gw_c, gb_c = conv1x1_backward(gy, cc)
+    gx, gw_a, gb_a = conv1x1_backward(gh * gate, ca)
+    gh *= a  # gh is fresh and at least as wide as a
+    gbraw = gelu_backward(gh, cg)
+    del gh
+    gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)
+    gx += gx_b
+    grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
+             "w_c": gw_c, "b_c": gb_c}
+    return gx, grads
+
+
+# takes glu_forward_six_tuple_ref's cache
 def glu_backward_fresh_ref(gy, cache):
     ca, cb, cg, cc, a, gate = cache
     gh, gw_c, gb_c = conv1x1_backward(gy, cc)

@@ -5,8 +5,9 @@ The ``*_ref`` oracles in ``oracles.py`` are ``dyn_depthwise_backward``,
 ``gelu_backward``, ``glu_backward`` and ``gaussian_blur`` as they were
 before: galpha from a whole-tensor padded copy of v, every GELU and GLU
 product a fresh array, and the blur summing 2r+1 gathered copies of the
-map. The arithmetic is unchanged, so every output is compared on raw bytes
-and dtype.
+map. ``glu_*_six_tuple_ref`` are the GLU forward and backward from before
+the cache dropped gate and h. The arithmetic is unchanged, so every output
+is compared on raw bytes and dtype.
 """
 
 import numpy as np
@@ -14,13 +15,16 @@ import pytest
 
 from atconv.analysis import _BLUR_BLOCK, gaussian_blur
 from atconv.baselines import StaticDepthwise
-from atconv.micro import GluParams, glu_backward, glu_forward
+from atconv.micro import (AdamHyper, GluParams, MicroConfig, MicroModel, adam_init,
+                          cross_entropy, glu_backward, glu_forward)
 from atconv.op import (ATConv, ATConvParams, _block_rows, atconv_backward,
                        dyn_depthwise_backward, dyn_depthwise_forward)
 from atconv.primitives import gelu_backward, gelu_forward
 from atconv.rng import Rng
+from atconv.train import evaluate, step
 from oracles import (dyn_depthwise_backward_padded_v_ref, gaussian_blur_gather_ref,
-                     gelu_backward_fresh_ref, glu_backward_fresh_ref)
+                     gelu_backward_fresh_ref, glu_backward_fresh_ref,
+                     glu_backward_six_tuple_ref, glu_forward_six_tuple_ref)
 
 F32, F64 = np.float32, np.float64
 # (x dtype, gy dtype): plain f32 and f64, and an f64 gradient on f32 input
@@ -107,11 +111,50 @@ def test_glu_backward_matches_the_fresh_products(shape, dtypes):
     gy = rng.normal(0, 1, shape, gdt)
     _, cache = glu_forward(x, p)
     gx, grads = glu_backward(gy, cache)
-    ref_gx, ref_grads = glu_backward_fresh_ref(gy, cache)
+    _, six_tuple = glu_forward_six_tuple_ref(x, p)
+    ref_gx, ref_grads = glu_backward_fresh_ref(gy, six_tuple)
     same(gx, ref_gx)
     assert grads.keys() == ref_grads.keys()
     for name in grads:
         same(grads[name], ref_grads[name])
+
+
+def _scaled(scale, dtype):
+    """x's scale: a plain number, or the dtype's subnormal range, where
+    0.5 * x rounds."""
+    if scale == "subnormal":
+        return float(np.finfo(dtype).smallest_subnormal) * 1000
+    return scale
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-30, 30.0, "subnormal", 0.0))
+@pytest.mark.parametrize("dtypes", DTYPES)
+def test_glu_with_three_cached_maps_matches_the_six_tuple_pair(dtypes, scale):
+    xdt, gdt = dtypes
+    shape = (3, 8, 5, 6)
+    rng = Rng(17)
+    p = GluParams.init(rng, shape[1], 4, xdt)
+    x = (rng.normal(0, 1, shape, F64) * _scaled(scale, xdt)).astype(xdt)
+    gy = rng.normal(0, 1, shape, gdt)
+    y, cache = glu_forward(x, p)
+    if scale == "subnormal":
+        assert np.any(np.multiply(0.5, cache.cg.x) * 2 != cache.cg.x)
+    ref_y, ref_cache = glu_forward_six_tuple_ref(x, p)
+    same(y, ref_y)
+    gx, grads = glu_backward(gy, cache)
+    ref_gx, ref_grads = glu_backward_six_tuple_ref(gy, ref_cache)
+    same(gx, ref_gx)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        same(grads[name], ref_grads[name])
+
+
+@pytest.mark.parametrize("dtype", (F32, F64))
+def test_model_forward_matches_the_cached_forward(dtype):
+    rng = Rng(19)
+    model = MicroModel.init(rng, MicroConfig(channels=8, blocks=2), dtype=dtype)
+    x = rng.normal(0, 1, (5, 1, 12, 12), dtype)
+    same(model.forward(x), model.forward_cached(x)[0])
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +216,52 @@ def test_glu_backward_transient_peak(traced_peak):
     hidden = cache[4].nbytes  # a = W_a x, one hidden map
     assert hidden == 4 * x.nbytes
     assert traced_peak(glu_backward, gy, cache) <= 2.5 * hidden
+
+
+def test_glu_cache_holds_three_hidden_maps():
+    # a and the GELU's input and CDF; gate and h are rebuilt by the backward
+    shape = (4, 8, 5, 5)
+    rng = Rng(913)
+    x = rng.normal(0, 1, shape, F32)
+    _, cache = glu_forward(x, GluParams.init(rng, shape[1], 4, F32))
+    hidden = 4 * x.size
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+
+    maps = {id(a): a for a in arrays(cache) if a.size == hidden}
+    assert len(maps) == 3
+    assert cache.cc.x is None
+
+
+def _acceptance_model(rng):
+    config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
+    return MicroModel.init(rng, config, dtype=F32)
+
+
+def test_training_step_peak(traced_peak):
+    # 24.7 MiB while each GLU cache kept gate and h (five hidden maps)
+    rng = Rng(914)
+    model = _acceptance_model(rng)
+    params = model.named_parameters()
+    state = adam_init(params)
+    x = rng.normal(0, 1, (64, 1, 28, 28), F32)
+    labels = np.arange(64) % 10
+    peak = traced_peak(step, model, x, labels, cross_entropy, params, state, AdamHyper())
+    assert peak <= 19.5 * MIB
+
+
+def test_evaluate_peak(traced_peak):
+    # 90.6 MiB while the forward kept every block's cache alive
+    rng = Rng(915)
+    model = _acceptance_model(rng)
+    x = rng.normal(0, 1, (256, 1, 28, 28), F32)
+    labels = np.arange(256) % 10
+    assert traced_peak(evaluate, model, x, labels, 256) <= 45 * MIB
 
 
 def test_gaussian_blur_peak(traced_peak):

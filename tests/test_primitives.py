@@ -30,6 +30,7 @@ from atconv.primitives import (
     softmax_forward,
 )
 from atconv.rng import Rng
+from atconv.tensor import ensure_finite
 from oracles import (
     adaptive_pool_ref,
     conv1x1_ref,
@@ -130,6 +131,37 @@ def test_conv1x1_flags_nonfinite_output():
     x[0, 0, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         conv1x1_forward(x, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_ensure_finite_names_the_op_and_counts_the_bad_elements(bad):
+    x = np.zeros((2, 3, 4, 5), dtype=np.float32)
+    x[1, 2, 3, 4] = bad
+    x[0, 0, 0, 0] = bad
+    with pytest.raises(NumericError, match=r"^probe produced 2 non-finite element\(s\)$"):
+        ensure_finite(x, "probe")
+    with pytest.raises(NumericError, match="produced 1 non"):
+        ensure_finite(np.array(bad), "probe")  # 0-d
+
+
+def test_ensure_finite_passes_finite_empty_0d_and_strided_input():
+    x = np.full((3, 4, 5), np.finfo(np.float64).max)
+    x[1] = -x[1]
+    assert ensure_finite(x, "probe") is x
+    assert ensure_finite(x[:, ::2, ::-1].transpose(2, 0, 1), "probe") is not None
+    empty = np.empty((0, 3))
+    assert ensure_finite(empty, "probe") is empty
+    assert ensure_finite(np.array(1.5, dtype=np.float32), "probe") is not None
+
+
+def test_ensure_finite_sees_a_bad_element_in_a_non_contiguous_view():
+    x = np.ones((4, 6, 8))
+    x[2, 3, 5] = np.nan
+    view = x[:, ::3, 1::2].transpose(2, 1, 0)
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    with pytest.raises(NumericError, match="produced 1 non"):
+        ensure_finite(view, "probe")
+    ensure_finite(x[:, ::2], "probe")  # skips the bad element's row
 
 
 def test_conv1x1_backward_needs_cache():

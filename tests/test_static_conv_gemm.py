@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from atconv.baselines import StaticConv
+from atconv.bench import model_peak_bytes
 from atconv.rng import Rng
 from oracles import static_conv_scatter_backward_ref, static_conv_window_forward_ref
 
@@ -87,3 +88,12 @@ def test_peak_stays_within_six_activation_maps(traced_peak):
     _, cache = op.forward_cached(x)
     assert traced_peak(op.forward_cached, x) < bound
     assert traced_peak(op.backward, gy, cache) < bound
+
+
+def test_pointwise_forward_peak_matches_the_model(traced_peak):
+    # 8.2% over the model while the finiteness check built a bool map of y
+    rng = Rng(84)
+    op = StaticConv.init(rng, 64, 64, 1, F32)
+    x = rng.normal(0, 1, (8, 64, 32, 32), F32)
+    model = model_peak_bytes("static_conv", 8, 64, 32, 32, 1, 4)
+    assert abs(traced_peak(op.forward_cached, x) / model - 1) <= 0.03

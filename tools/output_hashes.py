@@ -8,7 +8,9 @@ Two trees give the same bytes exactly when their objects are equal, so a
 refactor meant to be bit for bit is checked by running this on both trees
 and comparing the objects. It covers:
 
-- the fixed-seed training checkpoints, f32 and f64;
+- the fixed-seed training checkpoints, f32 and f64, and each trained
+  model's logits over one batch of 256 held-out images (``forward``, the
+  path ``evaluate`` takes);
 - ``atconv gradcheck --seed 0`` stdout and the ``atconv ablate --dry-run``
   CSV;
 - ``atconv analyze --maps`` stdout for every operator it offers;
@@ -42,6 +44,7 @@ from atconv.train import TrainSettings, train  # noqa: E402
 ANALYZE_OPERATORS = ("atconv", "static_dwconv", "static_conv", "toy_sa", "identity")
 # more planes than one tap-sum block holds, so the blocking is exercised
 SWEEP_SHAPE = (4, 32, 32, 32)
+EVAL_BATCH = 256  # train.evaluate's batch
 
 
 def sha(data: bytes) -> str:
@@ -64,16 +67,19 @@ def cli_stdout(*argv) -> bytes:
                           check=True, capture_output=True).stdout
 
 
-def checkpoints(out: dict) -> None:
+def trained_models(out: dict) -> None:
     config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
     train_set, test_set = synth_dataset(0, 128, 64)
+    eval_images = synth_dataset(1, EVAL_BATCH, 1)[0].images
     with tempfile.TemporaryDirectory() as tmp:
         for dtype in ("f32", "f64"):
             path = os.path.join(tmp, f"{dtype}.atck")
             settings = TrainSettings(epochs=2, batch_size=64, seed=0, dtype=dtype)
-            train(config, train_set, test_set, settings, checkpoint_path=path)
+            model, _ = train(config, train_set, test_set, settings, checkpoint_path=path)
             with open(path, "rb") as f:
                 out[f"checkpoint.{dtype}"] = sha(f.read())
+            logits = model.forward(eval_images.astype(model.embed_w.dtype))
+            out[f"eval_logits.{dtype}"] = array_sha(logits)
 
 
 def cli_outputs(out: dict) -> None:
@@ -118,7 +124,7 @@ def kernel_sweep(out: dict) -> None:
 
 def main() -> int:
     out = {}
-    checkpoints(out)
+    trained_models(out)
     cli_outputs(out)
     kernel_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
