@@ -60,14 +60,18 @@ def as_vector(v, n: int | None = None, name: str = "v") -> np.ndarray:
 def ensure_finite(x: np.ndarray, op: str) -> np.ndarray:
     """Raise NumericError if any element of ``x`` is NaN or infinite.
 
-    min and max propagate NaN and reach any infinity, so the check reads
-    the array twice without building a whole-map temporary; only the
-    failure path counts the bad elements.
+    x·x is NaN or infinite when any element is, and for a contiguous ``x``
+    it is one BLAS pass with no whole-map temporary. It also overflows on
+    large finite elements, so a non-finite x·x is confirmed by counting
+    the bad elements.
     """
-    a = np.asarray(x)
-    if a.size and not (math.isfinite(a.max()) and math.isfinite(a.min())):
-        bad = int(a.size - np.count_nonzero(np.isfinite(a)))
-        raise NumericError(f"{op} produced {bad} non-finite element(s)")
+    v = np.asarray(x).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.dot(v, v)
+    if not math.isfinite(sq):
+        bad = int(v.size - np.count_nonzero(np.isfinite(v)))
+        if bad:
+            raise NumericError(f"{op} produced {bad} non-finite element(s)")
     return x
 
 
