@@ -87,23 +87,33 @@ class GluParams:
 
 class GluCache(NamedTuple):
     """What ``glu_backward`` reads. Of the hidden-width maps it keeps only
-    a and the GELU's input and CDF; W_c's cache comes without its input h,
-    which the backward rebuilds from them."""
+    the GELU's CDF. W_a's and W_b's caches hold the block input x (C wide)
+    and the weights as cast to x's dtype; with the biases as given they
+    rebuild a = W_a x and the GELU's input b = W_b x bit for bit. W_c's
+    cache comes without its input h, which the backward rebuilds too."""
     ca: Conv1x1Cache
     cb: Conv1x1Cache
-    cg: GeluCache
+    cdf: np.ndarray
     cc: Conv1x1Cache
-    a: np.ndarray
+    b_a: np.ndarray
+    b_b: np.ndarray
 
 
 def glu_forward(x, p: GluParams):
-    """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels."""
+    """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels.
+
+    a and b are dropped once h = gelu(b) * a is built (written over the
+    fresh GELU output), so the cache keeps one hidden-width map, the CDF.
+    """
     a, ca = conv1x1_forward(x, p.w_a, p.b_a)
     braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
     h, cg = gelu_forward(braw)
+    cdf = cg.cdf
+    del braw, cg
     h *= a  # h = gate * a, written over the fresh gate
+    del a
     y, cc = conv1x1_forward(h, p.w_c, p.b_c)
-    return y, GluCache(ca, cb, cg, cc._replace(x=None), a)
+    return y, GluCache(ca, cb, cdf, cc._replace(x=None), p.b_a, p.b_b)
 
 
 def _gate(cg: GeluCache):
@@ -116,14 +126,19 @@ def _gate(cg: GeluCache):
 def glu_backward(gy, cache: GluCache):
     """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
 
-    h = gate * a is rebuilt for W_c's backward and dropped after it. The
-    gate is then rebuilt again and gh multiplied into it in place (a fresh
-    product when gy is wider than the GLU, to keep ``result_type``), for
-    W_a's backward. Then gh * a is written over gh for the GELU gradient,
-    which runs alone. So at most two hidden-width maps are transient at
-    any time, and the two input gradients are summed in place.
+    a and b are rebuilt first, each by ``conv1x1_forward`` on the
+    arguments the forward used (the cached x, cast weight and bias), so
+    they are the forward's bits. h = gate * a is rebuilt for W_c's
+    backward and dropped after it. The gate is then rebuilt again and gh
+    multiplied into it in place (a fresh product when gy is wider than
+    the GLU, to keep ``result_type``), for W_a's backward. Then gh * a is
+    written over gh for the GELU gradient, which runs alone. So besides
+    the rebuilt a and b at most two hidden-width maps are transient at any
+    time, and the two input gradients are summed in place.
     """
-    ca, cb, cg, cc, a = cache
+    ca, cb, cdf, cc, b_a, b_b = cache
+    a = conv1x1_forward(ca.x, ca.w, b_a)[0]
+    cg = GeluCache(conv1x1_forward(cb.x, cb.w, b_b)[0], cdf)
     h = _gate(cg)
     h *= a
     gh, gw_c, gb_c = conv1x1_backward(gy, cc._replace(x=h))
@@ -136,8 +151,9 @@ def glu_backward(gy, cache: GluCache):
     gx, gw_a, gb_a = conv1x1_backward(ga, ca)
     del ga
     gh *= a  # gh is fresh and at least as wide as a
+    del a
     gbraw = gelu_backward(gh, cg)
-    del gh
+    del gh, cg
     gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)
     gx += gx_b
     grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,

@@ -66,12 +66,28 @@ def erf(x: np.ndarray) -> np.ndarray:
     elements are gathered by index, evaluated in float64 and scattered
     back, so an element pays for its own region only. The result has the
     input's dtype and shape (a 0-d input gives a 0-d array).
+    ``gelu_forward`` runs the same loop through ``_erf_scaled``, which
+    scales each block of its input on the way in.
+    """
+    return _erf_scaled(x, None)
+
+
+def _erf_scaled(x, scale):
+    """erf(x * scale), bit for bit, without the whole map x * scale.
+
+    Each block is multiplied by ``scale`` in the product's dtype (x's, for
+    a float x) before it is widened to float64, so the block sees the same
+    bits the whole-map product would hold. ``scale=None`` is plain erf.
     """
     x = np.asarray(x)
     flat = x.ravel()
-    out = np.empty(flat.shape, dtype=x.dtype)
+    dtype = x.dtype if scale is None else np.result_type(x, scale)
+    out = np.empty(flat.shape, dtype=dtype)
     for lo in range(0, flat.size, _ERF_BLOCK):
-        _erf_block(flat[lo:lo + _ERF_BLOCK], out[lo:lo + _ERF_BLOCK])
+        block = flat[lo:lo + _ERF_BLOCK]
+        if scale is not None:
+            block = block * scale
+        _erf_block(block, out[lo:lo + _ERF_BLOCK])
     return out.reshape(x.shape)
 
 
@@ -341,9 +357,13 @@ class GeluCache(NamedTuple):
 
 
 def gelu_forward(x):
-    """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate."""
+    """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate.
+
+    x / sqrt(2) is formed one ``erf`` block at a time, never as a whole
+    map, so the peak is the CDF and y plus erf's block temporaries.
+    """
     x = np.asarray(x)
-    e1 = erf(x * INV_SQRT2)
+    e1 = _erf_scaled(x, INV_SQRT2)
     e1 += 1.0
     y = 0.5 * x
     y *= e1

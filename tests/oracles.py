@@ -6,13 +6,15 @@ the shapes tiny; these are O(everything).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.op import _tap_sum
-from atconv.primitives import conv1x1_backward, conv1x1_forward, gelu_backward, gelu_forward
+from atconv.primitives import (Conv1x1Cache, GeluCache, conv1x1_backward, conv1x1_forward,
+                               erf, gelu_backward, gelu_forward)
 from atconv.tensor import FLOAT_DTYPES, as_tensor4, as_vector, ensure_finite
 
 
@@ -663,6 +665,87 @@ def glu_backward_fresh_ref(gy, cache):
     grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
              "w_c": gw_c, "b_c": gb_c}
     return gx_a + gx_b, grads
+
+
+# ----------------------------------------------------------------------
+# the GELU forward and the GLU pair before the cache kept one hidden map
+# ----------------------------------------------------------------------
+# ``gelu_forward`` as it was when erf's argument x / sqrt(2) was built as
+# a whole map, and ``glu_forward``/``glu_backward`` as they were when the
+# GLU cache kept three hidden-width maps (a and the GELU's input and CDF),
+# copied verbatim; the pair calls the old GELU forward. The library
+# versions must match them bit for bit.
+
+def gelu_forward_scaled_map_ref(x):
+    """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate."""
+    x = np.asarray(x)
+    e1 = erf(x * _REF_INV_SQRT2)
+    e1 += 1.0
+    y = 0.5 * x
+    y *= e1
+    ensure_finite(y, "gelu")
+    e1 *= 0.5
+    return y, GeluCache(x, e1)
+
+
+class GluThreeMapCacheRef(NamedTuple):
+    """What ``glu_backward`` reads. Of the hidden-width maps it keeps only
+    a and the GELU's input and CDF; W_c's cache comes without its input h,
+    which the backward rebuilds from them."""
+    ca: Conv1x1Cache
+    cb: Conv1x1Cache
+    cg: GeluCache
+    cc: Conv1x1Cache
+    a: np.ndarray
+
+
+def glu_forward_three_map_ref(x, p):
+    """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels."""
+    a, ca = conv1x1_forward(x, p.w_a, p.b_a)
+    braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
+    h, cg = gelu_forward_scaled_map_ref(braw)
+    h *= a  # h = gate * a, written over the fresh gate
+    y, cc = conv1x1_forward(h, p.w_c, p.b_c)
+    return y, GluThreeMapCacheRef(ca, cb, cg, cc._replace(x=None), a)
+
+
+def _gate_ref(cg):
+    """The GELU output, rebuilt bit for bit: the forward's (0.5 x)(1 + erf)
+    equals x * cdf, since cdf = (1 + erf) / 2 exactly and 0.5 x is exact
+    wherever 1 + erf != 1 (where it is 1, both round 0.5 x once)."""
+    return np.multiply(cg.x, cg.cdf)
+
+
+def glu_backward_three_map_ref(gy, cache):
+    """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
+
+    h = gate * a is rebuilt for W_c's backward and dropped after it. The
+    gate is then rebuilt again and gh multiplied into it in place (a fresh
+    product when gy is wider than the GLU, to keep ``result_type``), for
+    W_a's backward. Then gh * a is written over gh for the GELU gradient,
+    which runs alone. So at most two hidden-width maps are transient at
+    any time, and the two input gradients are summed in place.
+    """
+    ca, cb, cg, cc, a = cache
+    h = _gate_ref(cg)
+    h *= a
+    gh, gw_c, gb_c = conv1x1_backward(gy, cc._replace(x=h))
+    del h
+    ga = _gate_ref(cg)
+    if np.result_type(gh, ga) == ga.dtype:
+        ga *= gh
+    else:
+        ga = gh * ga
+    gx, gw_a, gb_a = conv1x1_backward(ga, ca)
+    del ga
+    gh *= a  # gh is fresh and at least as wide as a
+    gbraw = gelu_backward(gh, cg)
+    del gh
+    gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)
+    gx += gx_b
+    grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
+             "w_c": gw_c, "b_c": gb_c}
+    return gx, grads
 
 
 def gaussian_blur_gather_ref(x, sigma=1.0):

@@ -1,30 +1,43 @@
-"""Backward passes and the blur that free their dead maps, against the code
-they replaced, and the peak-memory guards that hold them there.
+"""Backward passes, caches and the blur that free or never keep dead maps,
+against the code they replaced, and the peak-memory guards that hold them
+there.
 
 The ``*_ref`` oracles in ``oracles.py`` are ``dyn_depthwise_backward``,
 ``gelu_backward``, ``glu_backward`` and ``gaussian_blur`` as they were
 before: galpha from a whole-tensor padded copy of v, every GELU and GLU
 product a fresh array, and the blur summing 2r+1 gathered copies of the
 map. ``glu_*_six_tuple_ref`` are the GLU forward and backward from before
-the cache dropped gate and h. The arithmetic is unchanged, so every output
-is compared on raw bytes and dtype.
+the cache dropped gate and h, and ``glu_*_three_map_ref`` those from before
+it dropped a and the GELU's input, which the backward now rebuilds from
+the cached block input. ``gelu_forward_scaled_map_ref`` is the GELU
+forward that built x / sqrt(2) as a whole map. The arithmetic is
+unchanged, so every output is compared on raw bytes and dtype.
+
+The rebuild relies on ``conv1x1_forward`` giving the same bytes for the
+same arguments, which single-threaded BLAS does; that is pinned here too.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from atconv.analysis import _BLUR_BLOCK, gaussian_blur
+from atconv.errors import NumericError
 from atconv.baselines import StaticDepthwise
 from atconv.micro import (AdamHyper, GluParams, MicroConfig, MicroModel, adam_init,
                           cross_entropy, glu_backward, glu_forward)
 from atconv.op import (ATConv, ATConvParams, _block_rows, atconv_backward,
                        dyn_depthwise_backward, dyn_depthwise_forward)
-from atconv.primitives import gelu_backward, gelu_forward
+from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, _erf_scaled, conv1x1_forward, erf,
+                               gelu_backward, gelu_forward)
 from atconv.rng import Rng
 from atconv.train import evaluate, step
 from oracles import (dyn_depthwise_backward_padded_v_ref, gaussian_blur_gather_ref,
-                     gelu_backward_fresh_ref, glu_backward_fresh_ref,
-                     glu_backward_six_tuple_ref, glu_forward_six_tuple_ref)
+                     gelu_backward_fresh_ref, gelu_forward_scaled_map_ref,
+                     glu_backward_fresh_ref, glu_backward_six_tuple_ref,
+                     glu_backward_three_map_ref, glu_forward_six_tuple_ref,
+                     glu_forward_three_map_ref)
 
 F32, F64 = np.float32, np.float64
 # (x dtype, gy dtype): plain f32 and f64, and an f64 gradient on f32 input
@@ -138,7 +151,8 @@ def test_glu_with_three_cached_maps_matches_the_six_tuple_pair(dtypes, scale):
     gy = rng.normal(0, 1, shape, gdt)
     y, cache = glu_forward(x, p)
     if scale == "subnormal":
-        assert np.any(np.multiply(0.5, cache.cg.x) * 2 != cache.cg.x)
+        braw = conv1x1_forward(x, p.w_b, p.b_b)[0]  # the GELU's input
+        assert np.any(np.multiply(0.5, braw) * 2 != braw)
     ref_y, ref_cache = glu_forward_six_tuple_ref(x, p)
     same(y, ref_y)
     gx, grads = glu_backward(gy, cache)
@@ -147,6 +161,92 @@ def test_glu_with_three_cached_maps_matches_the_six_tuple_pair(dtypes, scale):
     assert grads.keys() == ref_grads.keys()
     for name in grads:
         same(grads[name], ref_grads[name])
+
+
+# a small odd shape and the acceptance config's (B=64, C=32, 7x7)
+GLU_SHAPES = ((3, 8, 5, 6), (64, 32, 7, 7))
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-30, 30.0, "subnormal", 0.0))
+@pytest.mark.parametrize("dtypes", DTYPES)
+@pytest.mark.parametrize("shape", GLU_SHAPES)
+def test_glu_with_one_cached_map_matches_the_three_map_pair(shape, dtypes, scale):
+    xdt, gdt = dtypes
+    rng = Rng(sum(shape) + 3)
+    p = GluParams.init(rng, shape[1], 4, xdt)
+    x = (rng.normal(0, 1, shape, F64) * _scaled(scale, xdt)).astype(xdt)
+    gy = rng.normal(0, 1, shape, gdt)
+    y, cache = glu_forward(x, p)
+    ref_y, ref_cache = glu_forward_three_map_ref(x, p)
+    same(y, ref_y)
+    same(cache.cdf, ref_cache.cg.cdf)
+    gx, grads = glu_backward(gy, cache)
+    ref_gx, ref_grads = glu_backward_three_map_ref(gy, ref_cache)
+    same(gx, ref_gx)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        same(grads[name], ref_grads[name])
+
+
+def _gelu_edges(dtype):
+    """erf's region edges (0.46875, 4, 6) scaled by sqrt(2) with their
+    nextafter neighbours, so x / sqrt(2) lands on both sides of each; ±0,
+    a subnormal, ±27 and the largest finite value (1.7e308 in f64)."""
+    vals = [0.0, -0.0, 27.0, -27.0]
+    sub = np.finfo(dtype).smallest_subnormal
+    vals += [sub, -sub]
+    for edge in (0.46875, 4.0, 6.0):
+        for sign in (1.0, -1.0):
+            v = dtype(sign * edge * np.sqrt(2.0))
+            vals += [v, np.nextafter(v, dtype(0.0)), np.nextafter(v, dtype(sign * np.inf))]
+    big = 1.7e308 if dtype == F64 else np.finfo(dtype).max
+    vals += [big, -big]
+    return np.array(vals, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", (F32, F64))
+def test_gelu_forward_matches_the_scaled_map_at_region_edges(dtype):
+    edges = _gelu_edges(dtype)
+    # one block of edges, then a map over three erf blocks (the last one
+    # partial) with the edges at a block seam
+    x = Rng(5).normal(0, 6, (2 * _ERF_BLOCK + 999,), dtype)
+    x[_ERF_BLOCK - 7:_ERF_BLOCK - 7 + edges.size] = edges
+    for arg in (edges, x, x[:3 * 7 * 11 * 13].reshape(3, 7, 11, 13), edges[3]):
+        y, cache = gelu_forward(arg)
+        ref_y, ref_cache = gelu_forward_scaled_map_ref(arg)
+        same(y, ref_y)
+        same(cache.cdf, ref_cache.cdf)
+
+
+@pytest.mark.parametrize("dtype", (F32, F64))
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+def test_gelu_forward_rejects_what_the_scaled_map_rejected(dtype, bad):
+    # gelu(inf) = inf and gelu(-inf) = NaN; both versions stop at the same
+    # check, after the same CDF
+    x = np.array([1.0, bad, -2.0], dtype=dtype)
+    same(_erf_scaled(x, INV_SQRT2), erf(x * INV_SQRT2))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as got:
+        gelu_forward(x)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as ref:
+        gelu_forward_scaled_map_ref(x)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("dtypes", ((F32, F32), (F64, F64), (F32, F64)))
+@pytest.mark.parametrize("batch", (64, 256))
+def test_conv1x1_forward_repeats_its_bytes(batch, dtypes):
+    # glu_backward rebuilds W_a x and W_b x and relies on this; it holds
+    # for single-threaded BLAS, which conftest pins
+    assert os.environ["ATCONV_THREADS"] == "1"
+    xdt, wdt = dtypes
+    rng = Rng(batch)
+    x = rng.normal(0, 1, (batch, 32, 7, 7), xdt)
+    w = rng.normal(0, 1, (128, 32), wdt)
+    bias = rng.normal(0, 1, 128, wdt)
+    first, cache = conv1x1_forward(x, w, bias)
+    same(conv1x1_forward(x, w, bias)[0], first)
+    # the arguments glu_backward passes: the cached x and cast weight
+    same(conv1x1_forward(cache.x, cache.w, bias)[0], first)
 
 
 @pytest.mark.parametrize("dtype", (F32, F64))
@@ -205,27 +305,18 @@ def test_operator_forward_and_backward_peak(traced_peak):
     assert traced_peak(forward_backward) <= 12.5 * MIB
 
 
-def test_glu_backward_transient_peak(traced_peak):
-    # at most two hidden maps are transient (five while every product was fresh)
+def _glu_at_the_acceptance_shape():
     rng = Rng(911)
     shape = (64, 32, 7, 7)
     p = GluParams.init(rng, 32, 4, F32)
     x = rng.normal(0, 1, shape, F32)
     gy = rng.normal(0, 1, shape, F32)
     _, cache = glu_forward(x, p)
-    hidden = cache[4].nbytes  # a = W_a x, one hidden map
-    assert hidden == 4 * x.nbytes
-    assert traced_peak(glu_backward, gy, cache) <= 2.5 * hidden
+    return gy, cache, 4 * x.nbytes  # one hidden map
 
 
-def test_glu_cache_holds_three_hidden_maps():
-    # a and the GELU's input and CDF; gate and h are rebuilt by the backward
-    shape = (4, 8, 5, 5)
-    rng = Rng(913)
-    x = rng.normal(0, 1, shape, F32)
-    _, cache = glu_forward(x, GluParams.init(rng, shape[1], 4, F32))
-    hidden = 4 * x.size
-
+def _hidden_maps(cache, hidden_size):
+    """The distinct arrays of ``hidden_size`` elements the cache holds."""
     def arrays(obj):
         if isinstance(obj, np.ndarray):
             yield obj
@@ -233,9 +324,41 @@ def test_glu_cache_holds_three_hidden_maps():
             for item in obj:
                 yield from arrays(item)
 
-    maps = {id(a): a for a in arrays(cache) if a.size == hidden}
-    assert len(maps) == 3
+    return list({id(a): a for a in arrays(cache) if a.size == hidden_size}.values())
+
+
+def test_glu_backward_transient_peak(traced_peak):
+    # the rebuilt a and b, and at most two more hidden maps (2.27 maps
+    # while a and b were cached, five while every product was fresh)
+    gy, cache, hidden = _glu_at_the_acceptance_shape()
+    assert traced_peak(glu_backward, gy, cache) <= (2.5 + 2) * hidden
+
+
+def test_glu_cache_and_backward_transient_peak(traced_peak):
+    # the cache plus the backward's transient maps; 3 + 2.27 maps while
+    # the cache kept a and b
+    gy, cache, hidden = _glu_at_the_acceptance_shape()
+    cached = sum(a.nbytes for a in _hidden_maps(cache, hidden // 4))
+    assert cached == hidden
+    assert cached + traced_peak(glu_backward, gy, cache) <= 5.5 * hidden
+
+
+def test_glu_cache_holds_one_hidden_map():
+    # the GELU's CDF; a, b, gate and h are rebuilt by the backward
+    shape = (4, 8, 5, 5)
+    rng = Rng(913)
+    x = rng.normal(0, 1, shape, F32)
+    _, cache = glu_forward(x, GluParams.init(rng, shape[1], 4, F32))
+    maps = _hidden_maps(cache, 4 * x.size)
+    assert len(maps) == 1 and maps[0] is cache.cdf
     assert cache.cc.x is None
+
+
+def test_gelu_forward_peak(traced_peak):
+    # the CDF, y and erf's block temporaries; 4.91 MiB while x / sqrt(2)
+    # was built as a whole map
+    x = Rng(916).normal(0, 1, (64, 128, 7, 7), F32)
+    assert traced_peak(gelu_forward, x) <= 4.0 * MIB
 
 
 def _acceptance_model(rng):
@@ -243,16 +366,24 @@ def _acceptance_model(rng):
     return MicroModel.init(rng, config, dtype=F32)
 
 
-def test_training_step_peak(traced_peak):
-    # 24.7 MiB while each GLU cache kept gate and h (five hidden maps)
+def _training_step_peak(traced_peak):
     rng = Rng(914)
     model = _acceptance_model(rng)
     params = model.named_parameters()
     state = adam_init(params)
     x = rng.normal(0, 1, (64, 1, 28, 28), F32)
     labels = np.arange(64) % 10
-    peak = traced_peak(step, model, x, labels, cross_entropy, params, state, AdamHyper())
-    assert peak <= 19.5 * MIB
+    return traced_peak(step, model, x, labels, cross_entropy, params, state, AdamHyper())
+
+
+def test_training_step_peak(traced_peak):
+    # 24.7 MiB while each GLU cache kept gate and h (five hidden maps)
+    assert _training_step_peak(traced_peak) <= 19.5 * MIB
+
+
+def test_training_step_peak_with_the_projections_rebuilt(traced_peak):
+    # 18.8 MiB while each GLU cache kept a and the GELU's input
+    assert _training_step_peak(traced_peak) <= 16.0 * MIB
 
 
 def test_evaluate_peak(traced_peak):

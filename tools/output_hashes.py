@@ -16,7 +16,12 @@ and comparing the objects. It covers:
 - ``atconv analyze --maps`` stdout for every operator it offers;
 - a seeded kernel sweep in f32 and f64 at k in {1, 3, 5}: ``dyn_depthwise``
   y/gv/galpha, ``StaticDepthwise`` y/gx/gw/input_backward and ``ATConv``
-  y/gx/grads/input_backward.
+  y/gx/grads/input_backward;
+- a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
+  f32, f64 and f32 input with an f64 gradient, at the acceptance shape and
+  one odd shape;
+- ``gelu_forward`` y and CDF over erf's region edges scaled by sqrt(2),
+  with the error message for each non-finite input.
 
 The package is imported from ``src`` and the CLI runs as a subprocess of
 the same interpreter, with ``ATCONV_THREADS=1``.
@@ -37,7 +42,9 @@ import numpy as np  # noqa: E402
 from atconv import op as atconv_op  # noqa: E402
 from atconv.baselines import StaticDepthwise  # noqa: E402
 from atconv.data import synth_dataset  # noqa: E402
-from atconv.micro import MicroConfig  # noqa: E402
+from atconv.errors import NumericError  # noqa: E402
+from atconv.micro import GluParams, MicroConfig, glu_backward, glu_forward  # noqa: E402
+from atconv.primitives import gelu_forward  # noqa: E402
 from atconv.rng import Rng  # noqa: E402
 from atconv.train import TrainSettings, train  # noqa: E402
 
@@ -45,6 +52,11 @@ ANALYZE_OPERATORS = ("atconv", "static_dwconv", "static_conv", "toy_sa", "identi
 # more planes than one tap-sum block holds, so the blocking is exercised
 SWEEP_SHAPE = (4, 32, 32, 32)
 EVAL_BATCH = 256  # train.evaluate's batch
+# the acceptance config's GLU input (B=64, C=32, 7x7) and an odd shape
+GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13))
+# (x dtype, gy dtype)
+GLU_DTYPES = ((np.float32, np.float32), (np.float64, np.float64),
+              (np.float32, np.float64))
 
 
 def sha(data: bytes) -> str:
@@ -122,11 +134,57 @@ def kernel_sweep(out: dict) -> None:
             out[f"atconv.{tag}.input_backward"] = array_sha(op.input_backward(gy, cache))
 
 
+def glu_sweep(out: dict) -> None:
+    for shape in GLU_SHAPES:
+        for xdt, gdt in GLU_DTYPES:
+            tag = "x".join(map(str, shape)) + f".{np.dtype(xdt).name}.{np.dtype(gdt).name}"
+            rng = Rng(2000 + sum(shape))
+            p = GluParams.init(rng, shape[1], 4, xdt)
+            x = rng.normal(0, 1, shape, xdt)
+            gy = rng.normal(0, 1, shape, gdt)
+            y, cache = glu_forward(x, p)
+            gx, grads = glu_backward(gy, cache)
+            out[f"glu.{tag}.y"] = array_sha(y)
+            out[f"glu.{tag}.gx"] = array_sha(gx)
+            out[f"glu.{tag}.grads"] = grads_sha(grads)
+
+
+def gelu_edges(dtype) -> np.ndarray:
+    """erf's region edges (0.46875, 4, 6) times sqrt(2) with their
+    nextafter neighbours, ±0, ±subnormal, ±27 and ±(largest finite)."""
+    finfo = np.finfo(dtype)
+    vals = [0.0, -0.0, 27.0, -27.0, finfo.smallest_subnormal, -finfo.smallest_subnormal,
+            finfo.max, -finfo.max]
+    for edge in (0.46875, 4.0, 6.0):
+        for sign in (1.0, -1.0):
+            v = dtype(sign * edge * np.sqrt(2.0))
+            vals += [v, np.nextafter(v, dtype(0.0)), np.nextafter(v, dtype(sign * np.inf))]
+    return np.array(vals, dtype=dtype)
+
+
+def gelu_sweep(out: dict) -> None:
+    for dtype in (np.float32, np.float64):
+        name = np.dtype(dtype).name
+        y, cache = gelu_forward(gelu_edges(dtype))
+        out[f"gelu.{name}.edges.y"] = array_sha(y)
+        out[f"gelu.{name}.edges.cdf"] = array_sha(cache.cdf)
+        for bad in ("inf", "-inf", "nan"):
+            try:
+                with np.errstate(invalid="ignore"):
+                    gelu_forward(np.array([1.0, float(bad)], dtype=dtype))
+                message = "no error"
+            except NumericError as e:
+                message = str(e)
+            out[f"gelu.{name}.{bad}.error"] = sha(message.encode())
+
+
 def main() -> int:
     out = {}
     trained_models(out)
     cli_outputs(out)
     kernel_sweep(out)
+    glu_sweep(out)
+    gelu_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
