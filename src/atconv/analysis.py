@@ -4,8 +4,8 @@ The routing diagnostics ask where an output pixel's gradient mass lives:
 
 - influence_map: G(h, w) = sum over output channels c* and input channels
   c of |d y[0, c*, h*, w*] / d x[0, c, h, w]|, one Jacobian row per c*
-  from the operator's ``jacobian_rows``: a dense input backward each by
-  default, read from its structure for ATConv.
+  from the operator's ``jacobian_rows``, which reads it from the
+  operator's structure.
 - far: fraction of G's mass strictly beyond Euclidean radius r0 of the
   anchor. A k x k conv has FAR = 0 for any r0 >= the kernel radius.
 - routing_centroid: intensity-weighted centroid of G restricted to its

@@ -1,9 +1,9 @@
 """Reference operators the adaptive one is measured against.
 
 All three, and the identity, are ``op.Operator`` subclasses: each defines
-``forward_cached`` and ``backward`` with ``need_param_grads``, and takes
-the ``forward``, weight-gradient-free ``input_backward`` and generic
-``jacobian_rows`` that the analysis code relies on from the protocol.
+``forward_cached``, ``backward`` and the ``jacobian_rows`` that the
+analysis probes read, each row taken from the operator's structure, and
+takes ``forward`` from the protocol.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -17,6 +17,8 @@ the ``forward``, weight-gradient-free ``input_backward`` and generic
   the batch.
 - ToySelfAttention: single-head dot-product attention over the flattened
   token grid with a temperature, small enough to differentiate through.
+  A cotangent at one token makes its backward rank one, so its Jacobian
+  rows come from a few (C, N) products.
 """
 
 from __future__ import annotations
@@ -47,6 +49,26 @@ def _check_kernel(w: np.ndarray, name: str) -> int:
     return k
 
 
+def _checked_input(x, channels: int) -> np.ndarray:
+    """``x`` as a (B, C, H, W) float tensor with ``channels`` channels."""
+    x = as_tensor4(x)
+    if x.shape[1] != channels:
+        raise DimensionError(f"input has {x.shape[1]} channels, weights expect {channels}")
+    return x
+
+
+def _window_rows(x, w, position: tuple):
+    """The Jacobian rows of a k x k correlation with (C_out, C_in, k, k)
+    weights ``w`` on ``x``: row c* is w[c*] in the anchor's clipped
+    window, whatever the input."""
+    _, c_in, h_, w_ = x.shape
+    hs, ws, us, ts = atconv_op._anchor_window(position, w.shape[-1], h_, w_)
+    for wo in w.astype(x.dtype, copy=False):
+        row = np.zeros((c_in, h_, w_), dtype=x.dtype)
+        row[:, hs, ws] = wo[:, us, ts]
+        yield row
+
+
 # ======================================================================
 # dense static convolution
 # ======================================================================
@@ -75,10 +97,7 @@ class StaticConv(atconv_op.Operator):
                    np.zeros(c_out, dtype=dtype))
 
     def forward_cached(self, x):
-        x = as_tensor4(x)
-        c_in = self.w.shape[1]
-        if x.shape[1] != c_in:
-            raise DimensionError(f"input has {x.shape[1]} channels, weights expect {c_in}")
+        x = _checked_input(x, self.w.shape[1])
         # weights and bias take a float input's dtype, as in conv1x1_forward
         w = self.w.astype(x.dtype, copy=False)
         b_, _, h_, w_ = x.shape
@@ -108,9 +127,9 @@ class StaticConv(atconv_op.Operator):
                 cols[:, i] = run
             yield cols.reshape(c_in * k * k, -1)
 
-    def backward(self, gy, cache, *, need_param_grads=True):
-        """(gx, gw, gb); gw and gb are None, and not computed, when
-        ``need_param_grads`` is False. The cache is the forward's input."""
+    def backward(self, gy, cache):
+        """(gx, gw, gb); gb is None without a bias. The cache is the
+        forward's input."""
         x = _need_cache(cache, "static_conv")
         gy = as_tensor4(gy, "gy")
         b_, c_in, h_, w_ = x.shape
@@ -126,12 +145,9 @@ class StaticConv(atconv_op.Operator):
         sums = np.empty((c_in, span), dtype=x.dtype)
         prod = np.empty((c_in, span), dtype=np.result_type(wt, gy))
         gx = np.empty_like(x)
-        gw = gb = cols = None
-        if need_param_grads:
-            gw = np.zeros((c_out, c_in * k * k), dtype=np.result_type(gy, x))
-            cols = self._columns(x)
-            if self.bias is not None:
-                gb = gy.sum(axis=(0, 2, 3))
+        gw = np.zeros((c_out, c_in * k * k), dtype=np.result_type(gy, x))
+        cols = self._columns(x)
+        gb = gy.sum(axis=(0, 2, 3)) if self.bias is not None else None
         gyblocks = atconv_op._padded_blocks(gy.reshape(b_ * c_out, h_, w_), k // 2, c_out)
         for gxb, (_, gypad) in zip(gx, gyblocks):
             runs = atconv_op._tap_runs(gypad, k, flip=True)
@@ -140,13 +156,13 @@ class StaticConv(atconv_op.Operator):
                 np.matmul(wt[:, :, i].T, run, out=prod)
                 sums += prod
             gxb[...] = sums.reshape(c_in, h_, -1)[:, :, :w_]
-            if cols is not None:
-                # the centre run is gy at the padded row width with zeros in
-                # the extra columns, which the columns' extra entries meet
-                gw += runs[k * k // 2] @ next(cols).T
-        if gw is not None:
-            gw = gw.reshape(self.w.shape)
-        return gx, gw, gb
+            # the centre run is gy at the padded row width with zeros in
+            # the extra columns, which the columns' extra entries meet
+            gw += runs[k * k // 2] @ next(cols).T
+        return gx, gw.reshape(self.w.shape), gb
+
+    def jacobian_rows(self, x, position: tuple):
+        return _window_rows(_checked_input(x, self.w.shape[1]), self.w, position)
 
 
 # ======================================================================
@@ -173,20 +189,20 @@ class StaticDepthwise(atconv_op.Operator):
         return cls(rng.uniform(-bound, bound, (channels, k, k), dtype))
 
     def forward_cached(self, x):
-        x = as_tensor4(x)
+        x = _checked_input(x, self.w.shape[0])
         b_, c_, _, _ = x.shape
-        if c_ != self.w.shape[0]:
-            raise DimensionError(
-                f"input has {c_} channels, weights expect {self.w.shape[0]}")
         alpha = np.broadcast_to(self.w.astype(x.dtype, copy=False), (b_, c_, self.k, self.k))
         return atconv_op.dyn_depthwise_forward(x, alpha)
 
-    def backward(self, gy, cache: atconv_op.DynDepthwiseCache, *, need_param_grads=True):
-        """(gx, gw); gw is None, and not computed, when
-        ``need_param_grads`` is False."""
-        gx, galpha = atconv_op.dyn_depthwise_backward(
-            gy, cache, need_param_grads=need_param_grads)
-        return gx, (galpha.sum(axis=0) if need_param_grads else None)
+    def backward(self, gy, cache: atconv_op.DynDepthwiseCache):
+        """(gx, gw)."""
+        gx, galpha = atconv_op.dyn_depthwise_backward(gy, cache)
+        return gx, galpha.sum(axis=0)
+
+    def jacobian_rows(self, x, position: tuple):
+        """The rows of the dense conv with w on its channel diagonal."""
+        dense = np.eye(len(self.w), dtype=self.w.dtype)[:, :, None, None] * self.w[:, None]
+        return _window_rows(_checked_input(x, len(self.w)), dense, position)
 
 
 # ======================================================================
@@ -258,11 +274,9 @@ class ToySelfAttention(atconv_op.Operator):
         self.params = params
 
     def forward_cached(self, x):
-        x = as_tensor4(x)
         p = self.params
+        x = _checked_input(x, p.w_q.shape[1])
         b_, c_, h_, w_ = x.shape
-        if c_ != p.w_q.shape[1]:
-            raise DimensionError(f"input has {c_} channels, weights expect {p.w_q.shape[1]}")
         n = h_ * w_
         xt = np.ascontiguousarray(x.reshape(b_, c_, n).transpose(0, 2, 1))
         q, qc = linear_forward(xt, p.w_q)
@@ -283,9 +297,8 @@ class ToySelfAttention(atconv_op.Operator):
         """The (B, N, N) attention map for ``x``."""
         return self.forward_cached(x)[1].alpha
 
-    def backward(self, gy, cache: ToySACache, *, need_param_grads=True):
-        """(gx, grads); grads is None, and no weight gradient is computed,
-        when ``need_param_grads`` is False."""
+    def backward(self, gy, cache: ToySACache):
+        """(gx, grads)."""
         cache = _need_cache(cache, "toy_self_attention")
         gy = as_tensor4(gy, "gy")
         b_, c_, h_, w_ = cache.shape
@@ -294,21 +307,44 @@ class ToySelfAttention(atconv_op.Operator):
         p = self.params
         n = h_ * w_
         g_out_t = np.ascontiguousarray(gy.reshape(b_, c_, n).transpose(0, 2, 1))
-        kw = {"need_param_grads": need_param_grads}
-        g_ytok, gw_o, _ = linear_backward(g_out_t, cache.o_cache, **kw)
+        g_ytok, gw_o, _ = linear_backward(g_out_t, cache.o_cache)
         g_alpha = np.matmul(g_ytok, cache.v.transpose(0, 2, 1))
         g_v = np.matmul(cache.alpha.transpose(0, 2, 1), g_ytok)
         g_scores = softmax_backward(g_alpha, cache.sm_cache) / p.tau
         g_q = np.matmul(g_scores, cache.k)
         g_k = np.matmul(g_scores.transpose(0, 2, 1), cache.q)
-        gxt, gw_q, _ = linear_backward(g_q, cache.q_cache, **kw)
-        gxt2, gw_k, _ = linear_backward(g_k, cache.k_cache, **kw)
-        gxt3, gw_v, _ = linear_backward(g_v, cache.v_cache, **kw)
+        gxt, gw_q, _ = linear_backward(g_q, cache.q_cache)
+        gxt2, gw_k, _ = linear_backward(g_k, cache.k_cache)
+        gxt3, gw_v, _ = linear_backward(g_v, cache.v_cache)
         gxt = gxt + gxt2 + gxt3
         gx = np.ascontiguousarray(gxt.transpose(0, 2, 1).reshape(b_, c_, h_, w_))
-        if not need_param_grads:
-            return gx, None
         return gx, {"w_q": gw_q, "w_k": gw_k, "w_v": gw_v, "w_o": gw_o}
+
+    def jacobian_rows(self, x, position: tuple):
+        """The protocol's rows, read from the attention after one forward.
+
+        A cotangent at token p of output channel c* makes every backward
+        factor rank one. g_ytok is w_o[c*] at p alone, so g_v[j] is
+        alpha[p, j] w_o[c*]; the score gradient s lives on row p, so g_q is
+        s k at p alone and g_k[j] is s[j] q[p]. Through the three
+        projections, row c* is (w_k^T q[p]) s + (w_v^T w_o[c*]) alpha[p]
+        over the tokens, plus w_q^T k^T s at p.
+        """
+        cache = self.forward_cached(x)[1]
+        _, c_, h_, w_ = cache.shape
+        p = position[0] * w_ + position[1]
+        w_q, w_k, w_v, w_o = (c.w for c in cache[:4])
+        a = cache.alpha[0, p].copy()  # a view would keep the N x N map alive
+        g_alpha = w_o @ cache.v[0].T  # (C, N): g_alpha[p] for each c*
+        s = (g_alpha - (g_alpha @ a)[:, None]) * a / self.params.tau
+        g_at_p = s @ cache.k[0] @ w_q
+        qk = cache.q[0, p] @ w_k
+        ov = w_o @ w_v
+        del cache
+        for r in range(c_):
+            row = np.multiply.outer(qk, s[r]) + np.multiply.outer(ov[r], a)
+            row[:, p] += g_at_p[r]
+            yield row.reshape(c_, h_, w_)
 
 
 class IdentityOp(atconv_op.Operator):
@@ -318,12 +354,17 @@ class IdentityOp(atconv_op.Operator):
         x = as_tensor4(x)
         return x, x.shape
 
-    def backward(self, gy, cache, *, need_param_grads=True):
+    def backward(self, gy, cache):
         """(gy, None): the identity has no weights."""
         gy = as_tensor4(gy, "gy")
         if gy.shape != cache:
             raise DimensionError(f"gy shape {gy.shape} != cached shape {cache}")
         return gy, None
+
+    def jacobian_rows(self, x, position: tuple):
+        """The rows of the 1 x 1 conv with identity weights."""
+        x = as_tensor4(x)
+        return _window_rows(x, np.eye(x.shape[1], dtype=x.dtype)[:, :, None, None], position)
 
 
 # ======================================================================
@@ -334,11 +375,11 @@ def conv_jacobian_probe(op, x, position: tuple) -> np.ndarray:
     """Input Jacobian slice of ``op`` at one output position.
 
     Returns J with J[c_out, c_in, h, w] = d y[0, c_out, ph, pw] /
-    d x[0, c_in, h, w], one ``op.jacobian_rows`` row per output channel.
-    For a static convolution this slice is the kernel weights
-    scattered over the neighborhood of ``position`` and zero elsewhere,
-    whatever the input; operators with input-dependent kernels produce
-    input-dependent slices.
+    d x[0, c_in, h, w], one ``op.jacobian_rows`` row per output channel,
+    each read from the operator's structure. For a static convolution this
+    slice is the kernel weights scattered over the neighborhood of
+    ``position`` and zero elsewhere, whatever the input; operators with
+    input-dependent kernels produce input-dependent slices.
     """
     x = as_tensor4(x)
     ph, pw = (int(position[0]), int(position[1]))

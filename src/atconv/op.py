@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import atck
 from .errors import ArgumentError, DimensionError, UnsupportedConfigError
 from .primitives import (
     Conv1x1Cache, GeluCache, LinearCache, PoolCache, SoftmaxCache, _need_cache,
@@ -134,9 +133,6 @@ class ATConvParams:
     def named(self) -> dict:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def save(self, path) -> None:
-        atck.save_atck(path, self.named())
-
     @classmethod
     def from_named(cls, arrays: dict) -> "ATConvParams":
         missing = [n for n in PARAM_NAMES if n not in arrays]
@@ -147,10 +143,6 @@ class ATConvParams:
         if k * k != kk:
             raise DimensionError(f"w_gen side {kk} is not a square number")
         return cls(**{n: arrays[n] for n in PARAM_NAMES}, kernel_size=k)
-
-    @classmethod
-    def load(cls, path) -> "ATConvParams":
-        return cls.from_named(atck.load_atck(path))
 
 
 @dataclass
@@ -313,7 +305,7 @@ def dyn_depthwise_forward(v, alpha):
     return y, DynDepthwiseCache(v, alpha)
 
 
-def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=True):
+def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     """Gradients of ``dyn_depthwise_forward`` w.r.t. v and alpha.
 
     gv is the transposed correlation, a gather on the zero-padded gy:
@@ -325,8 +317,7 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=Tru
     block, in the tap sum's blocks, so no whole-tensor padded copy of v is
     made. galpha has alpha's dtype and ``np.empty_like``'s layout: for a
     batch-broadcast alpha its batch axis is innermost, which fixes the
-    summation order of a batch sum. With ``need_param_grads=False`` galpha
-    is None, and not computed.
+    summation order of a batch sum.
 
     The gather also adds the +-0 products of gy's padding. They leave every
     sum as the scatter into a padded gradient gave it, save one case: an
@@ -340,8 +331,6 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache, *, need_param_grads=Tru
     k = alpha.shape[2]
     p = k // 2
     gv = _tap_sum(gy, alpha, v.dtype, flip=True)
-    if not need_param_grads:
-        return gv, None
     n = b_ * c_
     gy3 = gy.reshape(n, h_, w_)
     ga = np.empty((n, k * k), dtype=alpha.dtype)
@@ -381,19 +370,15 @@ def generate_kernels_forward(x, params: ATConvParams):
     return raw, C2KCache(c_conv, c_pool, c_act, c_mix)
 
 
-def generate_kernels_backward(graw, cache: C2KCache, *, need_param_grads=True):
-    """(gx, generator weight gradients); the gradients are None, and not
-    computed, when ``need_param_grads`` is False."""
+def generate_kernels_backward(graw, cache: C2KCache):
+    """(gx, generator weight gradients)."""
     cache = _need_cache(cache, "generate_kernels")
     graw = np.asarray(graw)
     b_, c_, k, _ = graw.shape
-    gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix,
-                                      need_param_grads=need_param_grads)
+    gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix)
     gz = gelu_backward(gvec.reshape(b_, c_, k, k), cache.act)
     gf = adaptive_avg_pool_backward(gz, cache.pool)
-    gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv, need_param_grads=need_param_grads)
-    if not need_param_grads:
-        return gx, None
+    gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv)
     return gx, {"w_f": gw_f, "w_f_bias": gb_f, "w_gen": gw_gen}
 
 
@@ -545,16 +530,12 @@ def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig
     return out, ATConvCache(gen_cache, mod, mod_cache, value_cache, dd_cache, out_cache)
 
 
-def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
+def atconv_backward(gy, cache: ATConvCache):
     """Gradients of the full operator.
 
     Returns (gx, grads) where grads maps canonical parameter names to
     arrays; a "static_kernel" entry appears instead of the generator
-    parameters when the generator is off. With ``need_param_grads=False``
-    the projections and the generator compute only their input gradients
-    and grads is None; the kernel gradient is still propagated when the
-    generator is on, because gx depends on it through the generator, and
-    not computed when it is off.
+    parameters when the generator is off.
 
     Each full-size gradient map is dropped at its last use: g_y once the
     depthwise backward returns, g_v once the value projection's backward
@@ -568,77 +549,67 @@ def atconv_backward(gy, cache: ATConvCache, *, need_param_grads=True):
     grads = {}
 
     if cache.out is not None:
-        g_y, gw_out, gb_out = conv1x1_backward(gy, cache.out,
-                                               need_param_grads=need_param_grads)
+        g_y, gw_out, gb_out = conv1x1_backward(gy, cache.out)
         grads["w_out"] = gw_out
         grads["w_out_bias"] = gb_out
     else:
         g_y = gy
 
-    g_v, g_alpha = dyn_depthwise_backward(
-        g_y, cache.dd, need_param_grads=need_param_grads or cache.gen is not None)
+    g_v, g_alpha = dyn_depthwise_backward(g_y, cache.dd)
     del g_y
 
     if cache.value is not None:
-        gx_value, gw_val, gb_val = conv1x1_backward(g_v, cache.value,
-                                                    need_param_grads=need_param_grads)
+        gx_value, gw_val, gb_val = conv1x1_backward(g_v, cache.value)
         grads["w_value"] = gw_val
         grads["w_value_bias"] = gb_val
     else:
         gx_value = g_v
     del g_v
 
-    if g_alpha is None:
-        g_raw = None
-    else:
-        g_raw, ggamma = _kernel_mod_backward(g_alpha, cache.mod_kind, cache.mod_cache)
-        if ggamma is not None:
-            grads["gamma"] = ggamma
+    g_raw, ggamma = _kernel_mod_backward(g_alpha, cache.mod_kind, cache.mod_cache)
+    if ggamma is not None:
+        grads["gamma"] = ggamma
 
     gx = gx_value
     if cache.gen is not None:
-        gx_kernel, gen_grads = generate_kernels_backward(
-            g_raw, cache.gen, need_param_grads=need_param_grads)
-        if need_param_grads:
-            grads.update(gen_grads)
+        gx_kernel, gen_grads = generate_kernels_backward(g_raw, cache.gen)
+        grads.update(gen_grads)
         gx += gx_kernel  # both are fresh arrays of x's dtype
-    elif g_raw is not None:
+    else:
         b_, c_, k, _ = g_raw.shape
         grads["static_kernel"] = g_raw.sum(axis=0).reshape(c_, k * k)
 
-    return np.ascontiguousarray(gx), (grads if need_param_grads else None)
+    return np.ascontiguousarray(gx), grads
 
 
 class Operator:
     """The protocol the analysis probes rely on.
 
-    A subclass defines ``forward_cached(x) -> (y, cache)`` and
-    ``backward(gy, cache, *, need_param_grads=True)``, which returns gx
-    followed by the weight gradients; those are None, and not computed,
-    when ``need_param_grads`` is False. ``forward``, ``input_backward`` and
-    ``jacobian_rows`` follow from those two; an operator whose structure
-    gives its Jacobian rows more cheaply overrides ``jacobian_rows``.
+    A subclass defines ``forward_cached(x) -> (y, cache)``,
+    ``backward(gy, cache)``, which returns gx followed by the weight
+    gradients, and ``jacobian_rows(x, position)``, which yields
+    d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each output
+    channel in turn, read from the operator's structure. ``x`` is a 4-D
+    tensor and ``position`` a checked (ph, pw); a caller that reduces the
+    rows as they come never holds the whole slice. ``forward`` follows
+    from ``forward_cached``.
     """
 
     def forward(self, x):
         return self.forward_cached(x)[0]
 
-    def input_backward(self, gy, cache):
-        """Input gradient alone: no weight gradient is computed."""
-        return self.backward(gy, cache, need_param_grads=False)[0]
 
-    def jacobian_rows(self, x, position: tuple):
-        """Yield d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each
-        output channel in turn: one input backward per row, so a caller that
-        reduces the rows as they come never holds the whole slice.
-
-        ``x`` is a 4-D tensor and ``position`` a checked (ph, pw).
-        """
-        y, cache = self.forward_cached(x)
-        for co in range(y.shape[1]):
-            gy = np.zeros_like(y)
-            gy[0, co, position[0], position[1]] = 1.0
-            yield self.input_backward(gy, cache)[0]
+def _anchor_window(position: tuple, k: int, h: int, w: int) -> tuple:
+    """(hs, ws, us, ts): the k x k window on ``position`` clipped to an
+    H x W map, where map rows hs and columns ws meet kernel taps us and
+    ts. d y[ph, pw] / d x[hs, ws] of a k x k correlation is kernel[us, ts].
+    """
+    ph, pw = position
+    p = k // 2
+    h0, h1 = max(ph - p, 0), min(ph + p + 1, h)
+    w0, w1 = max(pw - p, 0), min(pw + p + 1, w)
+    return (slice(h0, h1), slice(w0, w1),
+            slice(h0 - ph + p, h1 - ph + p), slice(w0 - pw + p, w1 - pw + p))
 
 
 def _rows_view(a, rows: int):
@@ -666,8 +637,8 @@ class ATConv(Operator):
     def forward_cached(self, x):
         return atconv_forward_cached(x, self.params, self.config)
 
-    def backward(self, gy, cache, *, need_param_grads=True):
-        return atconv_backward(gy, cache, need_param_grads=need_param_grads)
+    def backward(self, gy, cache):
+        return atconv_backward(gy, cache)
 
     def jacobian_rows(self, x, position: tuple):
         """The protocol's rows, read from the operator's structure after one
@@ -688,14 +659,8 @@ class ATConv(Operator):
         v, alpha = cache.dd
         _, c_, h_, w_ = v.shape
         k = alpha.shape[2]
-        p = k // 2
         dtype = v.dtype
-        ph, pw = position
-        # the anchor's window clipped to the map: map rows h0:h1 meet taps us
-        h0, h1 = max(ph - p, 0), min(ph + p + 1, h_)
-        w0, w1 = max(pw - p, 0), min(pw + p + 1, w_)
-        us = slice(h0 - ph + p, h1 - ph + p)
-        ts = slice(w0 - pw + p, w1 - pw + p)
+        hs, ws, us, ts = _anchor_window(position, k, h_, w_)
         g_y = cache.out.w if cache.out is not None else np.eye(c_, dtype=dtype)
         g_win = g_y[:, :, None, None] * alpha[0, :, us, ts]
         if cache.value is not None:
@@ -703,7 +668,7 @@ class ATConv(Operator):
         gen, q = cache.gen, None
         if gen is not None:
             v_win = np.zeros((c_, k, k), dtype=dtype)
-            v_win[:, us, ts] = v[0, :, h0:h1, w0:w1]
+            v_win[:, us, ts] = v[0, :, hs, ws]
             mod_cache = cache.mod_cache
             if cache.mod_kind == "dkm":
                 mod_cache = mod_cache._replace(mean=_rows_view(mod_cache.mean, c_))
@@ -711,9 +676,7 @@ class ATConv(Operator):
                 mod_cache = mod_cache._replace(y=_rows_view(mod_cache.y, c_))
             g_raw, _ = _kernel_mod_backward(g_y[:, :, None, None] * v_win,
                                             cache.mod_kind, mod_cache)
-            g_vec, _, _ = linear_backward(
-                g_raw.reshape(c_, c_, k * k),
-                gen.mix._replace(x=_rows_view(gen.mix.x, c_)), need_param_grads=False)
+            g_vec = g_raw.reshape(c_, c_, k * k) @ gen.mix.w
             gz = gelu_backward(g_vec.reshape(c_, c_, k, k),
                                GeluCache(_rows_view(gen.act.x, c_), _rows_view(gen.act.cdf, c_)))
             q = np.matmul(gen.conv.w.T, gz.reshape(c_, c_, k * k)).reshape(gz.shape)
@@ -726,7 +689,7 @@ class ATConv(Operator):
                 row = np.zeros((c_, h_, w_), dtype=dtype)
             else:
                 row = mh @ q[r] @ mw
-            row[:, h0:h1, w0:w1] += g_win[r]
+            row[:, hs, ws] += g_win[r]
             yield row
 
     def named_parameters(self) -> dict:

@@ -203,14 +203,13 @@ def conv1x1_forward(x, w, bias=None):
     return np.ascontiguousarray(y), Conv1x1Cache(x, w, bias is not None)
 
 
-def conv1x1_backward(gy, cache: Conv1x1Cache, *, need_param_grads=True):
+def conv1x1_backward(gy, cache: Conv1x1Cache):
     """Gradients of ``conv1x1_forward`` w.r.t. x, w and the bias.
 
     gx = w^T gy is one batched matmul. gw = sum_b gy[b] x[b]^T is one BLAS
     matmul per sample, each written into a C_out x C_in scratch and added
     into gw, so no B x C_out x C_in temporary is allocated. gb sums gy
-    over batch and space. With ``need_param_grads=False`` only gx is
-    computed and gw and gb come back as None.
+    over batch and space.
     """
     cache = _need_cache(cache, "conv1x1")
     gy = as_tensor4(gy, "gy")
@@ -221,17 +220,14 @@ def conv1x1_backward(gy, cache: Conv1x1Cache, *, need_param_grads=True):
         raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
     n = h_ * w_
     gyr = gy.reshape(b_, c_out, n)
-    gw = gb = None
-    if need_param_grads:
-        xr = x.reshape(b_, c_in, n)
-        gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
-        tmp = np.empty_like(gw)
-        for gyj, xj in zip(gyr, xr):
-            np.matmul(gyj, xj.T, out=tmp)
-            gw += tmp
-        del tmp  # freed before gx, so peak memory stays that of gx and gw
-        if cache.has_bias:
-            gb = gy.sum(axis=(0, 2, 3))
+    xr = x.reshape(b_, c_in, n)
+    gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
+    tmp = np.empty_like(gw)
+    for gyj, xj in zip(gyr, xr):
+        np.matmul(gyj, xj.T, out=tmp)
+        gw += tmp
+    del tmp  # freed before gx, so peak memory stays that of gx and gw
+    gb = gy.sum(axis=(0, 2, 3)) if cache.has_bias else None
     gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
     return np.ascontiguousarray(gx), gw, gb
 
@@ -326,9 +322,8 @@ def linear_forward(x, w, bias=None):
     return y, LinearCache(x, w, bias is not None)
 
 
-def linear_backward(gy, cache: LinearCache, *, need_param_grads=True):
-    """Gradients of ``linear_forward`` w.r.t. x, w and the bias; gw and gb
-    are None, and not computed, when ``need_param_grads`` is False."""
+def linear_backward(gy, cache: LinearCache):
+    """Gradients of ``linear_forward`` w.r.t. x, w and the bias."""
     cache = _need_cache(cache, "linear")
     gy = np.asarray(gy)
     x, w = cache.x, cache.w
@@ -336,8 +331,6 @@ def linear_backward(gy, cache: LinearCache, *, need_param_grads=True):
     if gy.shape != x.shape[:-1] + (m,):
         raise DimensionError(f"gy shape {gy.shape} != output shape {x.shape[:-1] + (m,)}")
     gx = gy @ w
-    if not need_param_grads:
-        return gx, None, None
     gyr = gy.reshape(-1, m)
     xr = x.reshape(-1, n)
     gw = gyr.T @ xr

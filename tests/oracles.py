@@ -822,10 +822,12 @@ def cross_entropy_three_exp_ref(logits, labels):
     return loss, soft / b_
 
 
-# baselines.jacobian_rows as it was: one dense input backward per output channel
+# Operator.jacobian_rows as it was: one dense backward per output channel.
+# The input gradient the full backward returns is the one the input-only
+# backward it used to call returned, bit for bit.
 def jacobian_rows_generic_ref(op, x, position: tuple):
     """Yield d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each
-    output channel in turn: one input backward per row, so a caller that
+    output channel in turn: one backward per row, so a caller that
     reduces the rows as they come never holds the whole slice.
 
     ``x`` is a 4-D tensor and ``position`` a checked (ph, pw).
@@ -834,4 +836,4 @@ def jacobian_rows_generic_ref(op, x, position: tuple):
     for co in range(y.shape[1]):
         gy = np.zeros_like(y)
         gy[0, co, position[0], position[1]] = 1.0
-        yield op.input_backward(gy, cache)[0]
+        yield op.backward(gy, cache)[0][0]

@@ -361,7 +361,7 @@ def test_cli_analyze_loads_either_checkpoint_layout(tmp_path, capsys):
 
     op = ATConv(ATConvParams.init(Rng(60), 6, 3))
     bare = tmp_path / "op.atck"
-    op.params.save(str(bare))
+    save_atck(str(bare), op.params.named())
     assert main(["analyze", "--operator", "atconv", "--load", str(bare),
                  "--height", "10", "--width", "10"]) == 0
     rep = json.loads(capsys.readouterr().out)

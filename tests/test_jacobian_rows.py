@@ -1,10 +1,12 @@
-"""ATConv's structured Jacobian rows against the dense-backward rows.
+"""Every operator's structured Jacobian rows against the dense-backward rows.
 
-``ATConv.jacobian_rows`` reads each row from the operator's structure; the
-oracle runs one dense input backward per output channel, as the protocol's
-generic rows do. Both probes built on the rows, ``conv_jacobian_probe`` and
-``influence_map``, must agree with the oracle's to 1e-12 of the largest
-reference entry in f64 and 1e-5 in f32, over every ``ATConvConfig``.
+Each operator's ``jacobian_rows`` reads each row from its structure; the
+oracle runs one dense backward per output channel, as the protocol's
+generic rows did. Both probes built on the rows, ``conv_jacobian_probe``
+and ``influence_map``, must agree with the oracle's to 1e-12 of the
+largest reference entry in f64 and 1e-5 in f32, for ATConv over every
+``ATConvConfig`` and for the attention. The identity's and the static
+convolutions' rows are exact, so theirs must equal the oracle's in value.
 """
 
 import itertools
@@ -13,7 +15,9 @@ import numpy as np
 import pytest
 
 from atconv.analysis import influence_map
-from atconv.baselines import conv_jacobian_probe
+from atconv.baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
+                              ToySelfAttention, conv_jacobian_probe)
+from atconv.errors import DimensionError
 from atconv.op import ATConv, ATConvConfig, ATConvParams
 from atconv.rng import Rng
 from oracles import jacobian_rows_generic_ref
@@ -51,6 +55,26 @@ def _assert_close(got, ref, dtype, what):
     assert err <= RTOL[dtype] * np.abs(ref).max(), (what, err)
 
 
+def _assert_equal(got, ref, what):
+    # signed zeros may differ, so values are compared, not bytes
+    assert got.shape == ref.shape and got.dtype == ref.dtype, what
+    assert np.array_equal(got, ref), what
+
+
+def _exact_operator(rng, name, k, dtype):
+    c = SHAPE[1]
+    if name == "identity":
+        return IdentityOp()
+    if name == "static_dwconv":
+        return StaticDepthwise.init(rng, c, k, dtype)
+    # C_out != C_in
+    return StaticConv(rng.normal(0, 1, (c - 1, c, k, k), dtype), rng.normal(0, 1, (c - 1,), dtype))
+
+
+def _toy_sa(rng, dtype):
+    return ToySelfAttention(ToySAParams.init(rng, SHAPE[1], d=3, dtype=dtype))  # d != C
+
+
 @pytest.mark.parametrize("mod,generator,value,out", CASES,
                          ids=["-".join(map(str, case)) for case in CASES])
 def test_structured_rows_match_the_dense_backward(mod, generator, value, out):
@@ -85,3 +109,55 @@ def test_structured_rows_match_central_differences(mod):
         fd = (op.forward(xp)[0, co, anchor[0], anchor[1]]
               - op.forward(xm)[0, co, anchor[0], anchor[1]]) / (2 * step)
         assert abs(j[co, ci, h, w] - fd) <= 1e-7 * max(1.0, abs(fd)), (co, ci, h, w)
+
+
+@pytest.mark.parametrize("k", (1, 3, 5))
+@pytest.mark.parametrize("name", ("identity", "static_dwconv", "static_conv"))
+def test_static_rows_equal_the_dense_backward(name, k):
+    rng = Rng(1403 + k)
+    for dtype in (np.float32, np.float64):
+        op = _exact_operator(rng, name, k, dtype)
+        x = rng.normal(0, 1, SHAPE, dtype)
+        for anchor in ANCHORS:
+            what = (k, dtype.__name__, anchor)
+            ref = np.stack(list(jacobian_rows_generic_ref(op, x, anchor)))
+            _assert_equal(conv_jacobian_probe(op, x, anchor), ref, what)
+            _assert_equal(influence_map(op, x, anchor), _generic_map(op, x, anchor), what)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_attention_rows_match_the_dense_backward(dtype):
+    rng = Rng(1404)
+    op = _toy_sa(rng, dtype)
+    x = rng.normal(0, 1, SHAPE, dtype)
+    for anchor in ANCHORS:
+        ref = np.stack(list(jacobian_rows_generic_ref(op, x, anchor)))
+        _assert_close(conv_jacobian_probe(op, x, anchor), ref, dtype, anchor)
+        _assert_close(influence_map(op, x, anchor), _generic_map(op, x, anchor), dtype, anchor)
+
+
+def test_attention_rows_match_central_differences():
+    # at the anchor token, where the query path enters, and away from it
+    rng = Rng(1405)
+    op = _toy_sa(rng, np.float64)
+    x = rng.normal(0, 1, SHAPE)
+    anchor = (1, 7)
+    j = conv_jacobian_probe(op, x, anchor)
+    step = 1e-6
+    for co, ci, h, w in ((0, 0, 1, 7), (3, 2, 1, 7), (2, 3, 2, 6), (1, 2, 6, 0), (3, 1, 0, 0)):
+        xp, xm = x.copy(), x.copy()
+        xp[0, ci, h, w] += step
+        xm[0, ci, h, w] -= step
+        fd = (op.forward(xp)[0, co, anchor[0], anchor[1]]
+              - op.forward(xm)[0, co, anchor[0], anchor[1]]) / (2 * step)
+        assert abs(j[co, ci, h, w] - fd) <= 1e-7 * max(1.0, abs(fd)), (co, ci, h, w)
+
+
+@pytest.mark.parametrize("name", ("static_dwconv", "static_conv", "toy_sa"))
+def test_rows_reject_an_input_of_the_wrong_width(name):
+    # the static rows run no forward, so they check the width themselves
+    rng = Rng(1406)
+    op = _toy_sa(rng, np.float64) if name == "toy_sa" else _exact_operator(rng, name, 3, np.float64)
+    x = rng.normal(0, 1, (1, SHAPE[1] + 1) + SHAPE[2:])
+    with pytest.raises(DimensionError, match="channels"):
+        conv_jacobian_probe(op, x, (0, 0))

@@ -9,6 +9,7 @@ general case.
 import numpy as np
 import pytest
 
+from atconv.atck import load_atck, save_atck
 from atconv.errors import (
     ArgumentError,
     DimensionError,
@@ -434,8 +435,8 @@ def test_params_save_load_roundtrip(tmp_path):
     p = ATConvParams.init(rng, 4, 3)
     p.gamma = rng.normal(0, 1, (4,))
     path = tmp_path / "op.atck"
-    p.save(path)
-    q = ATConvParams.load(path)
+    save_atck(path, p.named())
+    q = ATConvParams.from_named(load_atck(path))
     assert q.kernel_size == 3
     for name in PARAM_NAMES:
         assert np.array_equal(getattr(q, name), getattr(p, name)), name
@@ -444,14 +445,13 @@ def test_params_save_load_roundtrip(tmp_path):
 
 
 def test_load_rejects_missing_entries(tmp_path):
-    from atconv.atck import save_atck
     rng = Rng(70)
     p = ATConvParams.init(rng, 3, 3)
     partial = {k: v for k, v in p.named().items() if k != "gamma"}
     path = tmp_path / "bad.atck"
     save_atck(path, partial)
     with pytest.raises(DimensionError):
-        ATConvParams.load(path)
+        ATConvParams.from_named(load_atck(path))
 
 
 def test_stateful_wrapper_matches_function_form():

@@ -38,7 +38,6 @@ def check(op, x, gy, dtype):
     assert gx.dtype == ref_gx.dtype and gx.tobytes() == ref_gx.tobytes()
     assert rel_err(gw, ref_gw) < RTOL[dtype]
     assert gb.dtype == ref_gb.dtype and gb.tobytes() == ref_gb.tobytes()
-    assert op.input_backward(gy, cache).tobytes() == gx.tobytes()
 
 
 def draw(seed, shape, k, dtype):
