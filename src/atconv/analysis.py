@@ -5,7 +5,7 @@ The routing diagnostics ask where an output pixel's gradient mass lives:
 - influence_map: G(h, w) = sum over output channels c* and input channels
   c of |d y[0, c*, h*, w*] / d x[0, c, h, w]|, one Jacobian row per c*
   from the operator's ``jacobian_rows``, which reads it from the
-  operator's structure.
+  operator's structure and the cache of one forward on x.
 - far: fraction of G's mass strictly beyond Euclidean radius r0 of the
   anchor. A k x k conv has FAR = 0 for any r0 >= the kernel radius.
 - routing_centroid: intensity-weighted centroid of G restricted to its
@@ -64,10 +64,14 @@ def influence_map(op, x, anchor) -> np.ndarray:
     an operator with C identity channels scores C at the anchor.
     """
     x = as_tensor4(x)
-    _, _, h_, w_ = x.shape
-    ah, aw = _check_anchor(anchor, h_, w_)
-    g = np.zeros((h_, w_), dtype=np.float64)
-    for row in op.jacobian_rows(x, (ah, aw)):
+    anchor = _check_anchor(anchor, *x.shape[2:])
+    return _influence(op.jacobian_rows(op.forward_cached(x)[1], anchor), x.shape[2:])
+
+
+def _influence(rows, shape: tuple) -> np.ndarray:
+    """``influence_map`` from the Jacobian rows, reduced as they come."""
+    g = np.zeros(shape, dtype=np.float64)
+    for row in rows:
         g += np.abs(row).sum(axis=0)
     return g
 
@@ -117,14 +121,13 @@ def inhibition_map(op, x, anchor, eps: float | None = None) -> np.ndarray:
     since its own response is expected to move.
     """
     x = as_tensor4(x)
-    _, _, h_, w_ = x.shape
-    ah, aw = _check_anchor(anchor, h_, w_)
-    return _inhibition(op, x, (ah, aw), eps)
+    anchor = _check_anchor(anchor, *x.shape[2:])
+    return _inhibition(op, x, op.forward(x), anchor, eps)
 
 
-def _inhibition(op, x, anchor, eps, base=None):
-    """``inhibition_map`` for a checked ``x`` and ``anchor``; ``base`` is
-    ``op.forward(x)`` when the caller already has it."""
+def _inhibition(op, x, base, anchor, eps):
+    """``inhibition_map`` for a checked ``x`` and ``anchor``, with ``base``
+    the operator's output on ``x``."""
     ah, aw = anchor
     if eps is None:
         rms = float(np.sqrt(np.mean(x.astype(np.float64) ** 2)))
@@ -133,8 +136,6 @@ def _inhibition(op, x, anchor, eps, base=None):
         eps = 0.01 * rms
     if eps <= 0:
         raise ArgumentError(f"probe amplitude must be positive, got {eps}")
-    if base is None:
-        base = op.forward(x)
     bumped = x.copy()
     bumped[0, :, ah, aw] += eps
     resp = op.forward(bumped)
@@ -258,18 +259,21 @@ def analyze_operator(op, x, anchor=None, r0: float = 4.0, sigma: float = 1.0,
                      quantile: float = 0.9, eps: float | None = None) -> dict:
     """Run the full diagnostic battery for one operator on one input.
 
-    csc and cer are computed on the operator's output. Returns a plain
-    dict ready for JSON serialization; the maps themselves are returned
-    under "maps" for callers that want to dump them.
+    One forward on x: its cache feeds the Jacobian rows, and its output
+    csc, cer and the inhibition probe's base. Returns a plain dict ready
+    for JSON serialization; the maps themselves are returned under "maps"
+    for callers that want to dump them.
     """
     x = as_tensor4(x)
     _, _, h_, w_ = x.shape
     if anchor is None:
         anchor = (h_ // 2, w_ // 2)
     ah, aw = _check_anchor(anchor, h_, w_)
-    g = influence_map(op, x, (ah, aw))
-    y = op.forward(x)
-    d = _inhibition(op, x, (ah, aw), eps, base=y)
+    y, cache = op.forward_cached(x)
+    rows = op.jacobian_rows(cache, (ah, aw))
+    del cache  # the rows free the forward's maps once they start
+    g = _influence(rows, (h_, w_))
+    d = _inhibition(op, x, y, (ah, aw), eps)
     centroid = routing_centroid(g, quantile)
     report = {
         "anchor": [ah, aw],

@@ -2,8 +2,8 @@
 
 All three, and the identity, are ``op.Operator`` subclasses: each defines
 ``forward_cached``, ``backward`` and the ``jacobian_rows`` that the
-analysis probes read, each row taken from the operator's structure, and
-takes ``forward`` from the protocol.
+analysis probes read, each row taken from the operator's structure and
+its forward's cache, and takes ``forward`` from the protocol.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import op as atconv_op
+from .analysis import _check_anchor
 from .errors import ArgumentError, DimensionError
 from .primitives import (
     LinearCache, SoftmaxCache, _need_cache,
@@ -59,8 +60,8 @@ def _checked_input(x, channels: int) -> np.ndarray:
 
 def _window_rows(x, w, position: tuple):
     """The Jacobian rows of a k x k correlation with (C_out, C_in, k, k)
-    weights ``w`` on ``x``: row c* is w[c*] in the anchor's clipped
-    window, whatever the input."""
+    weights ``w`` on the checked input ``x``: row c* is w[c*] in the
+    anchor's clipped window, whatever the input."""
     _, c_in, h_, w_ = x.shape
     hs, ws, us, ts = atconv_op._anchor_window(position, w.shape[-1], h_, w_)
     for wo in w.astype(x.dtype, copy=False):
@@ -161,8 +162,8 @@ class StaticConv(atconv_op.Operator):
             gw += runs[k * k // 2] @ next(cols).T
         return gx, gw.reshape(self.w.shape), gb
 
-    def jacobian_rows(self, x, position: tuple):
-        return _window_rows(_checked_input(x, self.w.shape[1]), self.w, position)
+    def jacobian_rows(self, cache, position: tuple):
+        return _window_rows(cache, self.w, position)
 
 
 # ======================================================================
@@ -199,10 +200,10 @@ class StaticDepthwise(atconv_op.Operator):
         gx, galpha = atconv_op.dyn_depthwise_backward(gy, cache)
         return gx, galpha.sum(axis=0)
 
-    def jacobian_rows(self, x, position: tuple):
+    def jacobian_rows(self, cache: atconv_op.DynDepthwiseCache, position: tuple):
         """The rows of the dense conv with w on its channel diagonal."""
         dense = np.eye(len(self.w), dtype=self.w.dtype)[:, :, None, None] * self.w[:, None]
-        return _window_rows(_checked_input(x, len(self.w)), dense, position)
+        return _window_rows(cache.v, dense, position)
 
 
 # ======================================================================
@@ -320,8 +321,8 @@ class ToySelfAttention(atconv_op.Operator):
         gx = np.ascontiguousarray(gxt.transpose(0, 2, 1).reshape(b_, c_, h_, w_))
         return gx, {"w_q": gw_q, "w_k": gw_k, "w_v": gw_v, "w_o": gw_o}
 
-    def jacobian_rows(self, x, position: tuple):
-        """The protocol's rows, read from the attention after one forward.
+    def jacobian_rows(self, cache: ToySACache, position: tuple):
+        """The protocol's rows, read from the forward's attention.
 
         A cotangent at token p of output channel c* makes every backward
         factor rank one. g_ytok is w_o[c*] at p alone, so g_v[j] is
@@ -330,7 +331,6 @@ class ToySelfAttention(atconv_op.Operator):
         projections, row c* is (w_k^T q[p]) s + (w_v^T w_o[c*]) alpha[p]
         over the tokens, plus w_q^T k^T s at p.
         """
-        cache = self.forward_cached(x)[1]
         _, c_, h_, w_ = cache.shape
         p = position[0] * w_ + position[1]
         w_q, w_k, w_v, w_o = (c.w for c in cache[:4])
@@ -352,19 +352,19 @@ class IdentityOp(atconv_op.Operator):
 
     def forward_cached(self, x):
         x = as_tensor4(x)
-        return x, x.shape
+        return x, x
 
     def backward(self, gy, cache):
         """(gy, None): the identity has no weights."""
         gy = as_tensor4(gy, "gy")
-        if gy.shape != cache:
-            raise DimensionError(f"gy shape {gy.shape} != cached shape {cache}")
+        if gy.shape != cache.shape:
+            raise DimensionError(f"gy shape {gy.shape} != cached shape {cache.shape}")
         return gy, None
 
-    def jacobian_rows(self, x, position: tuple):
+    def jacobian_rows(self, cache, position: tuple):
         """The rows of the 1 x 1 conv with identity weights."""
-        x = as_tensor4(x)
-        return _window_rows(x, np.eye(x.shape[1], dtype=x.dtype)[:, :, None, None], position)
+        eye = np.eye(cache.shape[1], dtype=cache.dtype)[:, :, None, None]
+        return _window_rows(cache, eye, position)
 
 
 # ======================================================================
@@ -376,14 +376,11 @@ def conv_jacobian_probe(op, x, position: tuple) -> np.ndarray:
 
     Returns J with J[c_out, c_in, h, w] = d y[0, c_out, ph, pw] /
     d x[0, c_in, h, w], one ``op.jacobian_rows`` row per output channel,
-    each read from the operator's structure. For a static convolution this
-    slice is the kernel weights scattered over the neighborhood of
-    ``position`` and zero elsewhere, whatever the input; operators with
-    input-dependent kernels produce input-dependent slices.
+    each read from the operator's structure after one forward on ``x``.
+    For a static convolution this slice is the kernel weights scattered
+    over the neighborhood of ``position`` and zero elsewhere, whatever the
+    input; input-dependent kernels give input-dependent slices.
     """
     x = as_tensor4(x)
-    ph, pw = (int(position[0]), int(position[1]))
-    _, _, h_, w_ = x.shape
-    if not (0 <= ph < h_ and 0 <= pw < w_):
-        raise ArgumentError(f"position {position} outside spatial extent {(h_, w_)}")
-    return np.stack(list(op.jacobian_rows(x, (ph, pw))), axis=0)
+    position = _check_anchor(position, *x.shape[2:])
+    return np.stack(list(op.jacobian_rows(op.forward_cached(x)[1], position)), axis=0)

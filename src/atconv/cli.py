@@ -58,20 +58,16 @@ def _emit(text: str, out_path) -> None:
             f.write(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+def _numpy_default(obj):
+    """Arrays and numpy scalars as plain Python values; np.float64 is a
+    float and never gets here."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _print_json(obj, out_path) -> None:
-    _emit(json.dumps(_jsonable(obj), indent=2), out_path)
+    _emit(json.dumps(obj, indent=2, default=_numpy_default), out_path)
 
 
 # ======================================================================

@@ -15,6 +15,7 @@ real one would.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -28,10 +29,12 @@ LABEL_MAGIC = 0x00000801
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) < n:
-        raise OSError(f"file truncated inside {what} ({len(buf)}/{n} bytes)")
-    return buf
+    """``n`` bytes from ``f``; a header-declared ``n`` is checked against
+    the bytes left in the file before any buffer is asked for."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise OSError(f"file truncated inside {what} ({left}/{n} bytes)")
+    return f.read(n)
 
 
 def load_idx_images(path) -> np.ndarray:

@@ -587,12 +587,13 @@ class Operator:
 
     A subclass defines ``forward_cached(x) -> (y, cache)``,
     ``backward(gy, cache)``, which returns gx followed by the weight
-    gradients, and ``jacobian_rows(x, position)``, which yields
+    gradients, and ``jacobian_rows(cache, position)``, which yields
     d y[0, c_out, ph, pw] / d x[0], shape (C_in, H, W), for each output
-    channel in turn, read from the operator's structure. ``x`` is a 4-D
-    tensor and ``position`` a checked (ph, pw); a caller that reduces the
-    rows as they come never holds the whole slice. ``forward`` follows
-    from ``forward_cached``.
+    channel in turn, read from the operator's structure and the cache of
+    the caller's forward. ``position`` is a checked (ph, pw). A caller
+    that reduces the rows as they come and drops its cache first never
+    holds the slice or the forward's maps. ``forward`` follows from
+    ``forward_cached``.
     """
 
     def forward(self, x):
@@ -640,9 +641,9 @@ class ATConv(Operator):
     def backward(self, gy, cache):
         return atconv_backward(gy, cache)
 
-    def jacobian_rows(self, x, position: tuple):
-        """The protocol's rows, read from the operator's structure after one
-        forward instead of from one dense backward per row.
+    def jacobian_rows(self, cache: ATConvCache, position: tuple):
+        """The protocol's rows, read from the operator's structure and the
+        forward's cache instead of from one dense backward per row.
 
         For gy one-hot at (c*, ph, pw) of batch element 0, the output
         projection's backward is w_out[c*, :] at the anchor. The depthwise
@@ -655,7 +656,6 @@ class ATConv(Operator):
         Mh (w_f^T gz) Mw, where Mh (H x k) and Mw (k x W) are
         ``_pool_spread``'s matrices for the two axes.
         """
-        cache = self.forward_cached(x)[1]
         v, alpha = cache.dd
         _, c_, h_, w_ = v.shape
         k = alpha.shape[2]

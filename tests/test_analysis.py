@@ -23,6 +23,7 @@ from atconv.analysis import (
     sym_eigenvalues,
 )
 from atconv.baselines import IdentityOp, StaticDepthwise, ToySAParams, ToySelfAttention
+from atconv.cli import _build_analyze_operator, build_parser
 from atconv.errors import (
     ArgumentError,
     DegenerateMapError,
@@ -419,3 +420,25 @@ def test_analyze_operator_identity_ground_truth():
     assert report["far"] == 0.0
     assert report["routing_centroid"] == [2.0, 2.0]
     assert report["inhibition_total"] == 0.0
+
+
+@pytest.mark.parametrize("name", ("identity", "static_dwconv", "static_conv", "toy_sa",
+                                  "atconv"))
+def test_analyze_operator_runs_two_forwards(name):
+    # one on x, whose cache feeds the rows and whose output csc, cer and the
+    # inhibition base, and one on the bumped input
+    op = _build_analyze_operator(build_parser().parse_args(["analyze", "--operator", name]))
+    inputs = []
+    forward_cached = op.forward_cached
+
+    def recording(x):
+        inputs.append(x.copy())
+        return forward_cached(x)
+
+    op.forward_cached = recording
+    x = Rng(1501).normal(0, 1, (1, 8, 9, 10))
+    analyze_operator(op, x, anchor=(4, 6))
+    assert len(inputs) == 2
+    assert np.array_equal(inputs[0], x)
+    moved = inputs[1] != x
+    assert moved.sum() == 8 and moved[0, :, 4, 6].all()

@@ -1,6 +1,7 @@
 """IDX file handling and the synthetic digit generator."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ def test_load_images_truncated_header(tmp_path):
     path.write_bytes(b"\x00\x00\x08\x03\x00")
     with pytest.raises(OSError):
         load_idx_images(str(path))
+
+
+@pytest.mark.parametrize("dims", [(2**30, 2**30, 2**30), (2**20, 2**10, 2**10)],
+                         ids=["overflow", "memory"])
+def test_load_images_checks_header_sizes_against_the_file(tmp_path, dims):
+    # 2**90 bytes overflowed the read and 2**40 ran out of memory
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">IIII", 0x00000803, *dims) + bytes(16))
+    with pytest.raises(OSError, match=r"truncated inside pixel payload \(16/"):
+        load_idx_images(str(path))
+
+
+def test_load_labels_checks_the_count_before_reading(tmp_path):
+    # a 2**31 - 1 count asked for a 2 GiB buffer before the file was found short
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">II", 0x00000801, 2**31 - 1) + bytes(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OSError, match=r"truncated inside label payload \(16/"):
+            load_idx_labels(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_image_roundtrip(tmp_path):

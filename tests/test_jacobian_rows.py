@@ -155,7 +155,7 @@ def test_attention_rows_match_central_differences():
 
 @pytest.mark.parametrize("name", ("static_dwconv", "static_conv", "toy_sa"))
 def test_rows_reject_an_input_of_the_wrong_width(name):
-    # the static rows run no forward, so they check the width themselves
+    # the probe's forward checks the width before any row is read
     rng = Rng(1406)
     op = _toy_sa(rng, np.float64) if name == "toy_sa" else _exact_operator(rng, name, 3, np.float64)
     x = rng.normal(0, 1, (1, SHAPE[1] + 1) + SHAPE[2:])
