@@ -38,7 +38,7 @@ from .primitives import (
     softmax_backward, softmax_forward,
 )
 from .rng import Rng
-from .tensor import as_matrix, as_tensor4, as_vector, ensure_finite, flop_counter
+from .tensor import as_float, as_tensor4, as_vector, ensure_finite, flop_counter
 
 
 def _check_kernel(w: np.ndarray, name: str) -> int:
@@ -84,12 +84,9 @@ class StaticConv(atconv_op.Operator):
     """
 
     def __init__(self, w: np.ndarray, bias: Optional[np.ndarray] = None):
-        w = np.asarray(w)
-        if w.ndim != 4:
-            raise DimensionError(f"weights must be (C_out, C_in, k, k), got {w.shape}")
-        self.k = _check_kernel(w, "static conv kernel")
-        self.w = np.ascontiguousarray(w)
-        self.bias = None if bias is None else as_vector(bias, w.shape[0], "bias")
+        self.w = as_float(w, (None,) * 4, "w")  # (C_out, C_in, k, k)
+        self.k = _check_kernel(self.w, "static conv kernel")
+        self.bias = None if bias is None else as_vector(bias, self.w.shape[0], "bias")
 
     @classmethod
     def init(cls, rng: Rng, c_out: int, c_in: int, k: int = 3, dtype=np.float64):
@@ -178,11 +175,8 @@ class StaticDepthwise(atconv_op.Operator):
     """
 
     def __init__(self, w: np.ndarray):
-        w = np.asarray(w)
-        if w.ndim != 3:
-            raise DimensionError(f"weights must be (C, k, k), got {w.shape}")
-        self.k = _check_kernel(w, "depthwise kernel")
-        self.w = np.ascontiguousarray(w)
+        self.w = as_float(w, (None,) * 3, "w")  # (C, k, k)
+        self.k = _check_kernel(self.w, "depthwise kernel")
 
     @classmethod
     def init(cls, rng: Rng, channels: int, k: int = 3, dtype=np.float64):
@@ -235,17 +229,13 @@ class ToySAParams:
         )
 
     def validate(self) -> None:
-        """Check shapes and temperature, rebinding each weight to a
-        contiguous float matrix; runs once, at construction."""
-        self.w_q = as_matrix(self.w_q, "w_q")
-        self.w_k = as_matrix(self.w_k, "w_k")
-        self.w_v = as_matrix(self.w_v, "w_v")
-        self.w_o = as_matrix(self.w_o, "w_o")
-        d, c = self.w_q.shape
-        if self.w_k.shape != (d, c) or self.w_v.shape != (d, c):
-            raise DimensionError("w_q, w_k, w_v must share shape (d, C)")
-        if self.w_o.shape != (c, d):
-            raise DimensionError(f"w_o must be ({c}, {d}), got {self.w_o.shape}")
+        """Rebind each weight through ``as_float`` against its shape, d
+        being w_q's row count and C w_o's, and check the temperature; runs
+        once, at construction."""
+        d = np.shape(self.w_q)[0] if np.ndim(self.w_q) else None
+        c = np.shape(self.w_o)[0] if np.ndim(self.w_o) else None
+        for name, shape in {"w_q": (d, c), "w_k": (d, c), "w_v": (d, c), "w_o": (c, d)}.items():
+            setattr(self, name, as_float(getattr(self, name), shape, name))
         if not (self.tau > 0):
             raise ArgumentError(f"temperature must be positive, got {self.tau}")
 

@@ -33,7 +33,7 @@ from .primitives import (
     linear_backward, linear_forward,
 )
 from .rng import Rng
-from .tensor import as_matrix, as_tensor4, as_vector
+from .tensor import as_float, as_tensor4
 
 
 # ======================================================================
@@ -70,50 +70,47 @@ class GluParams:
         )
 
     def validate(self) -> None:
-        """Check shapes and dtypes, rebinding each array to a contiguous
-        float copy only where it is not one already; runs once, at
-        construction."""
-        for name in ("w_a", "w_b", "w_c"):
-            setattr(self, name, as_matrix(getattr(self, name), name))
-        e, c = self.w_a.shape
+        """Rebind each array through ``as_float`` against its shape; E is
+        w_a's row count and C w_c's. Runs once, at construction."""
+        e = np.shape(self.w_a)[0] if np.ndim(self.w_a) else None
+        c = np.shape(self.w_c)[0] if np.ndim(self.w_c) else None
+        shapes = {"w_a": (e, c), "b_a": (e,), "w_b": (e, c), "b_b": (e,),
+                  "w_c": (c, e), "b_c": (c,)}
+        for name, shape in shapes.items():
+            setattr(self, name, as_float(getattr(self, name), shape, name))
         if e < c:
             raise DimensionError(f"hidden width {e} smaller than channels {c}")
-        if self.w_b.shape != (e, c) or self.w_c.shape != (c, e):
-            raise DimensionError("glu weight shapes disagree")
-        self.b_a = as_vector(self.b_a, e, "b_a")
-        self.b_b = as_vector(self.b_b, e, "b_b")
-        self.b_c = as_vector(self.b_c, c, "b_c")
 
 
 class GluCache(NamedTuple):
     """What ``glu_backward`` reads. Of the hidden-width maps it keeps only
     the GELU's CDF. W_a's and W_b's caches hold the block input x (C wide)
-    and the weights as cast to x's dtype; with the biases as given they
-    rebuild a = W_a x and the GELU's input b = W_b x bit for bit. W_c's
-    cache comes without its input h, which the backward rebuilds too."""
+    and the weight and bias as cast to x's dtype, which rebuild a = W_a x
+    and the GELU's input b = W_b x bit for bit. W_c's cache comes without
+    its input h, which the backward rebuilds too."""
     ca: Conv1x1Cache
     cb: Conv1x1Cache
     cdf: np.ndarray
     cc: Conv1x1Cache
-    b_a: np.ndarray
-    b_b: np.ndarray
 
 
 def glu_forward(x, p: GluParams):
     """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels.
 
-    a and b are dropped once h = gelu(b) * a is built (written over the
-    fresh GELU output), so the cache keeps one hidden-width map, the CDF.
+    b = W_b x, its GELU, then a = W_a x: b is dropped before a is built,
+    and a once h = gelu(b) * a is written over the fresh GELU output, so
+    at most two hidden-width maps besides the CDF are alive at once and
+    the cache keeps one, the CDF.
     """
-    a, ca = conv1x1_forward(x, p.w_a, p.b_a)
     braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
     h, cg = gelu_forward(braw)
     cdf = cg.cdf
     del braw, cg
+    a, ca = conv1x1_forward(x, p.w_a, p.b_a)
     h *= a  # h = gate * a, written over the fresh gate
     del a
     y, cc = conv1x1_forward(h, p.w_c, p.b_c)
-    return y, GluCache(ca, cb, cdf, cc._replace(x=None), p.b_a, p.b_b)
+    return y, GluCache(ca, cb, cdf, cc._replace(x=None))
 
 
 def _gate(cg: GeluCache):
@@ -126,8 +123,8 @@ def _gate(cg: GeluCache):
 def glu_backward(gy, cache: GluCache):
     """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
 
-    a and b are rebuilt first, each by ``conv1x1_forward`` on the
-    arguments the forward used (the cached x, cast weight and bias), so
+    a and b are rebuilt first, each by ``conv1x1_forward`` on its cache,
+    the arguments the forward used (x, and the cast weight and bias), so
     they are the forward's bits. h = gate * a is rebuilt for W_c's
     backward and dropped after it. The gate is then rebuilt again and gh
     multiplied into it in place (a fresh product when gy is wider than
@@ -136,9 +133,9 @@ def glu_backward(gy, cache: GluCache):
     the rebuilt a and b at most two hidden-width maps are transient at any
     time, and the two input gradients are summed in place.
     """
-    ca, cb, cdf, cc, b_a, b_b = cache
-    a = conv1x1_forward(ca.x, ca.w, b_a)[0]
-    cg = GeluCache(conv1x1_forward(cb.x, cb.w, b_b)[0], cdf)
+    ca, cb, cdf, cc = cache
+    a = conv1x1_forward(*ca)[0]
+    cg = GeluCache(conv1x1_forward(*cb)[0], cdf)
     h = _gate(cg)
     h *= a
     gh, gw_c, gb_c = conv1x1_backward(gy, cc._replace(x=h))

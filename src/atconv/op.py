@@ -40,7 +40,7 @@ from .primitives import (
     sigmoid_forward, softmax_backward, softmax_forward,
 )
 from .rng import Rng
-from .tensor import FLOAT_DTYPES, as_matrix, as_tensor4, as_vector, ensure_finite, flop_counter
+from .tensor import FLOAT_DTYPES, as_float, as_tensor4, as_vector, ensure_finite, flop_counter
 
 KERNEL_MODS = ("none", "softmax", "central_diff", "dkm")
 
@@ -75,8 +75,8 @@ class ATConvParams:
         return self.w_f.shape[0]
 
     def validate(self) -> None:
-        """Check shapes and dtypes, rebinding each array to a contiguous
-        float copy only where it is not one already.
+        """Rebind each array through ``as_float`` against its shape; C is
+        w_f's row count.
 
         Runs once, at construction; a forward does not repeat it, so the
         arrays ``named()`` returns are the ones every forward reads and an
@@ -85,23 +85,11 @@ class ATConvParams:
         k = self.kernel_size
         if not isinstance(k, (int, np.integer)) or k < 1 or k % 2 == 0:
             raise ArgumentError(f"kernel_size must be a positive odd int, got {k!r}")
-        c = self.w_f.shape[0] if np.ndim(self.w_f) == 2 else -1
-        self.w_f = as_matrix(self.w_f, "w_f")
-        if self.w_f.shape != (c, c):
-            raise DimensionError(f"w_f must be square, got {self.w_f.shape}")
-        self.w_gen = as_matrix(self.w_gen, "w_gen")
-        if self.w_gen.shape != (k * k, k * k):
-            raise DimensionError(
-                f"w_gen must be ({k * k}, {k * k}) for kernel_size {k}, got {self.w_gen.shape}")
-        self.gamma = as_vector(self.gamma, c, "gamma")
-        for name in ("w_value", "w_out"):
-            m = as_matrix(getattr(self, name), name)
-            if m.shape != (c, c):
-                raise DimensionError(f"{name} must be ({c}, {c}), got {m.shape}")
-            setattr(self, name, m)
-        self.w_f_bias = as_vector(self.w_f_bias, c, "w_f_bias")
-        self.w_value_bias = as_vector(self.w_value_bias, c, "w_value_bias")
-        self.w_out_bias = as_vector(self.w_out_bias, c, "w_out_bias")
+        c = np.shape(self.w_f)[0] if np.ndim(self.w_f) else None
+        shapes = {"w_f": (c, c), "w_f_bias": (c,), "w_gen": (k * k, k * k), "gamma": (c,),
+                  "w_value": (c, c), "w_value_bias": (c,), "w_out": (c, c), "w_out_bias": (c,)}
+        for name, shape in shapes.items():
+            setattr(self, name, as_float(getattr(self, name), shape, name))
 
     @classmethod
     def init(cls, rng: Rng, channels: int, kernel_size: int = 3,
@@ -179,12 +167,8 @@ class ATConvConfig:
                 raise ArgumentError(
                     "a static_kernel (channels x k*k) is required when the "
                     "kernel generator is off")
-            sk = as_matrix(self.static_kernel, "static_kernel")
-            if sk.shape != (channels, kernel_size * kernel_size):
-                raise DimensionError(
-                    f"static_kernel must be ({channels}, {kernel_size * kernel_size}), "
-                    f"got {sk.shape}")
-            self.static_kernel = sk
+            self.static_kernel = as_float(
+                self.static_kernel, (channels, kernel_size * kernel_size), "static_kernel")
         if self.lambda_override is not None:
             if self.kernel_mod != "dkm":
                 raise ArgumentError("lambda_override only applies to kernel_mod='dkm'")

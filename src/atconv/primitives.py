@@ -12,7 +12,7 @@ differentiable arguments and None for absent optional biases.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -175,9 +175,10 @@ def _erf_from_scaled_erfc(xs, ys, r):
 # ======================================================================
 
 class Conv1x1Cache(NamedTuple):
+    """The input, and the weight and bias (or None) as cast to its dtype."""
     x: np.ndarray
     w: np.ndarray
-    has_bias: bool
+    bias: Optional[np.ndarray]
 
 
 def conv1x1_forward(x, w, bias=None):
@@ -200,7 +201,7 @@ def conv1x1_forward(x, w, bias=None):
         y += bias[None, :, None, None]  # y is fresh and already has x's dtype
     flop_counter.add(2 * b_ * n * c_out * c_in)
     ensure_finite(y, "conv1x1")
-    return np.ascontiguousarray(y), Conv1x1Cache(x, w, bias is not None)
+    return np.ascontiguousarray(y), Conv1x1Cache(x, w, bias)
 
 
 def conv1x1_backward(gy, cache: Conv1x1Cache):
@@ -227,7 +228,7 @@ def conv1x1_backward(gy, cache: Conv1x1Cache):
         np.matmul(gyj, xj.T, out=tmp)
         gw += tmp
     del tmp  # freed before gx, so peak memory stays that of gx and gw
-    gb = gy.sum(axis=(0, 2, 3)) if cache.has_bias else None
+    gb = gy.sum(axis=(0, 2, 3)) if cache.bias is not None else None
     gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
     return np.ascontiguousarray(gx), gw, gb
 
@@ -293,9 +294,11 @@ def adaptive_avg_pool_backward(gy, cache: PoolCache):
 # ======================================================================
 
 class LinearCache(NamedTuple):
+    """The input, and the weight and bias (or None) as cast to a float
+    input's dtype."""
     x: np.ndarray
     w: np.ndarray
-    has_bias: bool
+    bias: Optional[np.ndarray]
 
 
 def linear_forward(x, w, bias=None):
@@ -319,7 +322,7 @@ def linear_forward(x, w, bias=None):
         y = y + bias
     flop_counter.add(2 * m * n * int(np.prod(x.shape[:-1], dtype=np.int64)))
     ensure_finite(y, "linear")
-    return y, LinearCache(x, w, bias is not None)
+    return y, LinearCache(x, w, bias)
 
 
 def linear_backward(gy, cache: LinearCache):
@@ -334,7 +337,7 @@ def linear_backward(gy, cache: LinearCache):
     gyr = gy.reshape(-1, m)
     xr = x.reshape(-1, n)
     gw = gyr.T @ xr
-    gb = gyr.sum(axis=0) if cache.has_bias else None
+    gb = gyr.sum(axis=0) if cache.bias is not None else None
     return gx, gw, gb
 
 

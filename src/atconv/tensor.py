@@ -1,10 +1,14 @@
 """Array contracts shared by every operator.
 
-A feature map is a C-contiguous float array of shape (B, C, H, W): element
-(b, c, h, w) lives at flat offset ((b*C + c)*H + h)*W + w. Weights are 2-D
-(rows, cols). Only float32 and float64 are admitted, and every primitive
-checks its output for non-finite values before returning, so a NaN or Inf
-surfaces at the op that produced it instead of three layers later.
+``as_float(a, shape, name)`` is the one array contract: a C-contiguous
+float32 or float64 array of a given rank, with some axis lengths fixed.
+Every parameter container states its field -> shape table once and rebinds
+each field through it; ``as_matrix`` and ``as_vector`` are its 2-D and 1-D
+cases. A feature map is a C-contiguous float array of shape (B, C, H, W):
+element (b, c, h, w) lives at flat offset ((b*C + c)*H + h)*W + w. Every
+primitive checks its output for non-finite values before returning, so a
+NaN or Inf surfaces at the op that produced it instead of three layers
+later.
 
 The module also hosts the multiply-add counter the complexity model is
 validated against. Counting is off by default; the counter only sees the
@@ -36,25 +40,32 @@ def as_tensor4(x, name: str = "x") -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
+def as_float(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as a C-contiguous float array of ``shape``, copied only when
+    it is not one already.
+
+    Checks the rank, then the dtype (float32 or float64), then each fixed
+    length; a None in ``shape`` matches any length. A bad rank or length
+    raises DimensionError, a bad dtype ArgumentError, and every message
+    names ``name`` and the shape expected.
+    """
+    a = np.asarray(a)
+    ranked = a.ndim == len(shape)
+    if (ranked and a.dtype in FLOAT_DTYPES
+            and all(n is None or n == m for n, m in zip(shape, a.shape))):
+        return np.ascontiguousarray(a)
+    want = str(tuple(shape)).replace("None", "?")
+    if ranked and a.dtype not in FLOAT_DTYPES:
+        raise ArgumentError(f"{name} {want} must be float32 or float64, got {a.dtype}")
+    raise DimensionError(f"{name} must be {want}, got shape {a.shape}")
+
+
 def as_matrix(w, name: str = "w") -> np.ndarray:
-    """Validate and return a 2-D float weight array."""
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {w.shape}")
-    if w.dtype not in FLOAT_DTYPES:
-        raise ArgumentError(f"{name} must be float32 or float64, got {w.dtype}")
-    return np.ascontiguousarray(w)
+    return as_float(w, (None, None), name)
 
 
 def as_vector(v, n: int | None = None, name: str = "v") -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.dtype not in FLOAT_DTYPES:
-        raise ArgumentError(f"{name} must be float32 or float64, got {v.dtype}")
-    if n is not None and v.shape[0] != n:
-        raise DimensionError(f"{name} must have length {n}, got {v.shape[0]}")
-    return np.ascontiguousarray(v)
+    return as_float(v, (n,), name)
 
 
 def ensure_finite(x: np.ndarray, op: str) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atck
-from .errors import ArgumentError, NumericError, TrainingDiverged
+from .errors import ArgumentError, DimensionError, NumericError, TrainingDiverged
 from .micro import (AdamHyper, MicroConfig, MicroModel, adam_init, adam_step,
                     cross_entropy)
 from .rng import Rng
@@ -40,9 +40,15 @@ class TrainSettings:
             raise ArgumentError(f"dtype must be f32 or f64, got {self.dtype!r}")
 
 
+def _need_images(images, name: str) -> None:
+    if len(images) == 0:
+        raise DimensionError(f"the {name} has no images")
+
+
 def evaluate(model: MicroModel, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 256) -> float:
-    """Top-1 accuracy over a dataset."""
+    """Top-1 accuracy over a non-empty dataset."""
+    _need_images(images, "evaluation set")
     hits = 0
     for lo in range(0, images.shape[0], batch_size):
         logits = model.forward(images[lo:lo + batch_size])
@@ -74,7 +80,8 @@ def train(model_config: MicroConfig, train_set, test_set,
     """Train a fresh model; returns (model, per-epoch metric records).
 
     op_config tweaks only the mixer's internals (kernel modulation and
-    the ablation switches); the loop itself never looks at it.
+    the ablation switches); the loop itself never looks at it. An empty
+    training or test set raises DimensionError before the first step.
 
     A non-finite loss or stepped parameter (gamma = +inf passes every
     forward), or a NumericError from a forward pass (training or
@@ -86,6 +93,8 @@ def train(model_config: MicroConfig, train_set, test_set,
     and those that entered the step before it otherwise.
     """
     settings.validate()
+    _need_images(train_set.images, "training set")
+    _need_images(test_set.images, "test set")
     dtype = np.float32 if settings.dtype == "f32" else np.float64
     rng = Rng(settings.seed)
     model = MicroModel.init(rng, model_config, op_config=op_config, dtype=dtype)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from atconv.atck import load_atck
-from atconv.data import synth_dataset
-from atconv.errors import ArgumentError, NumericError, TrainingDiverged
+from atconv.cli import main
+from atconv.data import IdxDataset, save_idx_images, save_idx_labels, synth_dataset
+from atconv.errors import ArgumentError, DimensionError, NumericError, TrainingDiverged
 from atconv.bench import run_ablation
 from atconv.micro import AdamHyper, MicroConfig, MicroModel, adam_init
 from atconv.rng import Rng
@@ -35,6 +36,49 @@ def test_settings_validation():
         TrainSettings(batch_size=0).validate()
     with pytest.raises(ArgumentError):
         TrainSettings(dtype="f16").validate()
+
+
+def _empty_set():
+    return IdxDataset.from_arrays(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
+
+
+@pytest.mark.parametrize("empty", ("training", "test"))
+def test_train_rejects_an_empty_set_before_the_first_step(tiny_data, monkeypatch, empty):
+    # an empty training set divided by zero after its epoch; an empty test
+    # set was found only by evaluate, after a whole epoch of steps
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(train_mod, "step", no_step)
+    train_set, test_set = tiny_data
+    sets = {"training": train_set, "test": test_set}
+    sets[empty] = _empty_set()
+    with pytest.raises(DimensionError, match=f"the {empty} set has no images"):
+        train(TINY, sets["training"], sets["test"], TrainSettings(epochs=1, batch_size=16))
+
+
+def test_evaluate_rejects_an_empty_set():
+    model = MicroModel.init(Rng(6), TINY, dtype=np.float32)
+    empty = _empty_set()
+    with pytest.raises(DimensionError, match="the evaluation set has no images"):
+        evaluate(model, empty.images, empty.labels)
+
+
+@pytest.mark.parametrize("empty", ("training", "test"))
+def test_cli_train_exits_1_on_an_empty_set(tiny_data, tmp_path, capsys, empty):
+    sets = dict(zip(("training", "test"), tiny_data))
+    args = ["train", "--epochs", "1", "--channels", "8", "--blocks", "1"]
+    for name, flag in (("training", "train"), ("test", "test")):
+        raw = (sets[name].images[:, 0] * 255).round().astype(np.uint8)
+        labels = sets[name].labels.astype(np.uint8)
+        if name == empty:
+            raw, labels = raw[:0], labels[:0]
+        save_idx_images(str(tmp_path / f"{flag}-images.idx"), raw)
+        save_idx_labels(str(tmp_path / f"{flag}-labels.idx"), labels)
+        args += [f"--{flag}-images", str(tmp_path / f"{flag}-images.idx"),
+                 f"--{flag}-labels", str(tmp_path / f"{flag}-labels.idx")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: the {empty} set has no images\n"
 
 
 def test_zero_lr_leaves_parameters_at_init(tiny_data):

@@ -16,6 +16,11 @@ and comparing the objects. It covers:
 - ``atconv analyze --maps`` stdout for every operator it offers;
 - a seeded kernel sweep in f32 and f64 at k in {1, 3, 5}: ``dyn_depthwise``
   y/gv/galpha, ``StaticDepthwise`` y/gx/gw and ``ATConv`` y/gx/grads;
+- a seeded ATConv config sweep in f32 and f64 at k=3: y/gx/grads under
+  every kernel modulation in ``KERNEL_MODS``, and with a static kernel in
+  place of the generator (``use_kernel_generator=False``) under "none",
+  whose kernel reaches the depthwise stage as a batch-broadcast view, and
+  under "dkm";
 - a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
   f32, f64 and f32 input with an f64 gradient, at the acceptance shape and
   one odd shape;
@@ -131,6 +136,30 @@ def kernel_sweep(out: dict) -> None:
             out[f"atconv.{tag}.grads"] = grads_sha(grads)
 
 
+def config_sweep(out: dict) -> None:
+    k = 3
+    c_ = SWEEP_SHAPE[1]
+    for dtype in (np.float32, np.float64):
+        rng = Rng(3000)
+        x = rng.normal(0, 1, SWEEP_SHAPE, dtype)
+        gy = rng.normal(0, 1, SWEEP_SHAPE, dtype)
+        params = atconv_op.ATConvParams.init(rng, c_, k, dtype)
+        static = rng.normal(0, 1, (c_, k * k), dtype)
+        configs = {f"mod_{mod}": atconv_op.ATConvConfig(kernel_mod=mod)
+                   for mod in atconv_op.KERNEL_MODS}
+        for mod in ("none", "dkm"):
+            configs[f"static_{mod}"] = atconv_op.ATConvConfig(
+                use_kernel_generator=False, kernel_mod=mod, static_kernel=static)
+        for name, config in configs.items():
+            tag = f"atconv.{name}.{np.dtype(dtype).name}.k{k}"
+            op = atconv_op.ATConv(params, config)
+            y, cache = op.forward_cached(x)
+            gx, grads = op.backward(gy, cache)
+            out[f"{tag}.y"] = array_sha(y)
+            out[f"{tag}.gx"] = array_sha(gx)
+            out[f"{tag}.grads"] = grads_sha(grads)
+
+
 def glu_sweep(out: dict) -> None:
     for shape in GLU_SHAPES:
         for xdt, gdt in GLU_DTYPES:
@@ -180,6 +209,7 @@ def main() -> int:
     trained_models(out)
     cli_outputs(out)
     kernel_sweep(out)
+    config_sweep(out)
     glu_sweep(out)
     gelu_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
