@@ -50,14 +50,6 @@ def _check_kernel(w: np.ndarray, name: str) -> int:
     return k
 
 
-def _checked_input(x, channels: int) -> np.ndarray:
-    """``x`` as a (B, C, H, W) float tensor with ``channels`` channels."""
-    x = as_tensor4(x)
-    if x.shape[1] != channels:
-        raise DimensionError(f"input has {x.shape[1]} channels, weights expect {channels}")
-    return x
-
-
 def _window_rows(x, w, position: tuple):
     """The Jacobian rows of a k x k correlation with (C_out, C_in, k, k)
     weights ``w`` on the checked input ``x``: row c* is w[c*] in the
@@ -95,7 +87,7 @@ class StaticConv(atconv_op.Operator):
                    np.zeros(c_out, dtype=dtype))
 
     def forward_cached(self, x):
-        x = _checked_input(x, self.w.shape[1])
+        x = as_tensor4(x, channels=self.w.shape[1])
         # weights and bias take a float input's dtype, as in conv1x1_forward
         w = self.w.astype(x.dtype, copy=False)
         b_, _, h_, w_ = x.shape
@@ -129,11 +121,9 @@ class StaticConv(atconv_op.Operator):
         """(gx, gw, gb); gb is None without a bias. The cache is the
         forward's input."""
         x = _need_cache(cache, "static_conv")
-        gy = as_tensor4(gy, "gy")
         b_, c_in, h_, w_ = x.shape
         c_out = self.w.shape[0]
-        if gy.shape != (b_, c_out, h_, w_):
-            raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
+        gy = as_float(gy, (b_, c_out, h_, w_), "gy")
         k = self.k
         wt = self.w.astype(x.dtype, copy=False).reshape(c_out, c_in, k * k)
         # gx is a gather on the padded gy: tap (u, t) is one (C_in x C_out)
@@ -184,7 +174,7 @@ class StaticDepthwise(atconv_op.Operator):
         return cls(rng.uniform(-bound, bound, (channels, k, k), dtype))
 
     def forward_cached(self, x):
-        x = _checked_input(x, self.w.shape[0])
+        x = as_tensor4(x, channels=self.w.shape[0])
         b_, c_, _, _ = x.shape
         alpha = np.broadcast_to(self.w.astype(x.dtype, copy=False), (b_, c_, self.k, self.k))
         return atconv_op.dyn_depthwise_forward(x, alpha)
@@ -266,7 +256,7 @@ class ToySelfAttention(atconv_op.Operator):
 
     def forward_cached(self, x):
         p = self.params
-        x = _checked_input(x, p.w_q.shape[1])
+        x = as_tensor4(x, channels=p.w_q.shape[1])
         b_, c_, h_, w_ = x.shape
         n = h_ * w_
         xt = np.ascontiguousarray(x.reshape(b_, c_, n).transpose(0, 2, 1))
@@ -291,10 +281,8 @@ class ToySelfAttention(atconv_op.Operator):
     def backward(self, gy, cache: ToySACache):
         """(gx, grads)."""
         cache = _need_cache(cache, "toy_self_attention")
-        gy = as_tensor4(gy, "gy")
         b_, c_, h_, w_ = cache.shape
-        if gy.shape != cache.shape:
-            raise DimensionError(f"gy shape {gy.shape} != output shape {cache.shape}")
+        gy = as_float(gy, cache.shape, "gy")
         p = self.params
         n = h_ * w_
         g_out_t = np.ascontiguousarray(gy.reshape(b_, c_, n).transpose(0, 2, 1))
@@ -346,10 +334,7 @@ class IdentityOp(atconv_op.Operator):
 
     def backward(self, gy, cache):
         """(gy, None): the identity has no weights."""
-        gy = as_tensor4(gy, "gy")
-        if gy.shape != cache.shape:
-            raise DimensionError(f"gy shape {gy.shape} != cached shape {cache.shape}")
-        return gy, None
+        return as_float(gy, _need_cache(cache, "identity").shape, "gy"), None
 
     def jacobian_rows(self, cache, position: tuple):
         """The rows of the 1 x 1 conv with identity weights."""

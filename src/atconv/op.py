@@ -32,15 +32,15 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, UnsupportedConfigError
 from .primitives import (
-    Conv1x1Cache, GeluCache, LinearCache, PoolCache, SoftmaxCache, _need_cache,
+    Conv1x1Cache, GeluCache, LinearCache, PoolCache, SigmoidCache, _need_cache,
     adaptive_avg_pool_backward, adaptive_avg_pool_forward,
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
     linear_backward, linear_forward,
-    sigmoid_forward, softmax_backward, softmax_forward,
+    sigmoid_backward, sigmoid_forward, softmax_backward, softmax_forward,
 )
 from .rng import Rng
-from .tensor import FLOAT_DTYPES, as_float, as_tensor4, as_vector, ensure_finite, flop_counter
+from .tensor import as_float, as_shaped, as_tensor4, ensure_finite, flop_counter
 
 KERNEL_MODS = ("none", "softmax", "central_diff", "dkm")
 
@@ -273,14 +273,10 @@ def dyn_depthwise_forward(v, alpha):
     y[b,c,h,w] = sum_{u,v} alpha[b,c,u,v] * vpad[b,c,h+u,w+v]
     """
     v = as_tensor4(v, "v")
-    alpha = np.asarray(alpha)
-    if alpha.ndim != 4:
-        raise DimensionError(f"alpha must be (B, C, k, k), got shape {alpha.shape}")
     b_, c_, h_, w_ = v.shape
+    # alpha keeps its layout, which fixes the order of galpha's batch sum
+    alpha = as_shaped(alpha, (b_, c_) + np.shape(alpha)[-1:] * 2, "alpha")
     k = alpha.shape[2]
-    if alpha.shape != (b_, c_, k, k):
-        raise DimensionError(
-            f"alpha shape {alpha.shape} incompatible with input {v.shape}")
     if k % 2 == 0:
         raise ArgumentError(f"kernel side must be odd, got {k}")
     y = _tap_sum(v, alpha, v.dtype, flip=False)
@@ -308,9 +304,7 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     f32 gv whose f64 products underflow to -0 may read +0 instead.
     """
     v, alpha = _need_cache(cache, "dyn_depthwise")
-    gy = as_tensor4(gy, "gy")
-    if gy.shape != v.shape:
-        raise DimensionError(f"gy shape {gy.shape} != output shape {v.shape}")
+    gy = as_float(gy, v.shape, "gy")
     b_, c_, h_, w_ = v.shape
     k = alpha.shape[2]
     p = k // 2
@@ -342,7 +336,6 @@ class C2KCache(NamedTuple):
 
 def generate_kernels_forward(x, params: ATConvParams):
     """Raw per-(batch, channel) kernels from the input's pooled context."""
-    x = as_tensor4(x)
     k = params.kernel_size
     f, c_conv = conv1x1_forward(x, params.w_f, params.w_f_bias)
     z, c_pool = adaptive_avg_pool_forward(f, k)
@@ -357,8 +350,9 @@ def generate_kernels_forward(x, params: ATConvParams):
 def generate_kernels_backward(graw, cache: C2KCache):
     """(gx, generator weight gradients)."""
     cache = _need_cache(cache, "generate_kernels")
-    graw = np.asarray(graw)
-    b_, c_, k, _ = graw.shape
+    b_, c_ = cache.pool.in_shape[:2]
+    k = len(cache.pool.h_bounds)
+    graw = as_shaped(graw, (b_, c_, k, k), "graw")
     gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix)
     gz = gelu_backward(gvec.reshape(b_, c_, k, k), cache.act)
     gf = adaptive_avg_pool_backward(gz, cache.pool)
@@ -370,6 +364,7 @@ class DkmCache(NamedTuple):
     mean: np.ndarray  # (B, C, 1, 1)
     lam: np.ndarray   # (C,)
     gamma_active: bool
+    k: int
 
 
 def dkm_forward(raw, gamma, lambda_override=None):
@@ -379,15 +374,10 @@ def dkm_forward(raw, gamma, lambda_override=None):
     and a flat -lam/k^2 off it, so each tap inhibits all others a little.
     At lam = 1 the kernel is exactly zero-mean.
     """
-    raw = np.asarray(raw)
-    if raw.ndim != 4:
-        raise DimensionError(f"raw kernels must be (B, C, k, k), got {raw.shape}")
+    raw = as_shaped(raw, (None, None) + np.shape(raw)[-1:] * 2, "raw")
     c_ = raw.shape[1]
     if lambda_override is None:
-        gamma = as_vector(gamma, c_, "gamma")
-        if raw.dtype in FLOAT_DTYPES:  # float input keeps its precision
-            gamma = gamma.astype(raw.dtype, copy=False)
-        lam, _ = sigmoid_forward(gamma)
+        lam, _ = sigmoid_forward(as_float(gamma, (c_,), "gamma", raw.dtype))
         gamma_active = True
     else:
         lam = np.full(c_, float(lambda_override), dtype=raw.dtype)
@@ -396,21 +386,20 @@ def dkm_forward(raw, gamma, lambda_override=None):
     alpha = raw - lam[None, :, None, None] * mean
     flop_counter.add(2 * raw.size)
     ensure_finite(alpha, "dkm")
-    return alpha, DkmCache(mean, lam, gamma_active)
+    return alpha, DkmCache(mean, lam, gamma_active, raw.shape[2])
 
 
 def dkm_backward(galpha, cache: DkmCache):
-    galpha = np.asarray(galpha)
-    mean, lam, gamma_active = _need_cache(cache, "dkm")
-    kk = galpha.shape[2] * galpha.shape[3]
+    """(graw, ggamma). graw takes galpha's layout, which fixes the order
+    of the batch sum a static kernel's gradient takes from it."""
+    mean, lam, gamma_active, k = _need_cache(cache, "dkm")
+    galpha = as_shaped(galpha, mean.shape[:2] + (k, k), "galpha")
     s = galpha.sum(axis=(2, 3), keepdims=True)
-    graw = galpha - (lam[None, :, None, None] / kk) * s
+    graw = galpha - (lam[None, :, None, None] / (k * k)) * s
+    if not gamma_active:
+        return graw, np.zeros_like(lam)
     glam = -(s[:, :, 0, 0] * mean[:, :, 0, 0]).sum(axis=0)
-    if gamma_active:
-        ggamma = glam * lam * (1.0 - lam)
-    else:
-        ggamma = np.zeros_like(lam)
-    return graw, ggamma
+    return graw, sigmoid_backward(glam, SigmoidCache(lam))
 
 
 def central_diff_mod(raw):
@@ -473,12 +462,9 @@ def atconv_forward(x, params: ATConvParams, config: Optional[ATConvConfig] = Non
 
 def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig] = None):
     config = config if config is not None else ATConvConfig()
-    x = as_tensor4(x)
+    x = as_tensor4(x, channels=params.channels)
     config.validate(params.channels, params.kernel_size)
     b_, c_, h_, w_ = x.shape
-    if c_ != params.channels:
-        raise DimensionError(
-            f"input has {c_} channels, parameters expect {params.channels}")
     k = params.kernel_size
 
     if config.use_kernel_generator:
@@ -519,7 +505,8 @@ def atconv_backward(gy, cache: ATConvCache):
 
     Returns (gx, grads) where grads maps canonical parameter names to
     arrays; a "static_kernel" entry appears instead of the generator
-    parameters when the generator is off.
+    parameters when the generator is off. The first stage's backward
+    checks gy.
 
     Each full-size gradient map is dropped at its last use: g_y once the
     depthwise backward returns, g_v once the value projection's backward
@@ -529,7 +516,6 @@ def atconv_backward(gy, cache: ATConvCache):
     which is then added into gx_value in place.
     """
     cache = _need_cache(cache, "atconv")
-    gy = as_tensor4(gy, "gy")
     grads = {}
 
     if cache.out is not None:

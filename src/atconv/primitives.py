@@ -8,6 +8,14 @@ operators chain these calls explicitly and keep their own cache objects.
 
 Backward passes return gradients in the same order as the forward's
 differentiable arguments and None for absent optional biases.
+
+Every stage keeps the array contract of ``tensor``. A forward takes each
+weight through ``as_float``, checked against its input's lengths and cast
+to a float input's dtype. A backward raises StateError without its cache
+and checks its cotangent against the output shape the cache records:
+through ``as_float`` where it reads a contiguous cotangent, through
+``as_shaped`` where it keeps the caller's layout. ``op`` and ``baselines``
+build their stages the same way.
 """
 
 from __future__ import annotations
@@ -17,8 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, ArgumentError, StateError
-from .tensor import (FLOAT_DTYPES, as_tensor4, as_matrix, as_vector, ensure_finite,
-                     flop_counter)
+from .tensor import as_float, as_shaped, as_tensor4, ensure_finite, flop_counter
 
 INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -57,27 +64,20 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 _ERF_BLOCK = 1 << 15
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """Error function via a three-region rational minimax fit.
+def erf(x: np.ndarray, scale=None) -> np.ndarray:
+    """Error function via a three-region rational minimax fit; with a
+    ``scale``, erf(x * scale) bit for bit, without the whole map x * scale.
 
     Absolute error is below 1e-15 everywhere, comfortably inside the
     1e-7 budget the gelu contract asks for. The flattened input is taken
     in blocks of ``_ERF_BLOCK`` elements; in each block every region's
     elements are gathered by index, evaluated in float64 and scattered
-    back, so an element pays for its own region only. The result has the
-    input's dtype and shape (a 0-d input gives a 0-d array).
-    ``gelu_forward`` runs the same loop through ``_erf_scaled``, which
-    scales each block of its input on the way in.
-    """
-    return _erf_scaled(x, None)
-
-
-def _erf_scaled(x, scale):
-    """erf(x * scale), bit for bit, without the whole map x * scale.
-
-    Each block is multiplied by ``scale`` in the product's dtype (x's, for
-    a float x) before it is widened to float64, so the block sees the same
-    bits the whole-map product would hold. ``scale=None`` is plain erf.
+    back, so an element pays for its own region only. A block is
+    multiplied by ``scale`` in the product's dtype (x's, for a float x)
+    before it is widened to float64, so it sees the same bits the
+    whole-map product would hold. The result has x's shape and the
+    product's dtype, x's own without a scale (a 0-d input gives a 0-d
+    array).
     """
     x = np.asarray(x)
     flat = x.ravel()
@@ -184,17 +184,11 @@ class Conv1x1Cache(NamedTuple):
 def conv1x1_forward(x, w, bias=None):
     """y[b, o, h, w] = sum_i w[o, i] * x[b, i, h, w] (+ bias[o])."""
     x = as_tensor4(x)
-    w = as_matrix(w)
     b_, c_in, h_, w_ = x.shape
-    c_out, c_in_w = w.shape
-    if c_in_w != c_in:
-        raise DimensionError(f"weight columns ({c_in_w}) != input channels ({c_in})")
+    w = as_float(w, (None, c_in), "w", x.dtype)
+    c_out = w.shape[0]
     if bias is not None:
-        bias = as_vector(bias, c_out, "bias")
-        if bias.dtype != x.dtype:
-            bias = bias.astype(x.dtype)
-    if w.dtype != x.dtype:
-        w = w.astype(x.dtype)
+        bias = as_float(bias, (c_out,), "bias", x.dtype)
     n = h_ * w_
     y = np.matmul(w, x.reshape(b_, c_in, n)).reshape(b_, c_out, h_, w_)
     if bias is not None:
@@ -213,12 +207,10 @@ def conv1x1_backward(gy, cache: Conv1x1Cache):
     over batch and space.
     """
     cache = _need_cache(cache, "conv1x1")
-    gy = as_tensor4(gy, "gy")
     x, w = cache.x, cache.w
     b_, c_in, h_, w_ = x.shape
     c_out = w.shape[0]
-    if gy.shape != (b_, c_out, h_, w_):
-        raise DimensionError(f"gy shape {gy.shape} != output shape {(b_, c_out, h_, w_)}")
+    gy = as_float(gy, (b_, c_out, h_, w_), "gy")
     n = h_ * w_
     gyr = gy.reshape(b_, c_out, n)
     xr = x.reshape(b_, c_in, n)
@@ -276,11 +268,9 @@ def adaptive_avg_pool_forward(x, k: int):
 
 def adaptive_avg_pool_backward(gy, cache: PoolCache):
     cache = _need_cache(cache, "adaptive_avg_pool")
-    gy = as_tensor4(gy, "gy")
     b_, c_, h_, w_ = cache.in_shape
     k = len(cache.h_bounds)
-    if gy.shape != (b_, c_, k, k):
-        raise DimensionError(f"gy shape {gy.shape} != pooled shape {(b_, c_, k, k)}")
+    gy = as_float(gy, (b_, c_, k, k), "gy")
     gx = np.zeros(cache.in_shape, dtype=cache.dtype)
     for i, (h0, h1) in enumerate(cache.h_bounds):
         for j, (w0, w1) in enumerate(cache.w_bounds):
@@ -304,19 +294,12 @@ class LinearCache(NamedTuple):
 def linear_forward(x, w, bias=None):
     """y[..., m] = sum_n w[m, n] * x[..., n] (+ bias[m])."""
     x = np.asarray(x)
-    w = as_matrix(w)
     if x.ndim < 1:
         raise DimensionError("linear input must have at least 1 axis")
+    w = as_float(w, (None, x.shape[-1]), "w", x.dtype)
     m, n = w.shape
-    if x.shape[-1] != n:
-        raise DimensionError(f"input last axis {x.shape[-1]} != weight columns {n}")
     if bias is not None:
-        bias = as_vector(bias, m, "bias")
-    if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
-        if w.dtype != x.dtype:
-            w = w.astype(x.dtype)
-        if bias is not None and bias.dtype != x.dtype:
-            bias = bias.astype(x.dtype)
+        bias = as_float(bias, (m,), "bias", x.dtype)
     y = x @ w.T
     if bias is not None:
         y = y + bias
@@ -328,11 +311,9 @@ def linear_forward(x, w, bias=None):
 def linear_backward(gy, cache: LinearCache):
     """Gradients of ``linear_forward`` w.r.t. x, w and the bias."""
     cache = _need_cache(cache, "linear")
-    gy = np.asarray(gy)
     x, w = cache.x, cache.w
     m, n = w.shape
-    if gy.shape != x.shape[:-1] + (m,):
-        raise DimensionError(f"gy shape {gy.shape} != output shape {x.shape[:-1] + (m,)}")
+    gy = as_shaped(gy, x.shape[:-1] + (m,), "gy")
     gx = gy @ w
     gyr = gy.reshape(-1, m)
     xr = x.reshape(-1, n)
@@ -359,7 +340,7 @@ def gelu_forward(x):
     map, so the peak is the CDF and y plus erf's block temporaries.
     """
     x = np.asarray(x)
-    e1 = _erf_scaled(x, INV_SQRT2)
+    e1 = erf(x, INV_SQRT2)
     e1 += 1.0
     y = 0.5 * x
     y *= e1
@@ -378,9 +359,7 @@ def gelu_backward(gy, cache: GeluCache):
     """
     cache = _need_cache(cache, "gelu")
     x = cache.x
-    gy = np.asarray(gy)
-    if gy.shape != x.shape:
-        raise DimensionError(f"gy shape {gy.shape} != input shape {x.shape}")
+    gy = as_shaped(gy, x.shape, "gy")
     g = np.multiply(-0.5, x)
     g *= x
     np.exp(g, out=g)
@@ -408,11 +387,8 @@ def sigmoid_forward(x):
 
 
 def sigmoid_backward(gy, cache: SigmoidCache):
-    cache = _need_cache(cache, "sigmoid")
-    y = cache.y
-    gy = np.asarray(gy)
-    if gy.shape != y.shape:
-        raise DimensionError(f"gy shape {gy.shape} != output shape {y.shape}")
+    y = _need_cache(cache, "sigmoid").y
+    gy = as_shaped(gy, y.shape, "gy")
     return gy * y * (1.0 - y)
 
 
@@ -436,9 +412,7 @@ def softmax_forward(x, axis: int = -1):
 def softmax_backward(gy, cache: SoftmaxCache):
     cache = _need_cache(cache, "softmax")
     y, axis = cache.y, cache.axis
-    gy = np.asarray(gy)
-    if gy.shape != y.shape:
-        raise DimensionError(f"gy shape {gy.shape} != output shape {y.shape}")
+    gy = as_shaped(gy, y.shape, "gy")
     dot = (gy * y).sum(axis=axis, keepdims=True)
     return (gy - dot) * y
 
@@ -458,17 +432,12 @@ def layer_norm_forward(x, gain, offset, eps: float = 1e-6):
     channel axis at each spatial position, then rescale and shift. Variance
     is the population variance (divide by C).
     """
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise DimensionError(f"layer_norm expects a 4-D input, got shape {x.shape}")
+    x = as_shaped(x, (None,) * 4, "x")
     if eps <= 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
     c = x.shape[1]
-    gain = as_vector(gain, c, "gain")
-    offset = as_vector(offset, c, "offset")
-    if x.dtype in FLOAT_DTYPES:  # float input keeps its precision
-        gain = gain.astype(x.dtype, copy=False)
-        offset = offset.astype(x.dtype, copy=False)
+    gain = as_float(gain, (c,), "gain", x.dtype)
+    offset = as_float(offset, (c,), "offset", x.dtype)
     xhat = x - x.mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
     xhat *= inv_std
@@ -480,9 +449,7 @@ def layer_norm_forward(x, gain, offset, eps: float = 1e-6):
 def layer_norm_backward(gy, cache: LayerNormCache):
     cache = _need_cache(cache, "layer_norm")
     xhat, inv_std, gain = cache
-    gy = np.asarray(gy)
-    if gy.shape != xhat.shape:
-        raise DimensionError(f"gy shape {gy.shape} != input shape {xhat.shape}")
+    gy = as_shaped(gy, xhat.shape, "gy")
     ggain = (gy * xhat).sum(axis=(0, 2, 3))
     goffset = gy.sum(axis=(0, 2, 3))
     gxhat = gy * gain[:, None, None]

@@ -17,7 +17,7 @@ from atconv.errors import ArgumentError, DimensionError
 from atconv.micro import GluParams
 from atconv.op import PARAM_NAMES, ATConvConfig, ATConvParams
 from atconv.rng import Rng
-from atconv.tensor import as_float, as_matrix, as_vector
+from atconv.tensor import as_float, as_vector
 
 F32 = np.float32
 
@@ -62,11 +62,7 @@ def test_as_float_errors(value, shape, error, message):
     assert str(info.value).startswith(message)
 
 
-def test_as_matrix_and_as_vector_are_its_2d_and_1d_cases():
-    m = np.zeros((2, 5))
-    assert as_matrix(m) is m
-    with pytest.raises(DimensionError, match=r"^w must be \(\?, \?\)"):
-        as_matrix(np.zeros(2))
+def test_as_vector_is_its_1d_case():
     v = np.zeros(5, F32)
     assert as_vector(v) is v and as_vector(v, 5) is v
     with pytest.raises(DimensionError, match=r"^bias must be \(4,\)"):

@@ -29,8 +29,8 @@ from atconv.micro import (AdamHyper, GluParams, MicroConfig, MicroModel, adam_in
                           cross_entropy, glu_backward, glu_forward)
 from atconv.op import (ATConv, ATConvParams, _block_rows, atconv_backward,
                        dyn_depthwise_backward, dyn_depthwise_forward)
-from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, _erf_scaled, conv1x1_forward, erf,
-                               gelu_backward, gelu_forward)
+from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, conv1x1_forward, erf, gelu_backward,
+                               gelu_forward)
 from atconv.rng import Rng
 from atconv.train import evaluate, step
 from oracles import (dyn_depthwise_backward_padded_v_ref, gaussian_blur_gather_ref,
@@ -224,7 +224,7 @@ def test_gelu_forward_rejects_what_the_scaled_map_rejected(dtype, bad):
     # gelu(inf) = inf and gelu(-inf) = NaN; both versions stop at the same
     # check, after the same CDF
     x = np.array([1.0, bad, -2.0], dtype=dtype)
-    same(_erf_scaled(x, INV_SQRT2), erf(x * INV_SQRT2))
+    same(erf(x, INV_SQRT2), erf(x * INV_SQRT2))
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as got:
         gelu_forward(x)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as ref:
