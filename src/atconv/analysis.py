@@ -3,9 +3,12 @@
 The routing diagnostics ask where an output pixel's gradient mass lives:
 
 - influence_map: G(h, w) = sum over output channels c* and input channels
-  c of |d y[0, c*, h*, w*] / d x[0, c, h, w]|, one Jacobian row per c*
-  from the operator's ``jacobian_rows``, which reads it from the
-  operator's structure and the cache of one forward on x.
+  c of |d y[0, c*, h*, w*] / d x[0, c, h, w]|, the operator's
+  ``influence`` on the cache of one forward on x. By default that reduces
+  one Jacobian row per c* from ``jacobian_rows``, read from the
+  operator's structure. ATConv's rows are, off the anchor's k x k window,
+  constant on each of the at most (2k-1)^2 cells that its pooling windows
+  cut the map into, so it sums each cell once, with the same bits.
 - far: fraction of G's mass strictly beyond Euclidean radius r0 of the
   anchor. A k x k conv has FAR = 0 for any r0 >= the kernel radius.
 - routing_centroid: intensity-weighted centroid of G restricted to its
@@ -65,15 +68,7 @@ def influence_map(op, x, anchor) -> np.ndarray:
     """
     x = as_tensor4(x)
     anchor = _check_anchor(anchor, *x.shape[2:])
-    return _influence(op.jacobian_rows(op.forward_cached(x)[1], anchor), x.shape[2:])
-
-
-def _influence(rows, shape: tuple) -> np.ndarray:
-    """``influence_map`` from the Jacobian rows, reduced as they come."""
-    g = np.zeros(shape, dtype=np.float64)
-    for row in rows:
-        g += np.abs(row).sum(axis=0)
-    return g
+    return op.influence(op.forward_cached(x)[1], anchor)
 
 
 def far(g: np.ndarray, r0: float, anchor) -> float:
@@ -259,7 +254,7 @@ def analyze_operator(op, x, anchor=None, r0: float = 4.0, sigma: float = 1.0,
                      quantile: float = 0.9, eps: float | None = None) -> dict:
     """Run the full diagnostic battery for one operator on one input.
 
-    One forward on x: its cache feeds the Jacobian rows, and its output
+    One forward on x: its cache feeds the influence map, and its output
     csc, cer and the inhibition probe's base. Returns a plain dict ready
     for JSON serialization; the maps themselves are returned under "maps"
     for callers that want to dump them.
@@ -270,9 +265,8 @@ def analyze_operator(op, x, anchor=None, r0: float = 4.0, sigma: float = 1.0,
         anchor = (h_ // 2, w_ // 2)
     ah, aw = _check_anchor(anchor, h_, w_)
     y, cache = op.forward_cached(x)
-    rows = op.jacobian_rows(cache, (ah, aw))
-    del cache  # the rows free the forward's maps once they start
-    g = _influence(rows, (h_, w_))
+    g = op.influence(cache, (ah, aw))
+    del cache  # the inhibition probe runs without the forward's maps
     d = _inhibition(op, x, y, (ah, aw), eps)
     centroid = routing_centroid(g, quantile)
     report = {

@@ -3,7 +3,8 @@
 All three, and the identity, are ``op.Operator`` subclasses: each defines
 ``forward_cached``, ``backward`` and the ``jacobian_rows`` that the
 analysis probes read, each row taken from the operator's structure and
-its forward's cache, and takes ``forward`` from the protocol.
+its forward's cache, and takes ``forward`` and ``influence`` from the
+protocol.
 
 - StaticConv: dense k x k convolution, zero padding floor(k/2), stride 1.
   Its Jacobian w.r.t. the input is the weights themselves, scattered over
@@ -150,7 +151,7 @@ class StaticConv(atconv_op.Operator):
         return gx, gw.reshape(self.w.shape), gb
 
     def jacobian_rows(self, cache, position: tuple):
-        return _window_rows(cache, self.w, position)
+        return _window_rows(_need_cache(cache, "static_conv", "jacobian_rows"), self.w, position)
 
 
 # ======================================================================
@@ -186,8 +187,9 @@ class StaticDepthwise(atconv_op.Operator):
 
     def jacobian_rows(self, cache: atconv_op.DynDepthwiseCache, position: tuple):
         """The rows of the dense conv with w on its channel diagonal."""
+        v = _need_cache(cache, "static_depthwise", "jacobian_rows").v
         dense = np.eye(len(self.w), dtype=self.w.dtype)[:, :, None, None] * self.w[:, None]
-        return _window_rows(cache.v, dense, position)
+        return _window_rows(v, dense, position)
 
 
 # ======================================================================
@@ -309,7 +311,7 @@ class ToySelfAttention(atconv_op.Operator):
         projections, row c* is (w_k^T q[p]) s + (w_v^T w_o[c*]) alpha[p]
         over the tokens, plus w_q^T k^T s at p.
         """
-        _, c_, h_, w_ = cache.shape
+        _, c_, h_, w_ = _need_cache(cache, "toy_self_attention", "jacobian_rows").shape
         p = position[0] * w_ + position[1]
         w_q, w_k, w_v, w_o = (c.w for c in cache[:4])
         a = cache.alpha[0, p].copy()  # a view would keep the N x N map alive
@@ -338,6 +340,7 @@ class IdentityOp(atconv_op.Operator):
 
     def jacobian_rows(self, cache, position: tuple):
         """The rows of the 1 x 1 conv with identity weights."""
+        cache = _need_cache(cache, "identity", "jacobian_rows")
         eye = np.eye(cache.shape[1], dtype=cache.dtype)[:, :, None, None]
         return _window_rows(cache, eye, position)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .op import ATConvCache, ATConvConfig, ATConvParams, atconv_backward, atconv_forward_cached
 from .primitives import (
-    Conv1x1Cache, GeluCache,
+    Conv1x1Cache, GeluCache, _need_cache,
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
     layer_norm_backward, layer_norm_forward,
@@ -133,7 +133,7 @@ def glu_backward(gy, cache: GluCache):
     the rebuilt a and b at most two hidden-width maps are transient at any
     time, and the two input gradients are summed in place.
     """
-    ca, cb, cdf, cc = cache
+    ca, cb, cdf, cc = _need_cache(cache, "glu")
     a = conv1x1_forward(*ca)[0]
     cg = GeluCache(conv1x1_forward(*cb)[0], cdf)
     h = _gate(cg)
@@ -195,7 +195,7 @@ def block_forward(x, p: BlockParams, config: Optional[ATConvConfig] = None):
 
 
 def block_backward(gy, cache):
-    c_n1, c_mix, c_n2, c_glu = cache
+    c_n1, c_mix, c_n2, c_glu = _need_cache(cache, "block")
     gn2, glu_grads = glu_backward(gy, c_glu)
     gx1_from_norm, g2_gain, g2_offset = layer_norm_backward(gn2, c_n2)
     gx1 = gy + gx1_from_norm
@@ -241,7 +241,7 @@ def patch_embed_forward(x, w, bias, patch: int):
 
 
 def patch_embed_backward(gy, cache):
-    sub, in_shape, patch = cache
+    sub, in_shape, patch = _need_cache(cache, "patch_embed")
     gcols, gw, gb = conv1x1_backward(gy, sub)
     return _unpatchify(gcols, in_shape, patch), gw, gb
 
@@ -320,7 +320,7 @@ class MicroModel:
         return logits, (c_embed, block_caches, h.shape, c_head)
 
     def backward(self, dlogits, cache):
-        c_embed, block_caches, h_shape, c_head = cache
+        c_embed, block_caches, h_shape, c_head = _need_cache(cache, "micro_model")
         gfeats, gw_head, gb_head = linear_backward(dlogits, c_head)
         area = h_shape[2] * h_shape[3]
         gh = np.broadcast_to(

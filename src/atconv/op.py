@@ -562,12 +562,30 @@ class Operator:
     channel in turn, read from the operator's structure and the cache of
     the caller's forward. ``position`` is a checked (ph, pw). A caller
     that reduces the rows as they come and drops its cache first never
-    holds the slice or the forward's maps. ``forward`` follows from
-    ``forward_cached``.
+    holds the slice or the forward's maps. Without a cache the rows raise
+    ``StateError``. ``forward`` follows from ``forward_cached``.
+
+    ``influence(cache, position)`` is the (H, W) float64 gradient-mass map
+    sum_{c_out, c_in} |row| the routing probes read. By default it reduces
+    the rows as they come; an operator whose rows repeat over a region may
+    sum each region once, if its map keeps the default's bits. ``ATConv``
+    takes the generator path per pooling cell.
     """
 
     def forward(self, x):
         return self.forward_cached(x)[0]
+
+    def influence(self, cache, position: tuple) -> np.ndarray:
+        """sum_{c_out, c_in} |d y[0, c_out, ph, pw] / d x[0, c_in]|: each
+        row's |.| summed over input channels in its own dtype, then added
+        in row order into a float64 map that starts from +0."""
+        g = None
+        for row in self.jacobian_rows(cache, position):
+            s = np.abs(row).sum(axis=0)
+            if g is None:
+                g = np.zeros(s.shape)
+            g += s
+        return g
 
 
 def _anchor_window(position: tuple, k: int, h: int, w: int) -> tuple:
@@ -597,6 +615,72 @@ def _pool_spread(bounds, size: int, dtype):
     return m
 
 
+def _pool_cells(bounds, size: int) -> tuple:
+    """(starts, cell): the cells the pooling windows ``bounds`` cut an axis
+    of ``size`` into, as each cell's first position, and each position's
+    cell. The positions of a cell lie in the same windows, so they share
+    one row of ``_pool_spread``; there are at most 2k - 1 cells."""
+    starts = np.array(sorted({b for window in bounds for b in window} - {size}))
+    return starts, np.searchsorted(starts, np.arange(size), side="right") - 1
+
+
+class _RowFactors(NamedTuple):
+    """What every ATConv Jacobian row is built from, batch element 0."""
+    shape: tuple                # (C, H, W)
+    dtype: np.dtype             # v's, which a static kernel's rows take
+    window: tuple               # (hs, ws): the anchor's clipped k x k window
+    g_win: np.ndarray           # (C, C, |hs|, |ws|): the value path in the window
+    q: Optional[np.ndarray]     # (C, C, k, k): w_f^T gz, before the pooling spread
+    pool: Optional[PoolCache]
+
+
+def _row_factors(cache: "ATConvCache", position: tuple) -> _RowFactors:
+    """The rows' shared prologue, read from the forward's cache.
+
+    For gy one-hot at (c*, ph, pw) of batch element 0, the output
+    projection's backward is w_out[c*, :] at the anchor. The depthwise
+    backward puts g_v = g_y * alpha only in the anchor's k x k window,
+    which the value projection's backward maps alone: that is g_win[c*].
+    g_alpha is g_y times v's k x k window. On the generator path, the
+    stage backwards run on (C, C, k, k) arrays, one (C, k, k) slab per row,
+    over broadcast views of their batch-0 caches. The pointwise context
+    conv commutes with the pooling spread, so q[c*] = w_f^T gz, and row c*
+    is Mh q[c*] Mw plus g_win[c*] in the window, where Mh (H x k) and Mw
+    (k x W) are ``_pool_spread``'s matrices for the two axes. q is None
+    for a static kernel, whose rows are g_win alone.
+    """
+    v, alpha = _need_cache(cache, "atconv", "jacobian_rows").dd
+    _, c_, h_, w_ = v.shape
+    k = alpha.shape[2]
+    hs, ws, us, ts = _anchor_window(position, k, h_, w_)
+    g_y = cache.out.w if cache.out is not None else np.eye(c_, dtype=v.dtype)
+    g_win = g_y[:, :, None, None] * alpha[0, :, us, ts]
+    if cache.value is not None:
+        g_win = np.matmul(cache.value.w.T, g_win.reshape(c_, c_, -1)).reshape(g_win.shape)
+    gen = cache.gen
+    if gen is None:
+        return _RowFactors((c_, h_, w_), v.dtype, (hs, ws), g_win, None, None)
+    v_win = np.zeros((c_, k, k), dtype=v.dtype)
+    v_win[:, us, ts] = v[0, :, hs, ws]
+    mod_cache = cache.mod_cache
+    if cache.mod_kind == "dkm":
+        mod_cache = mod_cache._replace(mean=_rows_view(mod_cache.mean, c_))
+    elif cache.mod_kind == "softmax":
+        mod_cache = mod_cache._replace(y=_rows_view(mod_cache.y, c_))
+    g_raw, _ = _kernel_mod_backward(g_y[:, :, None, None] * v_win, cache.mod_kind, mod_cache)
+    g_vec = g_raw.reshape(c_, c_, k * k) @ gen.mix.w
+    gz = gelu_backward(g_vec.reshape(c_, c_, k, k),
+                       GeluCache(_rows_view(gen.act.x, c_), _rows_view(gen.act.cdf, c_)))
+    q = np.matmul(gen.conv.w.T, gz.reshape(c_, c_, k * k)).reshape(gz.shape)
+    return _RowFactors((c_, h_, w_), v.dtype, (hs, ws), g_win, q, gen.pool)
+
+
+# Elements of pooling-cell values per block of rows in ``ATConv.influence``:
+# a block's cells and their row-spread products stay small next to the
+# forward's maps, which the caller may still hold.
+_CELL_BLOCK = 1 << 15
+
+
 class ATConv(Operator):
     """Stateful wrapper pairing parameters with a configuration."""
 
@@ -613,54 +697,77 @@ class ATConv(Operator):
 
     def jacobian_rows(self, cache: ATConvCache, position: tuple):
         """The protocol's rows, read from the operator's structure and the
-        forward's cache instead of from one dense backward per row.
-
-        For gy one-hot at (c*, ph, pw) of batch element 0, the output
-        projection's backward is w_out[c*, :] at the anchor. The depthwise
-        backward puts g_v = g_y * alpha only in the anchor's k x k window,
-        which the value projection's backward maps alone, and g_alpha is g_y
-        times v's k x k window. On the generator path, the stage backwards
-        run on (C, C, k, k) arrays, one (C, k, k) slab per row, over
-        broadcast views of their batch-0 caches. The pointwise context conv
-        commutes with the pooling spread, so each row's gx_kernel is
-        Mh (w_f^T gz) Mw, where Mh (H x k) and Mw (k x W) are
-        ``_pool_spread``'s matrices for the two axes.
-        """
-        v, alpha = cache.dd
-        _, c_, h_, w_ = v.shape
-        k = alpha.shape[2]
-        dtype = v.dtype
-        hs, ws, us, ts = _anchor_window(position, k, h_, w_)
-        g_y = cache.out.w if cache.out is not None else np.eye(c_, dtype=dtype)
-        g_win = g_y[:, :, None, None] * alpha[0, :, us, ts]
-        if cache.value is not None:
-            g_win = np.matmul(cache.value.w.T, g_win.reshape(c_, c_, -1)).reshape(g_win.shape)
-        gen, q = cache.gen, None
-        if gen is not None:
-            v_win = np.zeros((c_, k, k), dtype=dtype)
-            v_win[:, us, ts] = v[0, :, hs, ws]
-            mod_cache = cache.mod_cache
-            if cache.mod_kind == "dkm":
-                mod_cache = mod_cache._replace(mean=_rows_view(mod_cache.mean, c_))
-            elif cache.mod_kind == "softmax":
-                mod_cache = mod_cache._replace(y=_rows_view(mod_cache.y, c_))
-            g_raw, _ = _kernel_mod_backward(g_y[:, :, None, None] * v_win,
-                                            cache.mod_kind, mod_cache)
-            g_vec = g_raw.reshape(c_, c_, k * k) @ gen.mix.w
-            gz = gelu_backward(g_vec.reshape(c_, c_, k, k),
-                               GeluCache(_rows_view(gen.act.x, c_), _rows_view(gen.act.cdf, c_)))
-            q = np.matmul(gen.conv.w.T, gz.reshape(c_, c_, k * k)).reshape(gz.shape)
-            mh = _pool_spread(gen.pool.h_bounds, h_, q.dtype)
-            mw = _pool_spread(gen.pool.w_bounds, w_, q.dtype).T
-        # the rows need none of the forward's maps
-        del v, cache, gen
+        forward's cache (``_row_factors``) instead of from one dense
+        backward per row: row c* is Mh q[c*] Mw, plus g_win[c*] in the
+        anchor's window."""
+        f = _row_factors(cache, position)
+        del cache  # the rows need none of the forward's maps
+        c_, h_, w_ = f.shape
+        hs, ws = f.window
+        if f.q is not None:
+            mh = _pool_spread(f.pool.h_bounds, h_, f.q.dtype)
+            mw = _pool_spread(f.pool.w_bounds, w_, f.q.dtype).T
         for r in range(c_):
-            if q is None:
-                row = np.zeros((c_, h_, w_), dtype=dtype)
+            if f.q is None:
+                row = np.zeros((c_, h_, w_), dtype=f.dtype)
             else:
-                row = mh @ q[r] @ mw
-            row[:, hs, ws] += g_win[r]
+                row = mh @ f.q[r] @ mw
+            row[:, hs, ws] += f.g_win[r]
             yield row
+
+    def influence(self, cache: ATConvCache, position: tuple) -> np.ndarray:
+        """The protocol's map, bit for bit, with the generator path taken
+        once per pooling cell instead of once per pixel.
+
+        Off the anchor's window, row c*'s value at (h, w) is
+        (Mh q[c*] Mw)[c, h, w], which depends on (h, w) only through the
+        rows of Mh and Mw, so it is constant on the cells that the pooling
+        windows cut the map into (``_pool_cells``). A block of rows is
+        evaluated on one representative row and column per cell, as two
+        GEMMs over every (c, c*) pair with the default's contraction
+        order, Mh first. The window adds g_win to its cells' values, as the
+        rows do. Each cell's and window pixel's |.| is summed over c in the
+        rows' dtype, then the sums over c* in float64 from +0: the order
+        of the default's reduction. The sums keep an axis of more than one
+        element inside the summed one, so numpy adds in order instead of
+        pairwise. A static kernel, or a map one pixel high or wide, takes
+        the default.
+        """
+        if _need_cache(cache, "atconv", "influence").gen is None or min(cache.dd.v.shape[2:]) == 1:
+            return super().influence(cache, position)
+        f = _row_factors(cache, position)
+        del cache
+        c_, h_, w_ = f.shape
+        hs, ws = f.window
+        k = f.q.shape[2]
+        h_cut, h_cell = _pool_cells(f.pool.h_bounds, h_)
+        w_cut, w_cell = _pool_cells(f.pool.w_bounds, w_)
+        mh = _pool_spread(f.pool.h_bounds, h_, f.q.dtype)[h_cut]
+        mw = _pool_spread(f.pool.w_bounds, w_, f.q.dtype).T[:, w_cut]
+        nh, nw = len(h_cut), len(w_cut)
+        h_win, w_win = h_cell[hs], w_cell[ws]
+        n_cells = nh * nw
+        # row c*'s |.| sums: its cells, then its window pixels
+        sums = np.empty((c_, n_cells + h_win.size * w_win.size))
+        # near-equal blocks of at least two rows
+        blocks = min(-(-c_ * c_ * n_cells // _CELL_BLOCK), max(1, c_ // 2))
+        for b in range(blocks):
+            lo, hi = c_ * b // blocks, c_ * (b + 1) // blocks
+            m = hi - lo
+            qb = np.ascontiguousarray(f.q[lo:hi].transpose(2, 1, 0, 3))  # [u, c, c*, t]
+            t = mh @ qb.reshape(k, -1)
+            cells = (t.reshape(-1, k) @ mw).reshape(nh, c_, m, nw)  # [i, c, c*, j]
+            del qb, t
+            win = cells[h_win][..., w_win]
+            win += f.g_win[lo:hi].transpose(2, 1, 0, 3)
+            for part, a in ((slice(0, n_cells), cells), (slice(n_cells, None), win)):
+                sums[lo:hi, part] = np.abs(a, out=a).sum(axis=1).transpose(1, 0, 2).reshape(m, -1)
+            del cells, win
+        total = sums.sum(axis=0)
+        # a gathered map is not C-contiguous, and its sum would take other bits
+        g = np.ascontiguousarray(total[:n_cells].reshape(nh, nw)[h_cell][:, w_cell])
+        g[hs, ws] = total[n_cells:].reshape(h_win.size, w_win.size)
+        return g
 
     def named_parameters(self) -> dict:
         return self.params.named()

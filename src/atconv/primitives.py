@@ -31,9 +31,9 @@ INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
-def _need_cache(cache, op: str):
+def _need_cache(cache, op: str, use: str = "backward"):
     if cache is None:
-        raise StateError(f"{op}_backward needs the cache from {op}_forward")
+        raise StateError(f"{op}_{use} needs the cache from {op}_forward")
     return cache
 
 

@@ -14,15 +14,17 @@ from atconv import op as atconv_op
 from atconv.analysis import influence_map, inhibition_map
 from atconv.baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
                               ToySelfAttention)
+from atconv.errors import StateError
 from atconv.op import ATConv, ATConvConfig, ATConvParams, Operator, atconv_backward
 from atconv.primitives import conv1x1_backward, linear_backward
 from atconv.rng import Rng
 from oracles import jacobian_rows_generic_ref
 
 
-class FullBackward:
-    """``op`` with rows from one full backward per output channel. Its
-    cache is the input, from which the dense rows run their own forward."""
+class FullBackward(Operator):
+    """``op`` with rows from one full backward per output channel, reduced
+    by the protocol's default ``influence``. Its cache is the input, from
+    which the dense rows run their own forward."""
 
     def __init__(self, op):
         self.op = op
@@ -37,7 +39,7 @@ class FullBackward:
         return jacobian_rows_generic_ref(self.op, cache, position)
 
 
-def _operators(rng, c, dtype):
+def _operators(rng, c, dtype=np.float64):
     return {
         "atconv": ATConv(ATConvParams.init(rng, c, 3, dtype)),
         "atconv_static": ATConv(
@@ -117,6 +119,15 @@ def test_influence_map_on_atconv_peak_bytes(traced_peak):
     op = ATConv(ATConvParams.init(rng, 64, 3))
     x = rng.normal(0, 1, (1, 64, 32, 32))
     assert traced_peak(influence_map, op, x, (16, 16)) < 4.0 * 2**20
+
+
+@pytest.mark.parametrize("name", list(_operators(Rng(0), 3)))
+def test_the_probes_need_a_cache(name):
+    op = _operators(Rng(606), 3)[name]
+    with pytest.raises(StateError, match="needs the cache"):
+        list(op.jacobian_rows(None, (2, 2)))
+    with pytest.raises(StateError, match="needs the cache"):
+        op.influence(None, (2, 2))
 
 
 @pytest.mark.parametrize("cls", (ATConv, StaticConv, StaticDepthwise, ToySelfAttention,

@@ -161,3 +161,17 @@ def test_rows_reject_an_input_of_the_wrong_width(name):
     x = rng.normal(0, 1, (1, SHAPE[1] + 1) + SHAPE[2:])
     with pytest.raises(DimensionError, match="channels"):
         conv_jacobian_probe(op, x, (0, 0))
+
+
+@pytest.mark.parametrize("generator", (True, False), ids=("generator", "static"))
+def test_rows_take_the_input_dtype(generator):
+    # an f64 static kernel meets f32 input: the kernel's window is added
+    # into rows of the input's dtype
+    rng = Rng(1407)
+    c = SHAPE[1]
+    config = ATConvConfig(use_kernel_generator=generator,
+                          static_kernel=None if generator else rng.normal(0, 1, (c, 9)))
+    op = ATConv(ATConvParams.init(rng, c, 3, np.float32), config)
+    x = rng.normal(0, 1, SHAPE, np.float32)
+    rows = list(op.jacobian_rows(op.forward_cached(x)[1], (3, 4)))
+    assert {row.dtype for row in rows} == {np.dtype(np.float32)}

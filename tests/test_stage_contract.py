@@ -1,9 +1,10 @@
 """The stage contract: every backward checks its cotangent and its cache.
 
-Each stage backward, primitive, operator stage or whole operator, checks
-its cotangent against the output shape its cache records, so a cotangent
-of another batch or rank raises DimensionError instead of broadcasting
-into a wrong gradient, and a missing cache raises StateError.
+Each stage backward, primitive, operator stage, whole operator or
+classifier layer, checks its cotangent against the output shape its
+cache records, so a cotangent of another batch or rank raises
+DimensionError instead of broadcasting into a wrong gradient, and a
+missing cache raises StateError.
 """
 
 import numpy as np
@@ -11,6 +12,9 @@ import pytest
 
 from atconv.baselines import IdentityOp, StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
 from atconv.errors import DimensionError, StateError
+from atconv.micro import (BlockParams, GluParams, MicroConfig, MicroModel, block_backward,
+                          block_forward, glu_backward, glu_forward, patch_embed_backward,
+                          patch_embed_forward)
 from atconv.op import (ATConvParams, atconv_backward, atconv_forward_cached, dkm_backward,
                        dkm_forward, dyn_depthwise_backward, dyn_depthwise_forward,
                        generate_kernels_backward, generate_kernels_forward)
@@ -52,6 +56,14 @@ STAGES = {
     "StaticDepthwise": lambda rng, x: _method(StaticDepthwise.init(rng, 3), x),
     "ToySelfAttention": lambda rng, x: _method(ToySelfAttention(ToySAParams.init(rng, 3)), x),
     "Identity": lambda rng, x: _method(IdentityOp(), x),
+    "glu": lambda rng, x: (glu_backward, *glu_forward(x, GluParams.init(rng, 3, 2))),
+    "block": lambda rng, x: (block_backward, *block_forward(x, BlockParams.init(rng, 3, 3, 2))),
+    "patch_embed": lambda rng, x: (patch_embed_backward,
+                                   *patch_embed_forward(x, rng.normal(0, 1, (4, 75)),
+                                                        np.zeros(4), 5)),
+    "MicroModel": lambda rng, x: _method(
+        MicroModel.init(rng, MicroConfig(in_channels=3, channels=4, blocks=1, patch=1,
+                                         expansion=2)), x),
 }
 
 

@@ -14,6 +14,9 @@ and comparing the objects. It covers:
 - ``atconv gradcheck --seed 0`` stdout and the ``atconv ablate --dry-run``
   CSV;
 - ``atconv analyze --maps`` stdout for every operator it offers;
+- ``influence_map`` for every operator ``analyze`` offers, f32 and f64,
+  at a clipped corner anchor on a 30x17 map, where the pooling cells are
+  uneven and the anchor's window is cut (k=3, and k=5 for ATConv too);
 - a seeded kernel sweep in f32 and f64 at k in {1, 3, 5}: ``dyn_depthwise``
   y/gv/galpha, ``StaticDepthwise`` y/gx/gw and ``ATConv`` y/gx/grads;
 - a seeded ATConv config sweep in f32 and f64 at k=3: y/gx/grads under
@@ -44,7 +47,9 @@ os.environ["ATCONV_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 from atconv import op as atconv_op  # noqa: E402
-from atconv.baselines import StaticDepthwise  # noqa: E402
+from atconv.analysis import influence_map  # noqa: E402
+from atconv.baselines import IdentityOp, StaticDepthwise  # noqa: E402
+from atconv.bench import make_operator  # noqa: E402
 from atconv.data import synth_dataset  # noqa: E402
 from atconv.errors import NumericError  # noqa: E402
 from atconv.micro import GluParams, MicroConfig, glu_backward, glu_forward  # noqa: E402
@@ -56,6 +61,9 @@ ANALYZE_OPERATORS = ("atconv", "static_dwconv", "static_conv", "toy_sa", "identi
 # more planes than one tap-sum block holds, so the blocking is exercised
 SWEEP_SHAPE = (4, 32, 32, 32)
 EVAL_BATCH = 256  # train.evaluate's batch
+# (B, C, H, W) and anchor of the influence sweep: uneven cells, cut window
+INFLUENCE_SHAPE = (2, 12, 30, 17)
+INFLUENCE_ANCHOR = (29, 1)
 # the acceptance config's GLU input (B=64, C=32, 7x7) and an odd shape
 GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13))
 # (x dtype, gy dtype)
@@ -103,6 +111,18 @@ def cli_outputs(out: dict) -> None:
     out["ablate.dry_run"] = sha(cli_stdout("ablate", "--dry-run"))
     for name in ANALYZE_OPERATORS:
         out[f"analyze.{name}"] = sha(cli_stdout("analyze", "--operator", name, "--maps"))
+
+
+def influence_sweep(out: dict) -> None:
+    for dtype in (np.float32, np.float64):
+        for name in ANALYZE_OPERATORS:
+            for k in (3, 5) if name == "atconv" else (3,):
+                rng = Rng(4000 + k)
+                op = (IdentityOp() if name == "identity"
+                      else make_operator(name, INFLUENCE_SHAPE[1], k, rng, dtype))
+                x = rng.normal(0, 1, INFLUENCE_SHAPE, dtype)
+                tag = f"influence.{name}.{np.dtype(dtype).name}.k{k}"
+                out[tag] = array_sha(influence_map(op, x, INFLUENCE_ANCHOR))
 
 
 def kernel_sweep(out: dict) -> None:
@@ -208,6 +228,7 @@ def main() -> int:
     out = {}
     trained_models(out)
     cli_outputs(out)
+    influence_sweep(out)
     kernel_sweep(out)
     config_sweep(out)
     glu_sweep(out)
