@@ -25,7 +25,7 @@ from .rng import Rng
 from .tensor import as_tensor4, ensure_finite, flop_counter, counting
 from .op import (ATConv, ATConvConfig, ATConvParams, atconv_forward,
                  atconv_forward_cached, atconv_backward, dkm_forward,
-                 dkm_backward, central_diff_mod)
+                 dkm_backward, central_diff_forward)
 from .baselines import (IdentityOp, StaticConv, StaticDepthwise, ToySAParams,
                         ToySelfAttention, conv_jacobian_probe)
 from .analysis import (analyze_operator, cer, csc, far, gaussian_blur,
@@ -47,7 +47,7 @@ __all__ = [
     "Rng", "as_tensor4", "ensure_finite", "flop_counter", "counting",
     "ATConv", "ATConvConfig", "ATConvParams", "atconv_forward",
     "atconv_forward_cached", "atconv_backward", "dkm_forward",
-    "dkm_backward", "central_diff_mod",
+    "dkm_backward", "central_diff_forward",
     "IdentityOp", "StaticConv", "StaticDepthwise", "ToySAParams",
     "ToySelfAttention", "conv_jacobian_probe",
     "analyze_operator", "cer", "csc", "far", "gaussian_blur",

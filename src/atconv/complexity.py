@@ -75,14 +75,16 @@ def sa_flops(spec: ShapeSpec) -> dict:
 def atconv_flops(spec: ShapeSpec) -> dict:
     """The adaptive depthwise operator at the same width.
 
-    context_to_kernel: the pointwise context conv (2NC^2), pooling adds
-    (NC), the shared tap-mixing matrix applied per channel (2CK^4), and
-    the kernel modulation (CK^2); conv: the depthwise application
-    (2NK^2C); projections: value and output pointwise maps (2 * 2NC^2).
+    context_to_kernel: pooling adds (NC), the pointwise context conv on
+    the pooled K x K grid (2K^2C^2; pooling commutes with it, so it never
+    runs at full resolution), the shared tap-mixing matrix applied per
+    channel (2CK^4), and the kernel modulation (CK^2); conv: the depthwise
+    application (2NK^2C); projections: value and output pointwise maps
+    (2 * 2NC^2).
     """
     spec.validate()
     b, c, n, k = spec.batch, spec.channels, spec.tokens, spec.kernel
-    ctk = b * (2 * n * c * c + n * c + 2 * c * k**4 + c * k * k)
+    ctk = b * (n * c + 2 * k * k * c * c + 2 * c * k**4 + c * k * k)
     conv = b * 2 * n * k * k * c
     proj = b * 2 * 2 * n * c * c
     return {

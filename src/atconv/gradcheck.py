@@ -27,7 +27,7 @@ from .baselines import ToySAParams, ToySelfAttention
 from .errors import ArgumentError
 from .micro import GluParams, glu_backward, glu_forward
 from .op import (ATConvConfig, ATConvParams, KERNEL_MODS, atconv_backward,
-                 atconv_forward_cached, central_diff_backward, central_diff_mod,
+                 atconv_forward_cached, central_diff_backward, central_diff_forward,
                  dkm_backward, dkm_forward, dyn_depthwise_backward,
                  dyn_depthwise_forward, generate_kernels_backward,
                  generate_kernels_forward)
@@ -109,8 +109,7 @@ class Check(NamedTuple):
 
     forward_cached: callable(**inputs) -> (y, cache)
     backward:       callable(gy, cache) -> the gradients of ``inputs`` in
-                    order, or (g_first_input, {name: grad}); a None cache
-                    means the backward takes ``gy`` alone
+                    order, or (g_first_input, {name: grad})
     seed_rng:       draws the probe's seed tensor s
     """
     forward_cached: Callable
@@ -124,8 +123,7 @@ def check_pair(forward_cached, backward, inputs: dict, seed_rng) -> dict:
     names = list(inputs)
 
     def vjp(gy, **arrays):
-        cache = forward_cached(**arrays)[1]
-        out = backward(gy) if cache is None else backward(gy, cache)
+        out = backward(gy, forward_cached(**arrays)[1])
         if isinstance(out, tuple) and len(out) == 2 and isinstance(out[1], dict):
             return {names[0]: out[0], **out[1]}
         return dict(zip(names, out if isinstance(out, tuple) else (out,)))
@@ -183,8 +181,7 @@ def check_table(seed: int = 0) -> dict:
     raw = rng.normal(0.0, 1.0, (2, 3, 3, 3))
     t["dkm"] = Check(dkm_forward, dkm_backward,
                      {"raw": raw, "gamma": rng.normal(0.0, 1.0, (3,))}, probe)
-    t["central_diff"] = Check(lambda raw: (central_diff_mod(raw), None),
-                              central_diff_backward, {"raw": raw}, probe)
+    t["central_diff"] = Check(central_diff_forward, central_diff_backward, {"raw": raw}, probe)
     t["dyn_depthwise"] = Check(dyn_depthwise_forward, dyn_depthwise_backward, {
         "v": rng.normal(0.0, 1.0, (2, 3, 5, 5)),
         "alpha": rng.normal(0.0, 1.0, (2, 3, 3, 3))}, probe)

@@ -3,10 +3,12 @@
 The operator replaces a static depthwise kernel with one generated from the
 input itself, in four stages:
 
-1. context-to-kernel: a pointwise conv mixes channels, adaptive average
-   pooling condenses the map to the kernel grid, a GELU gates it, and a
-   shared (k*k x k*k) matrix mixes the pooled taps into one raw k x k
-   kernel per (batch, channel);
+1. context-to-kernel: adaptive average pooling condenses the input to the
+   kernel grid, a pointwise conv mixes its channels, a GELU gates it, and
+   a shared (k*k x k*k) matrix mixes the pooled taps into one raw k x k
+   kernel per (batch, channel). Each pooling window's weights sum to 1,
+   so pooling commutes with the pointwise conv and its bias: the conv
+   runs on the k x k grid, not at full resolution;
 2. kernel modulation: the raw kernel is reshaped toward a difference
    operator. The default subtracts a learned, sigmoid-bounded fraction of
    the kernel mean from every tap ("differential" modulation), which keeps
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError, UnsupportedConfigError
 from .primitives import (
     Conv1x1Cache, GeluCache, LinearCache, PoolCache, SigmoidCache, _need_cache,
-    adaptive_avg_pool_backward, adaptive_avg_pool_forward,
+    _pool_cells, _pool_windows, adaptive_avg_pool_backward, adaptive_avg_pool_forward,
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
     linear_backward, linear_forward,
@@ -328,35 +330,49 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
 # ======================================================================
 
 class C2KCache(NamedTuple):
-    conv: Conv1x1Cache
+    """The stages' caches in forward order; every map past the pool is
+    (B, C, k, k). The GELU keeps its CDF alone: its input, the context
+    conv's output, is rebuilt from ``conv`` when a backward needs it."""
     pool: PoolCache
-    act: GeluCache
+    conv: Conv1x1Cache
+    cdf: np.ndarray
     mix: LinearCache
 
 
+def _gelu_cache(cache: C2KCache) -> GeluCache:
+    """The generator's GELU cache, its input rebuilt by ``conv1x1_forward``
+    on the conv's cache: the arguments the forward used, so the forward's
+    bits."""
+    return GeluCache(conv1x1_forward(*cache.conv)[0], cache.cdf)
+
+
 def generate_kernels_forward(x, params: ATConvParams):
-    """Raw per-(batch, channel) kernels from the input's pooled context."""
+    """Raw per-(batch, channel) kernels from the input's pooled context:
+    pool x to the k x k grid, then the context conv, the GELU and the tap
+    mixing, all on that grid."""
     k = params.kernel_size
-    f, c_conv = conv1x1_forward(x, params.w_f, params.w_f_bias)
-    z, c_pool = adaptive_avg_pool_forward(f, k)
-    a, c_act = gelu_forward(z)
+    z, c_pool = adaptive_avg_pool_forward(x, k)
+    f, c_conv = conv1x1_forward(z, params.w_f, params.w_f_bias)
+    a, c_act = gelu_forward(f)
     b_, c_, _, _ = a.shape
     # vec() flattens each k x k context row-major before the tap mixing
     vec, c_mix = linear_forward(a.reshape(b_, c_, k * k), params.w_gen)
     raw = np.ascontiguousarray(vec.reshape(b_, c_, k, k))
-    return raw, C2KCache(c_conv, c_pool, c_act, c_mix)
+    return raw, C2KCache(c_pool, c_conv, c_act.cdf, c_mix)
 
 
-def generate_kernels_backward(graw, cache: C2KCache):
-    """(gx, generator weight gradients)."""
+def generate_kernels_backward(graw, cache: C2KCache, out=None):
+    """(gx, generator weight gradients). Every stage but the pool runs on
+    the k x k grid; the pool's backward spreads the grid's gradient to x's
+    shape, into ``out`` in place when one is given."""
     cache = _need_cache(cache, "generate_kernels")
     b_, c_ = cache.pool.in_shape[:2]
     k = len(cache.pool.h_bounds)
     graw = as_shaped(graw, (b_, c_, k, k), "graw")
     gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix)
-    gz = gelu_backward(gvec.reshape(b_, c_, k, k), cache.act)
-    gf = adaptive_avg_pool_backward(gz, cache.pool)
-    gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv)
+    gf = gelu_backward(gvec.reshape(b_, c_, k, k), _gelu_cache(cache))
+    gz, gw_f, gb_f = conv1x1_backward(gf, cache.conv)
+    gx = adaptive_avg_pool_backward(gz, cache.pool, out)
     return gx, {"w_f": gw_f, "w_f_bias": gb_f, "w_gen": gw_gen}
 
 
@@ -402,11 +418,15 @@ def dkm_backward(galpha, cache: DkmCache):
     return graw, sigmoid_backward(glam, SigmoidCache(lam))
 
 
-def central_diff_mod(raw):
-    """Rewrite the center tap to raw_center - sum(raw), a discrete
-    difference stencil: the off-center taps keep their values and the
-    whole kernel sums to zero exactly."""
-    raw = np.asarray(raw)
+class CentralDiffCache(NamedTuple):
+    shape: tuple  # (B, C, k, k) of raw and alpha
+
+
+def central_diff_forward(raw):
+    """(alpha, cache): the center tap rewritten to raw_center - sum(raw), a
+    discrete difference stencil. The off-center taps keep their values and
+    the whole kernel sums to zero exactly."""
+    raw = as_shaped(raw, (None, None) + np.shape(raw)[-1:] * 2, "raw")
     k = raw.shape[2]
     if k == 1:
         raise UnsupportedConfigError(
@@ -414,13 +434,15 @@ def central_diff_mod(raw):
     kc = k // 2
     alpha = np.array(raw)
     alpha[:, :, kc, kc] = raw[:, :, kc, kc] - raw.sum(axis=(2, 3))
-    return alpha
+    return alpha, CentralDiffCache(raw.shape)
 
 
-def central_diff_backward(galpha):
-    galpha = np.asarray(galpha)
-    k = galpha.shape[2]
-    kc = k // 2
+def central_diff_backward(galpha, cache: CentralDiffCache):
+    """graw = galpha - galpha's center tap, with the center tap's own
+    gradient 0."""
+    shape = _need_cache(cache, "central_diff").shape
+    galpha = as_shaped(galpha, shape, "galpha")
+    kc = shape[2] // 2
     gc = galpha[:, :, kc, kc]
     graw = galpha - gc[:, :, None, None]
     graw[:, :, kc, kc] = 0.0
@@ -441,7 +463,7 @@ def _kernel_mod_backward(g_alpha, kind: str, mod_cache):
         g_raw = softmax_backward(g_alpha.reshape(b_, c_, k * k), mod_cache)
         return g_raw.reshape(b_, c_, k, k), None
     if kind == "central_diff":
-        return central_diff_backward(g_alpha), None
+        return central_diff_backward(g_alpha, mod_cache), None
     return g_alpha, None
 
 
@@ -481,9 +503,10 @@ def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig
         sm, mod_cache = softmax_forward(raw.reshape(b_, c_, k * k), axis=-1)
         alpha = sm.reshape(b_, c_, k, k)
     elif mod == "central_diff":
-        alpha, mod_cache = central_diff_mod(raw), None
+        alpha, mod_cache = central_diff_forward(raw)
     else:
         alpha, mod_cache = raw, None
+    del raw  # no backward reads the raw kernels, so only alpha lives on
 
     if config.use_value_proj:
         v, value_cache = conv1x1_forward(x, params.w_value, params.w_value_bias)
@@ -510,10 +533,10 @@ def atconv_backward(gy, cache: ATConvCache):
 
     Each full-size gradient map is dropped at its last use: g_y once the
     depthwise backward returns, g_v once the value projection's backward
-    returns. So while the generator's backward runs, the maps alive are the
-    forward's cached v and y, its output, gx_value and the generator's own
-    two (the pooled gradient spread back to full size, then gx_kernel),
-    which is then added into gx_value in place.
+    returns. The generator's backward runs on the k x k grid and spreads
+    its pooled gradient into gx_value in place, so while it runs the maps
+    alive are the forward's cached v and y, its output and gx_value; it
+    adds no full-size map of its own.
     """
     cache = _need_cache(cache, "atconv")
     grads = {}
@@ -542,9 +565,9 @@ def atconv_backward(gy, cache: ATConvCache):
 
     gx = gx_value
     if cache.gen is not None:
-        gx_kernel, gen_grads = generate_kernels_backward(g_raw, cache.gen)
+        # gx_value is a fresh array of x's dtype
+        gx, gen_grads = generate_kernels_backward(g_raw, cache.gen, gx_value)
         grads.update(gen_grads)
-        gx += gx_kernel  # both are fresh arrays of x's dtype
     else:
         b_, c_, k, _ = g_raw.shape
         grads["static_kernel"] = g_raw.sum(axis=0).reshape(c_, k * k)
@@ -609,19 +632,7 @@ def _rows_view(a, rows: int):
 def _pool_spread(bounds, size: int, dtype):
     """(size, k) matrix with 1/len where a position lies in a pooling
     window and 0 elsewhere: one axis of the pooling backward."""
-    m = np.zeros((size, len(bounds)), dtype=dtype)
-    for i, (lo, hi) in enumerate(bounds):
-        m[lo:hi, i] = 1.0 / (hi - lo)
-    return m
-
-
-def _pool_cells(bounds, size: int) -> tuple:
-    """(starts, cell): the cells the pooling windows ``bounds`` cut an axis
-    of ``size`` into, as each cell's first position, and each position's
-    cell. The positions of a cell lie in the same windows, so they share
-    one row of ``_pool_spread``; there are at most 2k - 1 cells."""
-    starts = np.array(sorted({b for window in bounds for b in window} - {size}))
-    return starts, np.searchsorted(starts, np.arange(size), side="right") - 1
+    return _pool_windows(bounds, size, dtype) / np.array([hi - lo for lo, hi in bounds], dtype)
 
 
 class _RowFactors(NamedTuple):
@@ -630,7 +641,7 @@ class _RowFactors(NamedTuple):
     dtype: np.dtype             # v's, which a static kernel's rows take
     window: tuple               # (hs, ws): the anchor's clipped k x k window
     g_win: np.ndarray           # (C, C, |hs|, |ws|): the value path in the window
-    q: Optional[np.ndarray]     # (C, C, k, k): w_f^T gz, before the pooling spread
+    q: Optional[np.ndarray]     # (C, C, k, k): w_f^T gf, before the pooling spread
     pool: Optional[PoolCache]
 
 
@@ -643,11 +654,12 @@ def _row_factors(cache: "ATConvCache", position: tuple) -> _RowFactors:
     which the value projection's backward maps alone: that is g_win[c*].
     g_alpha is g_y times v's k x k window. On the generator path, the
     stage backwards run on (C, C, k, k) arrays, one (C, k, k) slab per row,
-    over broadcast views of their batch-0 caches. The pointwise context
-    conv commutes with the pooling spread, so q[c*] = w_f^T gz, and row c*
-    is Mh q[c*] Mw plus g_win[c*] in the window, where Mh (H x k) and Mw
-    (k x W) are ``_pool_spread``'s matrices for the two axes. q is None
-    for a static kernel, whose rows are g_win alone.
+    over broadcast views of their batch-0 caches, down to the context
+    conv's on the pooled grid: q[c*] = w_f^T gf is the pooled input's
+    gradient. Row c* is its pooling spread Mh q[c*] Mw plus g_win[c*] in
+    the window, where Mh (H x k) and Mw (k x W) are ``_pool_spread``'s
+    matrices for the two axes. q is None for a static kernel, whose rows
+    are g_win alone.
     """
     v, alpha = _need_cache(cache, "atconv", "jacobian_rows").dd
     _, c_, h_, w_ = v.shape
@@ -667,11 +679,14 @@ def _row_factors(cache: "ATConvCache", position: tuple) -> _RowFactors:
         mod_cache = mod_cache._replace(mean=_rows_view(mod_cache.mean, c_))
     elif cache.mod_kind == "softmax":
         mod_cache = mod_cache._replace(y=_rows_view(mod_cache.y, c_))
+    elif cache.mod_kind == "central_diff":
+        mod_cache = mod_cache._replace(shape=(c_,) + mod_cache.shape[1:])
     g_raw, _ = _kernel_mod_backward(g_y[:, :, None, None] * v_win, cache.mod_kind, mod_cache)
     g_vec = g_raw.reshape(c_, c_, k * k) @ gen.mix.w
-    gz = gelu_backward(g_vec.reshape(c_, c_, k, k),
-                       GeluCache(_rows_view(gen.act.x, c_), _rows_view(gen.act.cdf, c_)))
-    q = np.matmul(gen.conv.w.T, gz.reshape(c_, c_, k * k)).reshape(gz.shape)
+    act = _gelu_cache(gen)
+    gf = gelu_backward(g_vec.reshape(c_, c_, k, k),
+                       GeluCache(_rows_view(act.x, c_), _rows_view(act.cdf, c_)))
+    q = np.matmul(gen.conv.w.T, gf.reshape(c_, c_, k * k)).reshape(gf.shape)
     return _RowFactors((c_, h_, w_), v.dtype, (hs, ws), g_win, q, gen.pool)
 
 

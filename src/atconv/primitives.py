@@ -241,11 +241,49 @@ def _pool_bounds(size: int, k: int) -> tuple:
     return tuple((i * size // k, -((i + 1) * size // -k)) for i in range(k))
 
 
+def _pool_windows(bounds, size: int, dtype) -> np.ndarray:
+    """(size, k) matrix with 1 where a position lies in a pooling window
+    and 0 elsewhere: one axis of the pooling sums."""
+    m = np.zeros((size, len(bounds)), dtype=dtype)
+    for i, (lo, hi) in enumerate(bounds):
+        m[lo:hi, i] = 1.0
+    return m
+
+
+def _pool_cells(bounds, size: int) -> tuple:
+    """(starts, cell): the cells the pooling windows ``bounds`` cut an axis
+    of ``size`` into, as each cell's first position, and each position's
+    cell. The positions of a cell lie in the same windows, so they share
+    one row of ``_pool_windows``; there are at most 2k - 1 cells."""
+    starts = np.array(sorted({b for window in bounds for b in window} - {size}))
+    return starts, np.searchsorted(starts, np.arange(size), side="right") - 1
+
+
+def _cell_windows(bounds, cell) -> np.ndarray:
+    """(cells, 2): the windows each cell of ``_pool_cells`` lies in, in
+    order, with k = len(bounds) for none. With k <= size, window i + 1
+    starts where window i - 1 ends or later, so no position lies in three."""
+    k = len(bounds)
+    win = np.full((cell[-1] + 1, 2), k)
+    for i, (lo, hi) in enumerate(bounds):
+        for c in range(cell[lo], cell[hi - 1] + 1):
+            win[c, int(win[c, 0] != k)] = i
+    return win
+
+
+# Elements per block of planes in the pooling backward's spread: a block's
+# gathered cell rows stay small next to the map they are added into.
+_POOL_BLOCK = 1 << 16
+
+
 def adaptive_avg_pool_forward(x, k: int):
     """Average the input over a k x k grid of (possibly overlapping) windows.
 
     Window bounds follow the floor/ceil rule above, which tiles the input
     exactly when k divides the side and degrades gracefully otherwise.
+    The window sums are two GEMMs against ``_pool_windows``'s 0/1
+    matrices, the W side over every row of the map at once, then the H
+    side per plane; each sum is then divided by its window's area.
     """
     x = as_tensor4(x)
     b_, c_, h_, w_ = x.shape
@@ -255,27 +293,57 @@ def adaptive_avg_pool_forward(x, k: int):
         raise DimensionError(f"pool grid {k} exceeds spatial extent {min(h_, w_)}")
     hb = _pool_bounds(h_, k)
     wb = _pool_bounds(w_, k)
-    y = np.empty((b_, c_, k, k), dtype=x.dtype)
-    adds = 0
-    for i, (h0, h1) in enumerate(hb):
-        for j, (w0, w1) in enumerate(wb):
-            y[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-            adds += (h1 - h0) * (w1 - w0)
-    flop_counter.add(b_ * c_ * adds)
+    rows = x.reshape(-1, w_) @ _pool_windows(wb, w_, x.dtype)  # (B*C*H, k)
+    y = np.matmul(_pool_windows(hb, h_, x.dtype).T, rows.reshape(b_, c_, h_, k))
+    del rows
+    hl = [h1 - h0 for h0, h1 in hb]
+    wl = [w1 - w0 for w0, w1 in wb]
+    y /= np.outer(hl, wl).astype(x.dtype)
+    flop_counter.add(b_ * c_ * sum(hl) * sum(wl))
     ensure_finite(y, "adaptive_avg_pool")
     return y, PoolCache(x.shape, hb, wb, x.dtype)
 
 
-def adaptive_avg_pool_backward(gy, cache: PoolCache):
+def adaptive_avg_pool_backward(gy, cache: PoolCache, out=None):
+    """gx, each window's gy / area spread over its window, added into
+    ``out`` (C-contiguous, of the input's shape) in place, or into a zero
+    map.
+
+    The windows cut the map into at most (2k-1)^2 cells whose positions
+    share their windows (``_pool_cells``), at most two per axis
+    (``_cell_windows``). Each cell's value is summed once, from +0, over
+    its windows in row-major order, a missing window adding +0: the sum a
+    loop of window adds into a zero map gives each of the cell's
+    positions, bit for bit. The cells are then spread a block of
+    ``_POOL_BLOCK`` elements of planes at a time: each cell row is
+    gathered to its positions' rows and the block added into the map.
+    """
     cache = _need_cache(cache, "adaptive_avg_pool")
     b_, c_, h_, w_ = cache.in_shape
-    k = len(cache.h_bounds)
+    hb, wb = cache.h_bounds, cache.w_bounds
+    k = len(hb)
     gy = as_float(gy, (b_, c_, k, k), "gy")
-    gx = np.zeros(cache.in_shape, dtype=cache.dtype)
-    for i, (h0, h1) in enumerate(cache.h_bounds):
-        for j, (w0, w1) in enumerate(cache.w_bounds):
-            area = (h1 - h0) * (w1 - w0)
-            gx[:, :, h0:h1, w0:w1] += gy[:, :, i, j][:, :, None, None] / area
+    gx = np.zeros(cache.in_shape, dtype=cache.dtype) if out is None else out
+    if gx.shape != cache.in_shape or not gx.flags.c_contiguous:
+        raise ArgumentError(f"out must be a C-contiguous {cache.in_shape} array")
+    n = b_ * c_
+    h_cut, h_cell = _pool_cells(hb, h_)
+    w_cut, w_cell = _pool_cells(wb, w_)
+    hw, ww = _cell_windows(hb, h_cell), _cell_windows(wb, w_cell)
+    # each window's gy / area, with a zero last row and column for no window
+    area = np.outer([h1 - h0 for h0, h1 in hb], [w1 - w0 for w0, w1 in wb])
+    t = np.zeros((n, k + 1, k + 1), dtype=gy.dtype)
+    np.divide(gy.reshape(n, k, k), area.astype(gy.dtype), out=t[:, :k, :k])
+    t = t.reshape(n, -1)
+    cells = np.zeros((n, len(h_cut) * len(w_cut)), dtype=cache.dtype)
+    for i in (0, 1):
+        for j in (0, 1):
+            cells += t.take((hw[:, i, None] * (k + 1) + ww[:, j]).ravel(), axis=1)
+    rows = cells.reshape(n, len(h_cut), len(w_cut)).take(w_cell, axis=2)  # (n, cells, W)
+    planes = gx.reshape(n, h_, w_)
+    m = max(1, _POOL_BLOCK // (h_ * w_))
+    for lo in range(0, n, m):
+        planes[lo:lo + m] += rows[lo:lo + m].take(h_cell, axis=1)
     return gx
 
 

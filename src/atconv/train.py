@@ -56,19 +56,24 @@ def evaluate(model: MicroModel, images: np.ndarray, labels: np.ndarray,
     return hits / images.shape[0]
 
 
-def step(model, x, target, loss_fn, params: dict, state: dict, hyper: AdamHyper):
+def step(model, x, target, loss_fn, params: dict, state: dict, hyper: AdamHyper,
+         loss_target=None):
     """One optimizer step; returns (loss, model output).
 
     Runs ``model.forward_cached``, then ``loss_fn(y, target) -> (loss,
     dloss/dy)``, and raises NumericError on a non-finite loss before any
-    parameter changes. Then ``model.backward`` and ``adam_step``, which
-    updates ``params`` in place: they must be the arrays the model computes
-    with (its ``named_parameters()``), so the model sees the step.
+    parameter changes. A loss below ``loss_target``, when one is given,
+    ends the step there. Otherwise ``model.backward`` and ``adam_step``
+    follow, which updates ``params`` in place: they must be the arrays the
+    model computes with (its ``named_parameters()``), so the model sees
+    the step.
     """
     y, cache = model.forward_cached(x)
     loss, gy = loss_fn(y, target)
     if not math.isfinite(loss):
         raise NumericError("loss became non-finite")
+    if loss_target is not None and loss < loss_target:
+        return loss, y
     _, grads = model.backward(gy, cache)
     adam_step(params, grads, state, hyper)
     return loss, y
@@ -172,8 +177,9 @@ def overfit_single_sample(model_config: MicroConfig, image: np.ndarray,
     """Drive the loss on one sample toward zero; returns (losses, hit_step).
 
     hit_step is the first step index whose loss drops below ``loss_target``,
-    or None if that never happens within ``steps``. A non-finite loss
-    raises NumericError (see ``step``).
+    or None if that never happens within ``steps``. The step whose loss
+    hits the target stops after its forward: no backward or Adam step runs
+    for it. A non-finite loss raises NumericError (see ``step``).
     """
     rng = Rng(seed)
     model = MicroModel.init(rng, model_config, dtype=np.float64)
@@ -186,7 +192,7 @@ def overfit_single_sample(model_config: MicroConfig, image: np.ndarray,
     yb = np.array([label], dtype=np.int64)
     losses = []
     for i in range(steps):
-        loss, _ = step(model, xb, yb, cross_entropy, params, state, hyper)
+        loss, _ = step(model, xb, yb, cross_entropy, params, state, hyper, loss_target)
         losses.append(loss)
         if loss < loss_target:
             return losses, i

@@ -13,9 +13,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.op import _tap_sum
-from atconv.primitives import (Conv1x1Cache, GeluCache, conv1x1_backward, conv1x1_forward,
-                               erf, gelu_backward, gelu_forward)
-from atconv.tensor import FLOAT_DTYPES, as_tensor4, as_vector, ensure_finite
+from atconv.primitives import (Conv1x1Cache, GeluCache, LinearCache, PoolCache, _need_cache,
+                               _pool_bounds, conv1x1_backward, conv1x1_forward, erf,
+                               gelu_backward, gelu_forward, linear_backward, linear_forward)
+from atconv.tensor import (FLOAT_DTYPES, as_float, as_shaped, as_tensor4, as_vector,
+                           ensure_finite, flop_counter)
 
 
 def conv1x1_ref(x, w, bias=None):
@@ -837,3 +839,79 @@ def jacobian_rows_generic_ref(op, x, position: tuple):
         gy = np.zeros_like(y)
         gy[0, co, position[0], position[1]] = 1.0
         yield op.backward(gy, cache)[0][0]
+
+
+# ----------------------------------------------------------------------
+# the context generator in its former order
+# ----------------------------------------------------------------------
+# The pointwise context conv at full resolution, then pooling by one
+# per-window mean each, and the pooling backward as one strided add per
+# (overlapping) window into a zero map. The generator now pools x first
+# and runs the conv on the k x k grid, which moves its bits at rounding
+# level; its pooling backward spreads each cell once, which must match the
+# window loop below bit for bit.
+
+def adaptive_avg_pool_forward_means_ref(x, k: int):
+    x = as_tensor4(x)
+    b_, c_, h_, w_ = x.shape
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ArgumentError(f"pool grid size must be a positive int, got {k!r}")
+    if k > min(h_, w_):
+        raise DimensionError(f"pool grid {k} exceeds spatial extent {min(h_, w_)}")
+    hb = _pool_bounds(h_, k)
+    wb = _pool_bounds(w_, k)
+    y = np.empty((b_, c_, k, k), dtype=x.dtype)
+    adds = 0
+    for i, (h0, h1) in enumerate(hb):
+        for j, (w0, w1) in enumerate(wb):
+            y[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
+            adds += (h1 - h0) * (w1 - w0)
+    flop_counter.add(b_ * c_ * adds)
+    ensure_finite(y, "adaptive_avg_pool")
+    return y, PoolCache(x.shape, hb, wb, x.dtype)
+
+
+def adaptive_avg_pool_backward_windows_ref(gy, cache: PoolCache):
+    cache = _need_cache(cache, "adaptive_avg_pool")
+    b_, c_, h_, w_ = cache.in_shape
+    k = len(cache.h_bounds)
+    gy = as_float(gy, (b_, c_, k, k), "gy")
+    gx = np.zeros(cache.in_shape, dtype=cache.dtype)
+    for i, (h0, h1) in enumerate(cache.h_bounds):
+        for j, (w0, w1) in enumerate(cache.w_bounds):
+            area = (h1 - h0) * (w1 - w0)
+            gx[:, :, h0:h1, w0:w1] += gy[:, :, i, j][:, :, None, None] / area
+    return gx
+
+
+class ConvFirstC2KCacheRef(NamedTuple):
+    conv: Conv1x1Cache
+    pool: PoolCache
+    act: GeluCache
+    mix: LinearCache
+
+
+def generate_kernels_forward_conv_first_ref(x, params):
+    """Raw per-(batch, channel) kernels from the input's pooled context."""
+    k = params.kernel_size
+    f, c_conv = conv1x1_forward(x, params.w_f, params.w_f_bias)
+    z, c_pool = adaptive_avg_pool_forward_means_ref(f, k)
+    a, c_act = gelu_forward(z)
+    b_, c_, _, _ = a.shape
+    # vec() flattens each k x k context row-major before the tap mixing
+    vec, c_mix = linear_forward(a.reshape(b_, c_, k * k), params.w_gen)
+    raw = np.ascontiguousarray(vec.reshape(b_, c_, k, k))
+    return raw, ConvFirstC2KCacheRef(c_conv, c_pool, c_act, c_mix)
+
+
+def generate_kernels_backward_conv_first_ref(graw, cache: ConvFirstC2KCacheRef):
+    """(gx, generator weight gradients)."""
+    cache = _need_cache(cache, "generate_kernels")
+    b_, c_ = cache.pool.in_shape[:2]
+    k = len(cache.pool.h_bounds)
+    graw = as_shaped(graw, (b_, c_, k, k), "graw")
+    gvec, gw_gen, _ = linear_backward(graw.reshape(b_, c_, k * k), cache.mix)
+    gz = gelu_backward(gvec.reshape(b_, c_, k, k), cache.act)
+    gf = adaptive_avg_pool_backward_windows_ref(gz, cache.pool)
+    gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv)
+    return gx, {"w_f": gw_f, "w_f_bias": gb_f, "w_gen": gw_gen}

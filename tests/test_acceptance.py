@@ -214,7 +214,7 @@ def test_criterion_06_scaling_shape():
         assert at_b["conv"] == 4 * at_a["conv"]
         assert at_b["projections"] == 4 * at_a["projections"]
         b, c, k = base.batch, base.channels, base.kernel
-        ctk_const = b * (2 * c * k**4 + c * k * k)
+        ctk_const = b * (2 * k * k * c * c + 2 * c * k**4 + c * k * k)
         assert (at_b["context_to_kernel"] - ctk_const
                 == 4 * (at_a["context_to_kernel"] - ctk_const))
         mem_a, mem_b = memory(base), memory(dbl)
@@ -227,7 +227,7 @@ def test_criterion_06_scaling_shape():
         settings = BenchSettings(operators=("atconv", "toy_sa"),
                                  batch=8, channels=64, kernel=3,
                                  resolutions=(16, 24, 32, 48),
-                                 warmup=2, reps=5, dtype="f32", seed=0)
+                                 warmup=2, reps=20, dtype="f32", seed=0)
         slopes = latency_slopes(run_bench(settings))
         assert 0.8 <= slopes["atconv"] <= 1.3, slopes
         assert 1.6 <= slopes["toy_sa"] <= 2.4, slopes

@@ -7,7 +7,7 @@ import pytest
 from atconv.complexity import MIB, ShapeSpec, atconv_flops, memory, report, sa_flops
 from atconv.baselines import ToySAParams, ToySelfAttention
 from atconv.errors import ArgumentError
-from atconv.op import ATConvParams, atconv_forward
+from atconv.op import ATConvParams, atconv_forward, generate_kernels_forward
 from atconv.rng import Rng
 from atconv.tensor import counting
 
@@ -80,7 +80,7 @@ def test_atconv_total_is_affine_in_tokens():
     b, c, k = 3, 24, 3
     small = atconv_flops(ShapeSpec(batch=b, channels=c, height=4, width=8, kernel=k))
     large = atconv_flops(ShapeSpec(batch=b, channels=c, height=8, width=8, kernel=k))
-    constant = b * (2 * c * k**4 + c * k * k)
+    constant = b * (2 * k * k * c * c + 2 * c * k**4 + c * k * k)
     assert 2 * small["total"] - large["total"] == constant
 
 
@@ -178,6 +178,21 @@ def test_atconv_instrumented_flops_within_five_percent():
     model = atconv_flops(ShapeSpec(batch=b, channels=c, height=h, width=h,
                                    kernel=k))["total"]
     assert abs(ctr.total - model) / model < 0.05
+
+
+def test_generator_flops_match_the_context_term_exactly():
+    # k divides h, so the pooling windows tile the map and add N*C; the
+    # context conv runs on the k x k grid. The model's C*k^2 is the kernel
+    # modulation's, which the generator does not run.
+    rng = Rng(132)
+    b, c, h, k = 2, 8, 12, 3
+    p = ATConvParams.init(rng, c, k)
+    x = rng.normal(0, 1, (b, c, h, h))
+    with counting() as ctr:
+        generate_kernels_forward(x, p)
+    model = atconv_flops(ShapeSpec(batch=b, channels=c, height=h, width=h, kernel=k))
+    assert ctr.total == model["context_to_kernel"] - b * c * k * k
+    assert ctr.total == b * (h * h * c + 2 * k * k * c * c + 2 * c * k**4)
 
 
 def test_sa_instrumented_flops_match_exactly():

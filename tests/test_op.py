@@ -24,7 +24,7 @@ from atconv.op import (
     atconv_backward,
     atconv_forward,
     atconv_forward_cached,
-    central_diff_mod,
+    central_diff_forward,
     dkm_forward,
     dyn_depthwise_forward,
     generate_kernels_forward,
@@ -184,7 +184,7 @@ def test_softmax_mod_normalizes_and_stays_positive():
 
 def test_central_diff_zero_sum():
     raw = Rng(58).normal(0, 1, (2, 3, 3, 3))
-    alpha = central_diff_mod(raw)
+    alpha, _ = central_diff_forward(raw)
     assert np.abs(alpha.sum(axis=(2, 3))).max() < 1e-13
     # off-center taps are untouched
     mask = np.ones((3, 3), dtype=bool)
@@ -194,7 +194,7 @@ def test_central_diff_zero_sum():
 
 def test_central_diff_hand_formula():
     raw = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-    alpha = central_diff_mod(raw)
+    alpha, _ = central_diff_forward(raw)
     assert abs(alpha[0, 0, 1, 1] - (4.0 - 36.0)) < 1e-12
     assert alpha[0, 0, 0, 0] == 0.0 and alpha[0, 0, 2, 2] == 8.0
 
@@ -203,12 +203,12 @@ def test_central_diff_on_center_delta_produces_zero_kernel():
     # raw == center delta: center becomes 1 - 1 = 0, rest is already 0
     raw = np.zeros((1, 2, 3, 3))
     raw[:, :, 1, 1] = 1.0
-    assert np.abs(central_diff_mod(raw)).max() == 0.0
+    assert np.abs(central_diff_forward(raw)[0]).max() == 0.0
 
 
 def test_central_diff_rejects_1x1():
     with pytest.raises(UnsupportedConfigError):
-        central_diff_mod(np.ones((1, 1, 1, 1)))
+        central_diff_forward(np.ones((1, 1, 1, 1)))
     p = _identity_params(2, k=1)
     cfg = ATConvConfig(kernel_mod="central_diff")
     with pytest.raises(UnsupportedConfigError):

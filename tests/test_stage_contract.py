@@ -15,8 +15,9 @@ from atconv.errors import DimensionError, StateError
 from atconv.micro import (BlockParams, GluParams, MicroConfig, MicroModel, block_backward,
                           block_forward, glu_backward, glu_forward, patch_embed_backward,
                           patch_embed_forward)
-from atconv.op import (ATConvParams, atconv_backward, atconv_forward_cached, dkm_backward,
-                       dkm_forward, dyn_depthwise_backward, dyn_depthwise_forward,
+from atconv.op import (ATConvParams, atconv_backward, atconv_forward_cached,
+                       central_diff_backward, central_diff_forward, dkm_backward, dkm_forward,
+                       dyn_depthwise_backward, dyn_depthwise_forward,
                        generate_kernels_backward, generate_kernels_forward)
 from atconv.primitives import (adaptive_avg_pool_backward, adaptive_avg_pool_forward,
                                conv1x1_backward, conv1x1_forward, gelu_backward, gelu_forward,
@@ -48,6 +49,8 @@ STAGES = {
                                      *dyn_depthwise_forward(x, rng.normal(0, 1, (2, 3, 3, 3)))),
     "dkm": lambda rng, x: (dkm_backward,
                            *dkm_forward(rng.normal(0, 1, (2, 3, 3, 3)), rng.normal(0, 1, (3,)))),
+    "central_diff": lambda rng, x: (central_diff_backward,
+                                    *central_diff_forward(rng.normal(0, 1, (2, 3, 3, 3)))),
     "generate_kernels": lambda rng, x: (generate_kernels_backward,
                                         *generate_kernels_forward(x, ATConvParams.init(rng, 3))),
     "atconv": lambda rng, x: (atconv_backward,

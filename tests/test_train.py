@@ -306,3 +306,26 @@ def test_overfit_single_sample_converges():
     assert hit is not None
     assert losses[hit] < 0.01
     assert losses[0] > 1.0
+
+
+def test_overfit_stops_after_the_forward_that_hits_the_target(monkeypatch):
+    # the step whose loss hits the target runs no backward; its losses and
+    # hit step are those of the loop that still stepped after it
+    train_set, _ = synth_dataset(11, 10, 10)
+    args = (TINY, train_set.images[0], int(train_set.labels[0]), 200, 1e-2, 11)
+    real_backward, real_step = MicroModel.backward, train_mod.step
+    backwards = []
+
+    def counted(self, gy, cache):
+        backwards.append(1)
+        return real_backward(self, gy, cache)
+
+    monkeypatch.setattr(MicroModel, "backward", counted)
+    losses, hit = overfit_single_sample(*args)
+    assert hit is not None and len(losses) == hit + 1
+    assert len(backwards) == hit
+
+    monkeypatch.setattr(train_mod, "step", lambda *a: real_step(*a[:7]))  # no loss_target
+    backwards.clear()
+    assert overfit_single_sample(*args) == (losses, hit)
+    assert len(backwards) == hit + 1

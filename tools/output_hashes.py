@@ -24,6 +24,9 @@ and comparing the objects. It covers:
   place of the generator (``use_kernel_generator=False``) under "none",
   whose kernel reaches the depthwise stage as a batch-broadcast view, and
   under "dkm";
+- a seeded pooling sweep in f32 and f64 at k in {1, 3, 5} on 7x7, 30x17
+  and 32x32 maps: ``adaptive_avg_pool_forward`` y and
+  ``adaptive_avg_pool_backward`` gx;
 - a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
   f32, f64 and f32 input with an f64 gradient, at the acceptance shape and
   one odd shape;
@@ -53,7 +56,8 @@ from atconv.bench import make_operator  # noqa: E402
 from atconv.data import synth_dataset  # noqa: E402
 from atconv.errors import NumericError  # noqa: E402
 from atconv.micro import GluParams, MicroConfig, glu_backward, glu_forward  # noqa: E402
-from atconv.primitives import gelu_forward  # noqa: E402
+from atconv.primitives import (adaptive_avg_pool_backward,  # noqa: E402
+                               adaptive_avg_pool_forward, gelu_forward)
 from atconv.rng import Rng  # noqa: E402
 from atconv.train import TrainSettings, train  # noqa: E402
 
@@ -64,6 +68,9 @@ EVAL_BATCH = 256  # train.evaluate's batch
 # (B, C, H, W) and anchor of the influence sweep: uneven cells, cut window
 INFLUENCE_SHAPE = (2, 12, 30, 17)
 INFLUENCE_ANCHOR = (29, 1)
+# (B, C) and (H, W) of the pooling sweep: an odd square, uneven and even cells
+POOL_BC = (3, 8)
+POOL_MAPS = ((7, 7), (30, 17), (32, 32))
 # the acceptance config's GLU input (B=64, C=32, 7x7) and an odd shape
 GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13))
 # (x dtype, gy dtype)
@@ -180,6 +187,19 @@ def config_sweep(out: dict) -> None:
             out[f"{tag}.grads"] = grads_sha(grads)
 
 
+def pool_sweep(out: dict) -> None:
+    for dtype in (np.float32, np.float64):
+        for hw in POOL_MAPS:
+            for k in (1, 3, 5):
+                tag = f"adaptive_avg_pool.{np.dtype(dtype).name}.{hw[0]}x{hw[1]}.k{k}"
+                rng = Rng(5000 + 10 * k + hw[0])
+                x = rng.normal(0, 1, POOL_BC + hw, dtype)
+                y, cache = adaptive_avg_pool_forward(x, k)
+                gy = rng.normal(0, 1, y.shape, dtype)
+                out[f"{tag}.y"] = array_sha(y)
+                out[f"{tag}.gx"] = array_sha(adaptive_avg_pool_backward(gy, cache))
+
+
 def glu_sweep(out: dict) -> None:
     for shape in GLU_SHAPES:
         for xdt, gdt in GLU_DTYPES:
@@ -231,6 +251,7 @@ def main() -> int:
     influence_sweep(out)
     kernel_sweep(out)
     config_sweep(out)
+    pool_sweep(out)
     glu_sweep(out)
     gelu_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
