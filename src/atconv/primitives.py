@@ -38,7 +38,8 @@ def _need_cache(cache, op: str, use: str = "backward"):
 
 
 # ======================================================================
-# erf (rational minimax approximation, Cody 1969 coefficient set)
+# erf: Cody's (1969) rational minimax set in float64, and an odd-over-even
+# rational in float32
 # ======================================================================
 
 _ERF_A = (3.16112374387056560e0, 1.13864154151050156e2, 3.77485237685302021e2,
@@ -57,43 +58,93 @@ _ERF_Q = (2.56852019228982242e0, 1.87295284992346047e0, 5.27905102951428412e-1,
           6.05183413124413191e-2, 2.33520497626869185e-3)
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
+# float32 erf(c) = c * P(c^2) / Q(c^2) on c clamped to [-4, 4], where f32
+# erf is 1 to within half an ulp: Eigen's generic_fast_erf_float set (XLA
+# evaluates the same form). P holds the odd coefficients of x^1 .. x^13,
+# Q the even ones of x^0 .. x^8, both in ascending order.
+_ERF32_P = tuple(np.float32(v) for v in (
+    -1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
+    -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
+    -2.72614225801306e-10))
+_ERF32_Q = tuple(np.float32(v) for v in (
+    -1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
+    -2.13374055278905e-04, -1.45660718464996e-05))
 
-# Elements per pass. Whole-array float64 temporaries at the GLU's size
-# page-fault afresh on every call; 256 KiB ones stay in cache and are
-# reused by the allocator.
+
+# Elements per pass. Whole-array temporaries at the GLU's size page-fault
+# afresh on every call; block-sized ones (256 KiB in float64, 128 KiB in
+# float32) stay in cache and are reused by the allocator.
 _ERF_BLOCK = 1 << 15
 
 
 def erf(x: np.ndarray, scale=None) -> np.ndarray:
-    """Error function via a three-region rational minimax fit; with a
-    ``scale``, erf(x * scale) bit for bit, without the whole map x * scale.
+    """Error function; with a ``scale``, erf(x * scale) without the whole
+    map x * scale, and with the bits that map would give.
 
-    Absolute error is below 1e-15 everywhere, comfortably inside the
-    1e-7 budget the gelu contract asks for. The flattened input is taken
-    in blocks of ``_ERF_BLOCK`` elements; in each block every region's
-    elements are gathered by index, evaluated in float64 and scattered
-    back, so an element pays for its own region only. A block is
-    multiplied by ``scale`` in the product's dtype (x's, for a float x)
-    before it is widened to float64, so it sees the same bits the
-    whole-map product would hold. The result has x's shape and the
-    product's dtype, x's own without a scale (a 0-d input gives a 0-d
-    array).
+    The result has x's shape and the product's dtype, x's own without a
+    scale (a 0-d input gives a 0-d array); an integer or bool result
+    dtype becomes float64. The result dtype picks one of two precisions:
+
+    - float32: ``_erf32_block``, the rational c * (P(c^2) / Q(c^2)) on c =
+      x clamped to [-4, 4], evaluated in float32 by Horner's rule and
+      clipped to [-1, 1] (``_ERF32_P``/``_ERF32_Q``, Eigen's
+      generic_fast_erf_float coefficients). It is within 8 ulp and 5e-7
+      of the float64 path for every float32 input (the sweep in
+      ``tools/erf32_sweep.py``), exactly odd, and keeps the sign of zero.
+    - every other dtype: ``_erf_block``, Cody's three-region rational
+      minimax fit in float64, absolute error below 1e-15. Each region's
+      elements are gathered by index, evaluated and scattered back, so
+      an element pays for its own region only.
+
+    The flattened input is taken in blocks of ``_ERF_BLOCK`` elements. A
+    block is multiplied by ``scale`` in the product's dtype before
+    anything else, so it sees the same bits the whole-map product would
+    hold. Both paths map NaN to NaN and +-inf to +-1.
     """
     x = np.asarray(x)
     flat = x.ravel()
     dtype = x.dtype if scale is None else np.result_type(x, scale)
+    if not np.issubdtype(dtype, np.floating):
+        dtype = np.dtype(np.float64)
     out = np.empty(flat.shape, dtype=dtype)
+    erf_block = _erf32_block if dtype == np.float32 else _erf_block
     for lo in range(0, flat.size, _ERF_BLOCK):
         block = flat[lo:lo + _ERF_BLOCK]
         if scale is not None:
             block = block * scale
-        _erf_block(block, out[lo:lo + _ERF_BLOCK])
+        erf_block(block, out[lo:lo + _ERF_BLOCK])
     return out.reshape(x.shape)
 
 
+def _erf32_block(x, out):
+    """float32 erf of the 1-D block ``x`` into ``out``.
+
+    c * (P / Q), not (c * P) / Q: c * P would lose a subnormal c's low
+    bits before the division. The final clip holds results in [3.57, 4],
+    where the rational reads 1.0000002, to 1. The clips are the ndarray
+    method: ``np.clip``'s wrapper costs about 4 us a call and leaves 120
+    bytes of Python objects alive after it.
+    """
+    c = x.clip(-4.0, 4.0)
+    s = c * c
+    p = s * _ERF32_P[-1]
+    for a in _ERF32_P[-2:0:-1]:
+        p += a
+        p *= s
+    p += _ERF32_P[0]
+    q = s * _ERF32_Q[-1]
+    for a in _ERF32_Q[-2:0:-1]:
+        q += a
+        q *= s
+    q += _ERF32_Q[0]
+    p /= q
+    p *= c
+    p.clip(-1.0, 1.0, out=out)
+
+
 def _erf_block(x, out):
-    """erf of the 1-D block ``x`` into ``out``; NaN falls in the outer
-    region and comes out NaN, +-inf comes out +-1."""
+    """Cody's float64 erf of the 1-D block ``x`` into ``out``; NaN falls in
+    the outer region and comes out NaN, +-inf comes out +-1."""
     xd = x.astype(np.float64, copy=False)
     y = np.abs(xd)
     inner = y <= 0.46875

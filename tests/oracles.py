@@ -227,7 +227,8 @@ def adam_ref(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
 # The vectorized erf and GELU backward as they were before the regions of
 # erf were gathered and the CDF was cached in GeluCache. The rewrite keeps
 # every elementwise operation in the same order, so outputs must match
-# these bit for bit, not merely to a tolerance.
+# these bit for bit, not merely to a tolerance. float32 erf has its own
+# formula, and ``erf32_ref`` is it over the whole array.
 
 _REF_ERF_A = (3.16112374387056560e0, 1.13864154151050156e2, 3.77485237685302021e2,
               3.20937758913846947e3, 1.85777706184603153e-1)
@@ -298,11 +299,47 @@ def erf_where_ref(x):
     return out.astype(x.dtype, copy=False)
 
 
+# Eigen's generic_fast_erf_float coefficients: the odd numerator x^1 ..
+# x^13 and the even denominator x^0 .. x^8, ascending.
+_REF_ERF32_P = tuple(np.float32(v) for v in (
+    -1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
+    -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
+    -2.72614225801306e-10))
+_REF_ERF32_Q = tuple(np.float32(v) for v in (
+    -1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
+    -2.13374055278905e-04, -1.45660718464996e-05))
+
+
+def erf32_ref(x):
+    """float32 erf as one expression over the whole array, with no blocks:
+    clip(c * (P(s) / Q(s)), -1, 1) for c = clip(x, -4, 4) and s = c * c,
+    P and Q by Horner's rule in float32."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        raise TypeError(f"erf32_ref takes float32, not {x.dtype}")
+    c = np.clip(x, np.float32(-4.0), np.float32(4.0))
+    s = c * c
+    p = _REF_ERF32_P[-1]
+    for a in _REF_ERF32_P[-2::-1]:
+        p = p * s + a
+    q = _REF_ERF32_Q[-1]
+    for a in _REF_ERF32_Q[-2::-1]:
+        q = q * s + a
+    return np.asarray(np.clip(c * (p / q), np.float32(-1.0), np.float32(1.0)))
+
+
+def erf_ref(x):
+    """The bitwise erf oracle for x's dtype: ``erf32_ref`` for float32,
+    ``erf_where_ref`` (the float64 path) for every other float dtype."""
+    x = np.asarray(x)
+    return erf32_ref(x) if x.dtype == np.float32 else erf_where_ref(x)
+
+
 def gelu_backward_recompute_ref(gy, x):
-    """GELU backward that recomputes the CDF through ``erf_where_ref``."""
+    """GELU backward that recomputes the CDF through ``erf_ref``."""
     x = np.asarray(x)
     gy = np.asarray(gy)
-    cdf = 0.5 * (1.0 + erf_where_ref(x * _REF_INV_SQRT2))
+    cdf = 0.5 * (1.0 + erf_ref(x * _REF_INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _REF_INV_SQRT_2PI
     return gy * (cdf + x * pdf)
 

@@ -31,7 +31,11 @@ and comparing the objects. It covers:
   f32, f64 and f32 input with an f64 gradient, at the acceptance shape and
   one odd shape;
 - ``gelu_forward`` y and CDF over erf's region edges scaled by sqrt(2),
-  with the error message for each non-finite input.
+  with the error message for each non-finite input;
+- ``erf`` over a seeded sweep in f32 and f64, unscaled and scaled by
+  1/sqrt(2), and at the f32 path's edges: ±4 with its neighbours, every
+  f32 in the band [3.57, 4] that the final clip holds to 1, and a strided
+  set of subnormals, each with both signs.
 
 The package is imported from ``src`` and the CLI runs as a subprocess of
 the same interpreter, with ``ATCONV_THREADS=1``.
@@ -56,8 +60,8 @@ from atconv.bench import make_operator  # noqa: E402
 from atconv.data import synth_dataset  # noqa: E402
 from atconv.errors import NumericError  # noqa: E402
 from atconv.micro import GluParams, MicroConfig, glu_backward, glu_forward  # noqa: E402
-from atconv.primitives import (adaptive_avg_pool_backward,  # noqa: E402
-                               adaptive_avg_pool_forward, gelu_forward)
+from atconv.primitives import (INV_SQRT2, adaptive_avg_pool_backward,  # noqa: E402
+                               adaptive_avg_pool_forward, erf, gelu_forward)
 from atconv.rng import Rng  # noqa: E402
 from atconv.train import TrainSettings, train  # noqa: E402
 
@@ -76,6 +80,8 @@ GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13))
 # (x dtype, gy dtype)
 GLU_DTYPES = ((np.float32, np.float32), (np.float64, np.float64),
               (np.float32, np.float64))
+# elements of the erf sweep: more than one erf block, with a ragged tail
+ERF_SWEEP = 70001
 
 
 def sha(data: bytes) -> str:
@@ -244,6 +250,27 @@ def gelu_sweep(out: dict) -> None:
             out[f"gelu.{name}.{bad}.error"] = sha(message.encode())
 
 
+def f32_patterns(lo: float, hi: float, stride: int = 1) -> np.ndarray:
+    """Every ``stride``-th float32 bit pattern in [lo, hi], 0 <= lo <= hi."""
+    start, stop = np.array([lo, hi], dtype=np.float32).view(np.uint32)
+    return np.arange(start, stop + 1, stride, dtype=np.uint32).view(np.float32)
+
+
+def erf_sweep(out: dict) -> None:
+    for dtype in (np.float32, np.float64):
+        name = np.dtype(dtype).name
+        x = Rng(6000).normal(0, 3, (ERF_SWEEP,), dtype)
+        out[f"erf.{name}.sweep"] = array_sha(erf(x))
+        out[f"erf.{name}.sweep_scaled"] = array_sha(erf(x, INV_SQRT2))
+    four = np.float32(4.0)
+    edges = {"four": np.array([np.nextafter(four, np.float32(0)), four,
+                               np.nextafter(four, np.float32(np.inf))], np.float32),
+             "clip_band": f32_patterns(3.57, 4.0),
+             "subnormal": f32_patterns(0.0, np.finfo(np.float32).tiny, 4099)}
+    for tag, x in edges.items():
+        out[f"erf.float32.{tag}"] = array_sha(erf(np.concatenate([x, -x])))
+
+
 def main() -> int:
     out = {}
     trained_models(out)
@@ -254,6 +281,7 @@ def main() -> int:
     pool_sweep(out)
     glu_sweep(out)
     gelu_sweep(out)
+    erf_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
