@@ -126,18 +126,20 @@ def glu_backward(gy, cache: GluCache):
     a and b are rebuilt first, each by ``conv1x1_forward`` on its cache,
     the arguments the forward used (x, and the cast weight and bias), so
     they are the forward's bits. h = gate * a is rebuilt for W_c's
-    backward and dropped after it. The gate is then rebuilt again and gh
-    multiplied into it in place (a fresh product when gy is wider than
-    the GLU, to keep ``result_type``), for W_a's backward. Then gh * a is
-    written over gh for the GELU gradient, which runs alone. So besides
-    the rebuilt a and b at most two hidden-width maps are transient at any
-    time, and the two input gradients are summed in place.
+    backward, and a is dropped once h is formed. The gate is then rebuilt
+    again and gh multiplied into it in place (a fresh product when gy is
+    wider than the GLU, to keep ``result_type``), for W_a's backward.
+    Then a is rebuilt once more and gh * a written over gh for the GELU
+    gradient, which runs alone. So besides the rebuilt b at most two
+    hidden-width maps are transient at any time, at the price of a third
+    W_a forward, and the two input gradients are summed in place.
     """
     ca, cb, cdf, cc = _need_cache(cache, "glu")
     a = conv1x1_forward(*ca)[0]
     cg = GeluCache(conv1x1_forward(*cb)[0], cdf)
     h = _gate(cg)
     h *= a
+    del a
     gh, gw_c, gb_c = conv1x1_backward(gy, cc._replace(x=h))
     del h
     ga = _gate(cg)
@@ -147,8 +149,7 @@ def glu_backward(gy, cache: GluCache):
         ga = gh * ga
     gx, gw_a, gb_a = conv1x1_backward(ga, ca)
     del ga
-    gh *= a  # gh is fresh and at least as wide as a
-    del a
+    gh *= conv1x1_forward(*ca)[0]  # gh is fresh and at least as wide as a
     gbraw = gelu_backward(gh, cg)
     del gh, cg
     gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)

@@ -225,6 +225,10 @@ def _erf_from_scaled_erfc(xs, ys, r):
 # pointwise (1x1) convolution: per-pixel channel mixing
 # ======================================================================
 
+# Elements of the per-sample products one block of conv1x1's gw holds.
+_GW_BLOCK = 1 << 16
+
+
 class Conv1x1Cache(NamedTuple):
     """The input, and the weight and bias (or None) as cast to its dtype."""
     x: np.ndarray
@@ -252,10 +256,17 @@ def conv1x1_forward(x, w, bias=None):
 def conv1x1_backward(gy, cache: Conv1x1Cache):
     """Gradients of ``conv1x1_forward`` w.r.t. x, w and the bias.
 
-    gx = w^T gy is one batched matmul. gw = sum_b gy[b] x[b]^T is one BLAS
-    matmul per sample, each written into a C_out x C_in scratch and added
-    into gw, so no B x C_out x C_in temporary is allocated. gb sums gy
-    over batch and space.
+    gx = w^T gy is one batched matmul. gw = sum_b gy[b] x[b]^T is summed
+    from +0 in sample order, in blocks of m = 2^16 // (C_out C_in)
+    samples (at least one). Each block is one batched matmul, which runs
+    the per-sample BLAS GEMM, into slots 1..m of an (m+1, C_out, C_in)
+    buffer whose slot 0 holds the running gw; ``np.add.reduce`` over the
+    slots then adds them into gw one slot after the other, as a loop of
+    ``gw += gy[b] x[b]^T`` would. So gw keeps that loop's bits, with one
+    GEMM call per block. The buffer holds at most max(2^16, C_out C_in) +
+    C_out C_in elements and is freed before gx, so the peak stays that of
+    gx and gw.
+    gb sums gy over batch and space.
     """
     cache = _need_cache(cache, "conv1x1")
     x, w = cache.x, cache.w
@@ -266,11 +277,14 @@ def conv1x1_backward(gy, cache: Conv1x1Cache):
     gyr = gy.reshape(b_, c_out, n)
     xr = x.reshape(b_, c_in, n)
     gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
-    tmp = np.empty_like(gw)
-    for gyj, xj in zip(gyr, xr):
-        np.matmul(gyj, xj.T, out=tmp)
-        gw += tmp
-    del tmp  # freed before gx, so peak memory stays that of gx and gw
+    m = min(b_, max(1, _GW_BLOCK // (c_out * c_in)))
+    buf = np.empty((m + 1, c_out, c_in), dtype=gw.dtype)
+    for lo in range(0, b_, m):
+        j = min(m, b_ - lo)
+        buf[0] = gw
+        np.matmul(gyr[lo:lo + j], xr[lo:lo + j].transpose(0, 2, 1), out=buf[1:j + 1])
+        np.add.reduce(buf[:j + 1], axis=0, out=gw)
+    del buf
     gb = gy.sum(axis=(0, 2, 3)) if cache.bias is not None else None
     gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
     return np.ascontiguousarray(gx), gw, gb

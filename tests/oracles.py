@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
-from atconv.op import _tap_sum
+from atconv.op import _block_rows, _padded_blocks, _tap_runs, _tap_sum
 from atconv.primitives import (Conv1x1Cache, GeluCache, LinearCache, PoolCache, _need_cache,
                                _pool_bounds, conv1x1_backward, conv1x1_forward, erf,
                                gelu_backward, gelu_forward, linear_backward, linear_forward)
@@ -952,3 +952,53 @@ def generate_kernels_backward_conv_first_ref(graw, cache: ConvFirstC2KCacheRef):
     gf = adaptive_avg_pool_backward_windows_ref(gz, cache.pool)
     gx, gw_f, gb_f = conv1x1_backward(gf, cache.conv)
     return gx, {"w_f": gw_f, "w_f_bias": gb_f, "w_gen": gw_gen}
+
+
+# ----------------------------------------------------------------------
+# the tap sum and the pointwise weight gradient before einsum and blocks
+# ----------------------------------------------------------------------
+# ``_tap_sum`` as it was when each tap's product was an ``np.multiply`` of
+# a column of alpha with the run, and ``conv1x1_backward`` as it was when
+# gw added one GEMM per sample into a scratch, copied verbatim. The
+# library versions must match them bit for bit, save the signed-zero case
+# ``_tap_sum``'s docstring names.
+
+def tap_sum_multiply_ref(x, alpha, dtype, flip):
+    b_, c_, h, w = x.shape
+    k = alpha.shape[2]
+    n = b_ * c_
+    span = h * (w + k - 1)
+    a2 = alpha.reshape(n, k * k)
+    out = np.empty((n, h, w), dtype=dtype)
+    rows = _block_rows(n, span)
+    acc = np.empty((rows, span), dtype=dtype)
+    prod = np.empty((rows, span), dtype=np.result_type(x, alpha))
+    for lo, xpad in _padded_blocks(x.reshape(n, h, w), k // 2, rows):
+        m = len(xpad)
+        sums, pb = acc[:m], prod[:m]
+        sums.fill(0)
+        for i, run in enumerate(_tap_runs(xpad, k, flip)):
+            np.multiply(a2[lo:lo + m, i, None], run, out=pb)
+            sums += pb
+        out[lo:lo + m] = sums.reshape(m, h, -1)[:, :, :w]
+    return out.reshape(b_, c_, h, w)
+
+
+def conv1x1_backward_sample_loop_ref(gy, cache: Conv1x1Cache):
+    cache = _need_cache(cache, "conv1x1")
+    x, w = cache.x, cache.w
+    b_, c_in, h_, w_ = x.shape
+    c_out = w.shape[0]
+    gy = as_float(gy, (b_, c_out, h_, w_), "gy")
+    n = h_ * w_
+    gyr = gy.reshape(b_, c_out, n)
+    xr = x.reshape(b_, c_in, n)
+    gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
+    tmp = np.empty_like(gw)
+    for gyj, xj in zip(gyr, xr):
+        np.matmul(gyj, xj.T, out=tmp)
+        gw += tmp
+    del tmp  # freed before gx, so peak memory stays that of gx and gw
+    gb = gy.sum(axis=(0, 2, 3)) if cache.bias is not None else None
+    gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
+    return np.ascontiguousarray(gx), gw, gb

@@ -1,6 +1,8 @@
 """The BLAS backward reductions against the einsum forms they replaced.
 
-conv1x1's weight gradient is one matmul per sample, StaticConv's input
+conv1x1's weight gradient is one batched matmul per block of samples
+(bit for bit the one-matmul-per-sample loop, checked in
+``test_tap_products_gw_blocks``), StaticConv's input
 gradient one matmul per sample and tap on a run of the padded gy, and the
 dynamic depthwise galpha one product-free einsum per tap. They sum in
 another order than the einsum forms in ``oracles`` they replaced, so f64

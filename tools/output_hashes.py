@@ -30,6 +30,9 @@ and comparing the objects. It covers:
 - a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
   f32, f64 and f32 input with an f64 gradient, at the acceptance shape and
   one odd shape;
+- a seeded pointwise-conv sweep, ``conv1x1_backward`` gx/gw/gb in f32 and
+  f64 at batch sizes of one sample, one gw block and one more sample, and
+  three blocks and a partial one;
 - ``gelu_forward`` y and CDF over erf's region edges scaled by sqrt(2),
   with the error message for each non-finite input;
 - ``erf`` over a seeded sweep in f32 and f64, unscaled and scaled by
@@ -61,7 +64,8 @@ from atconv.data import synth_dataset  # noqa: E402
 from atconv.errors import NumericError  # noqa: E402
 from atconv.micro import GluParams, MicroConfig, glu_backward, glu_forward  # noqa: E402
 from atconv.primitives import (INV_SQRT2, adaptive_avg_pool_backward,  # noqa: E402
-                               adaptive_avg_pool_forward, erf, gelu_forward)
+                               adaptive_avg_pool_forward, conv1x1_backward,
+                               conv1x1_forward, erf, gelu_forward)
 from atconv.rng import Rng  # noqa: E402
 from atconv.train import TrainSettings, train  # noqa: E402
 
@@ -77,6 +81,10 @@ POOL_BC = (3, 8)
 POOL_MAPS = ((7, 7), (30, 17), (32, 32))
 # the acceptance config's GLU input (B=64, C=32, 7x7) and an odd shape
 GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13))
+# (C_out, C_in, H, W) of the pointwise-conv sweep, and its batch sizes: gw
+# sums 2^16 // (40 * 24) = 68 samples per block
+CONV1X1_SHAPE = (40, 24, 5, 6)
+CONV1X1_BATCHES = (1, 69, 205)
 # (x dtype, gy dtype)
 GLU_DTYPES = ((np.float32, np.float32), (np.float64, np.float64),
               (np.float32, np.float64))
@@ -221,6 +229,22 @@ def glu_sweep(out: dict) -> None:
             out[f"glu.{tag}.grads"] = grads_sha(grads)
 
 
+def conv1x1_sweep(out: dict) -> None:
+    c_out, c_in, h_, w_ = CONV1X1_SHAPE
+    for dtype in (np.float32, np.float64):
+        for b_ in CONV1X1_BATCHES:
+            tag = f"conv1x1.{np.dtype(dtype).name}.B{b_}"
+            rng = Rng(7000 + b_)
+            x = rng.normal(0, 1, (b_, c_in, h_, w_), dtype)
+            w = rng.normal(0, 1, (c_out, c_in), dtype)
+            bias = rng.normal(0, 1, (c_out,), dtype)
+            _, cache = conv1x1_forward(x, w, bias)
+            gx, gw, gb = conv1x1_backward(rng.normal(0, 1, (b_, c_out, h_, w_), dtype), cache)
+            out[f"{tag}.gx"] = array_sha(gx)
+            out[f"{tag}.gw"] = array_sha(gw)
+            out[f"{tag}.gb"] = array_sha(gb)
+
+
 def gelu_edges(dtype) -> np.ndarray:
     """erf's region edges (0.46875, 4, 6) times sqrt(2) with their
     nextafter neighbours, ±0, ±subnormal, ±27 and ±(largest finite)."""
@@ -280,6 +304,7 @@ def main() -> int:
     config_sweep(out)
     pool_sweep(out)
     glu_sweep(out)
+    conv1x1_sweep(out)
     gelu_sweep(out)
     erf_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
