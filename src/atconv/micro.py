@@ -9,16 +9,16 @@ average pooling, linear head. Each block is
 where op is the adaptive depthwise operator and glu is the gated channel
 MLP y = W_c ((W_a x) * gelu(W_b x)) with expansion E = expansion * C.
 
-Parameters live in plain dataclasses; ``named_parameters`` flattens them
-into an ordered {name: array} dict that the optimizer, the checkpoint
-container, and the gradient dicts all share. The dict aliases the model's
-arrays, and ``adam_step`` updates them in place.
+Parameters live in plain dataclasses; ``named_parameters`` walks their
+fields into an ordered {name: array} dict that the optimizer, the
+checkpoint container, and the gradient dicts all share. The dict aliases
+the model's arrays, and ``adam_step`` updates them in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -270,6 +270,22 @@ class MicroConfig:
             raise ArgumentError(f"expansion must be >= 1, got {self.expansion}")
 
 
+def _parameter_slots(node, prefix: str = ""):
+    """(name, owner, field) of each parameter under the dataclass ``node``,
+    in field order: an array field is one, and a list or dataclass field a
+    subtree, ``<field>.<i>.`` or ``<field>.``. The settings are no subtree:
+    op_config's static_kernel is an array but not a parameter."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, np.ndarray):
+            yield prefix + f.name, node, f.name
+        elif isinstance(value, list):
+            for i, child in enumerate(value):
+                yield from _parameter_slots(child, f"{prefix}{f.name}.{i}.")
+        elif is_dataclass(value) and f.name not in ("config", "op_config"):
+            yield from _parameter_slots(value, f"{prefix}{f.name}.")
+
+
 @dataclass
 class MicroModel:
     config: MicroConfig
@@ -336,33 +352,17 @@ class MicroModel:
         return gx, grads
 
     def named_parameters(self) -> dict:
-        out = {"embed_w": self.embed_w, "embed_b": self.embed_b}
-        for i, bp in enumerate(self.blocks):
-            pre = f"blocks.{i}."
-            out[pre + "norm1_gain"] = bp.norm1_gain
-            out[pre + "norm1_offset"] = bp.norm1_offset
-            for k, v in bp.mixer.named().items():
-                out[pre + "mixer." + k] = v
-            out[pre + "norm2_gain"] = bp.norm2_gain
-            out[pre + "norm2_offset"] = bp.norm2_offset
-            for k in ("w_a", "b_a", "w_b", "b_b", "w_c", "b_c"):
-                out[pre + "glu." + k] = getattr(bp.glu, k)
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
+        return {name: getattr(owner, attr) for name, owner, attr in _parameter_slots(self)}
 
-    def set_parameter(self, name: str, value: np.ndarray) -> None:
-        parts = name.split(".")
-        if parts[0] == "blocks":
-            bp = self.blocks[int(parts[1])]
-            if parts[2] == "mixer":
-                setattr(bp.mixer, parts[3], value)
-            elif parts[2] == "glu":
-                setattr(bp.glu, parts[3], value)
-            else:
-                setattr(bp, parts[2], value)
-        else:
-            setattr(self, parts[0], value)
+    def set_parameter(self, name: str, value) -> None:
+        """Rebind parameter ``name`` through ``as_float`` at the replaced
+        array's shape and dtype; a conforming array is bound itself."""
+        for slot, owner, attr in _parameter_slots(self):
+            if slot == name:
+                old = getattr(owner, attr)
+                setattr(owner, attr, as_float(value, old.shape, name, old.dtype))
+                return
+        raise ArgumentError(f"the model has no parameter named {name!r}")
 
     def param_count(self) -> int:
         return sum(int(v.size) for v in self.named_parameters().values())

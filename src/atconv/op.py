@@ -479,9 +479,7 @@ def _kernel_mod_backward(g_alpha, kind: str, mod_cache):
     if kind == "dkm":
         return dkm_backward(g_alpha, mod_cache)
     if kind == "softmax":
-        b_, c_, k, _ = g_alpha.shape
-        g_raw = softmax_backward(g_alpha.reshape(b_, c_, k * k), mod_cache)
-        return g_raw.reshape(b_, c_, k, k), None
+        return softmax_backward(g_alpha, mod_cache), None
     if kind == "central_diff":
         return central_diff_backward(g_alpha, mod_cache), None
     return g_alpha, None
@@ -520,8 +518,7 @@ def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig
     if mod == "dkm":
         alpha, mod_cache = dkm_forward(raw, params.gamma, config.lambda_override)
     elif mod == "softmax":
-        sm, mod_cache = softmax_forward(raw.reshape(b_, c_, k * k), axis=-1)
-        alpha = sm.reshape(b_, c_, k, k)
+        alpha, mod_cache = softmax_forward(raw, axis=(2, 3))
     elif mod == "central_diff":
         alpha, mod_cache = central_diff_forward(raw)
     else:

@@ -527,11 +527,11 @@ def sigmoid_backward(gy, cache: SigmoidCache):
 
 class SoftmaxCache(NamedTuple):
     y: np.ndarray
-    axis: int
+    axis: int | tuple
 
 
-def softmax_forward(x, axis: int = -1):
-    """Max-subtracted exponential normalization along ``axis``."""
+def softmax_forward(x, axis=-1):
+    """Max-subtracted exponential normalization along ``axis`` (or axes)."""
     x = np.asarray(x)
     if x.ndim == 0:
         raise DimensionError("softmax input must have at least 1 axis")
@@ -554,25 +554,26 @@ def softmax_backward(gy, cache: SoftmaxCache):
 # layer norm over the channel axis
 # ======================================================================
 
+LAYER_NORM_EPS = 1e-6
+
+
 class LayerNormCache(NamedTuple):
     xhat: np.ndarray
     inv_std: np.ndarray
     gain: np.ndarray
 
 
-def layer_norm_forward(x, gain, offset, eps: float = 1e-6):
+def layer_norm_forward(x, gain, offset):
     """Normalize a (B, C, H, W) input to zero mean / unit variance over the
     channel axis at each spatial position, then rescale and shift. Variance
-    is the population variance (divide by C).
+    is the population variance (divide by C), plus ``LAYER_NORM_EPS``.
     """
     x = as_shaped(x, (None,) * 4, "x")
-    if eps <= 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
     c = x.shape[1]
     gain = as_float(gain, (c,), "gain", x.dtype)
     offset = as_float(offset, (c,), "offset", x.dtype)
     xhat = x - x.mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv_std
     y = gain[:, None, None] * xhat + offset[:, None, None]
     ensure_finite(y, "layer_norm")

@@ -492,12 +492,15 @@ def static_depthwise_window_backward_ref(gy, x, w):
 # the window-einsum dense static conv
 # ----------------------------------------------------------------------
 # StaticConv's forward and backward (k > 1) before they ran as per-sample
-# GEMMs over padded rows, copied verbatim (as functions of the weight ``w``
-# and ``bias``, with the padding helper inlined). gx then scattered one
-# BLAS matmul per tap into a padded gradient; the gather visits the taps
-# in the same order from +0 and adds only exact zeros besides, so gx must
-# match bit for bit. y and gw came from window einsums, which sum in
-# another order than the column GEMMs, so they match within a tolerance.
+# GEMMs over padded rows (as functions of the weight ``w`` and ``bias``,
+# with the padding helper inlined). y and gw come from window einsums, which
+# sum in another order than the column GEMMs, so they match within a
+# tolerance. gx was scattered from one BLAS matmul per tap on the unpadded
+# gy (H*W columns). Some sgemm kernels (OpenBLAS's Haswell ones) give an
+# element other bits at another column count or position, so gx here runs
+# each tap's matmul on the mirrored run of the padded gy that StaticConv
+# reads, H*(W+k-1) columns, and adds the taps in the scatter's order from
+# +0: gx must match bit for bit under any BLAS kernel.
 
 def static_conv_window_forward_ref(x, w, bias):
     """StaticConv's y from one einsum over materialised windows."""
@@ -513,9 +516,12 @@ def static_conv_window_forward_ref(x, w, bias):
     return np.ascontiguousarray(y)
 
 
-def static_conv_scatter_backward_ref(gy, x, w, bias):
-    """StaticConv's (gx, gw, gb): gw from a window einsum, gx scattered
-    from one (C_in x C_out) @ (C_out x HW) matmul per tap."""
+def static_conv_window_backward_ref(gy, x, w, bias):
+    """StaticConv's (gx, gw, gb): gw from a window einsum; gx per sample as
+    one (C_in x C_out) @ (C_out x H*(W+k-1)) matmul per tap (u, t), on gy
+    zero-padded by k // 2 (and one spare bottom row) and flattened from
+    offset (k-1-u)*(W+k-1) + k-1-t, whose k-1 extra columns per row are
+    dropped."""
     x, gy = np.ascontiguousarray(x), np.ascontiguousarray(gy)
     b_, c_in, h_, w_ = x.shape
     c_out = w.shape[0]
@@ -527,13 +533,17 @@ def static_conv_scatter_backward_ref(gy, x, w, bias):
     if bias is not None:
         gb = gy.sum(axis=(0, 2, 3))
     w = w.astype(x.dtype, copy=False)
-    gyr = gy.reshape(b_, c_out, h_ * w_)
-    gxp = np.zeros_like(xp)
-    for u in range(k):
-        for t in range(k):
-            gxp[:, :, u:u + h_, t:t + w_] += np.matmul(
-                w[:, :, u, t].T, gyr).reshape(b_, c_in, h_, w_)
-    gx = np.ascontiguousarray(gxp[:, :, p:p + h_, p:p + w_])
+    wp = w_ + 2 * p
+    span = h_ * wp
+    gyf = np.pad(gy, ((0, 0), (0, 0), (p, p + 1), (p, p))).reshape(b_, c_out, -1)
+    gx = np.empty_like(x)
+    for b in range(b_):
+        sums = np.zeros((c_in, span), dtype=x.dtype)
+        for u in range(k):
+            for t in range(k):
+                o = (k - 1 - u) * wp + k - 1 - t
+                sums += np.matmul(w[:, :, u, t].T, gyf[b, :, o:o + span])
+        gx[b] = sums.reshape(c_in, h_, wp)[:, :, :w_]
     return gx, gw, gb
 
 

@@ -21,7 +21,7 @@ from atconv.micro import (
     glu_forward,
     patch_embed_forward,
 )
-from atconv.op import ATConvConfig
+from atconv.op import PARAM_NAMES, ATConvConfig
 from atconv.rng import Rng
 from oracles import adam_ref, adam_step_out_of_place_ref
 
@@ -130,13 +130,27 @@ def test_initial_loss_is_log_num_classes():
     assert loss == math.log(10.0)
 
 
+def _block_names(i):
+    return ([f"blocks.{i}.norm1_gain", f"blocks.{i}.norm1_offset"]
+            + [f"blocks.{i}.mixer.{n}" for n in PARAM_NAMES]
+            + [f"blocks.{i}.norm2_gain", f"blocks.{i}.norm2_offset"]
+            + [f"blocks.{i}.glu.{n}" for n in ("w_a", "b_a", "w_b", "b_b", "w_c", "b_c")])
+
+
 def test_named_parameters_flat_keys():
-    model = MicroModel.init(Rng(146), MicroConfig(channels=8, blocks=2, patch=2))
-    names = model.named_parameters()
-    for key in ("embed_w", "embed_b", "blocks.0.mixer.w_f", "blocks.0.mixer.gamma",
-                "blocks.1.glu.w_c", "blocks.1.norm2_gain", "head_w", "head_b"):
-        assert key in names, key
-    assert all(isinstance(v, np.ndarray) for v in names.values())
+    # checkpoints and Adam state are keyed by these names, in this order;
+    # a static kernel in op_config is an array but not a parameter
+    static = ATConvConfig(use_kernel_generator=False, kernel_mod="none",
+                          static_kernel=np.zeros((8, 9)))
+    for op_config in (None, static):
+        model = MicroModel.init(Rng(146), MicroConfig(channels=8, blocks=2, patch=2),
+                                op_config)
+        names = model.named_parameters()
+        assert list(names) == (["embed_w", "embed_b"] + _block_names(0) + _block_names(1)
+                               + ["head_w", "head_b"])
+        assert all(isinstance(v, np.ndarray) for v in names.values())
+        for name, value in model.blocks[1].mixer.named().items():
+            assert names[f"blocks.1.mixer.{name}"] is value, name
 
 
 def test_param_count_formula():
@@ -160,6 +174,54 @@ def test_set_parameter_reaches_nested_fields():
     assert model.blocks[0].mixer.w_value is new
     model.set_parameter("head_b", np.ones(10))
     assert np.array_equal(model.head_b, np.ones(10))
+
+
+def test_backward_returns_a_gradient_for_exactly_the_parameters():
+    model = MicroModel.init(Rng(155), MicroConfig(channels=4, blocks=2, patch=2))
+    x = Rng(156).normal(0, 1, (2, 1, 8, 8))
+    logits, cache = model.forward_cached(x)
+    _, grads = model.backward(np.ones_like(logits), cache)
+    assert set(grads) == set(model.named_parameters())
+
+
+@pytest.mark.parametrize("name", ("blocks.0.mixer.w_valu", "blocks.3.glu.w_a", "blocks",
+                                  "blocks.0", "blocks.0.mixer", "config", "op_config",
+                                  "op_config.static_kernel", "blocks.0.mixer.kernel_size"))
+def test_set_parameter_rejects_an_unknown_name(name):
+    model = MicroModel.init(Rng(157), MicroConfig(channels=4, blocks=1, patch=2))
+    before = model.named_parameters()
+    with pytest.raises(ArgumentError, match="no parameter named"):
+        model.set_parameter(name, np.zeros((4, 4)))
+    after = model.named_parameters()
+    assert list(after) == list(before)
+    assert all(after[n] is before[n] for n in before)
+    assert not hasattr(model.blocks[0].mixer, "w_valu")
+
+
+@pytest.mark.parametrize("value, error", (
+    (np.zeros((10, 4), dtype=np.int64), ArgumentError),
+    (np.zeros((4, 10)), DimensionError),
+    (np.zeros(40), DimensionError),
+))
+def test_set_parameter_rejects_a_wrong_array(value, error):
+    model = MicroModel.init(Rng(158), MicroConfig(channels=4, blocks=1, patch=2))
+    head = model.head_w
+    with pytest.raises(error, match="head_w"):
+        model.set_parameter("head_w", value)
+    assert model.head_w is head
+
+
+def test_set_parameter_keeps_the_model_dtype():
+    model = MicroModel.init(Rng(159), MicroConfig(channels=4, blocks=1, patch=2),
+                            dtype=np.float32)
+    value = Rng(160).normal(0, 1, (10,), np.float64)
+    model.set_parameter("head_b", value)
+    assert model.head_b.dtype == np.float32
+    assert model.head_b.tobytes() == value.astype(np.float32).tobytes()
+    assert model.named_parameters()["head_b"] is model.head_b
+    same = np.ones((4, 4), dtype=np.float32)
+    model.set_parameter("blocks.0.mixer.w_out", same)
+    assert model.blocks[0].mixer.w_out is same
 
 
 def test_op_config_changes_forward_not_parameters():

@@ -175,7 +175,8 @@ def test_softmax_mod_normalizes_and_stays_positive():
     _, cache = atconv_forward_cached(x, p, cfg)
     sm = cache.mod_cache.y
     assert sm.min() > 0.0
-    assert np.abs(sm.sum(axis=-1) - 1.0).max() < 1e-10
+    assert sm.shape == (2, 3, 3, 3)
+    assert np.abs(sm.sum(axis=(2, 3)) - 1.0).max() < 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """StaticConv's column GEMMs against the window einsums they replaced.
 
 ``oracles.static_conv_window_forward_ref`` and
-``oracles.static_conv_scatter_backward_ref`` are StaticConv (k > 1) as it
-was when y and gw came from einsums over ``sliding_window_view`` windows
-and gx was scattered into a padded gradient. gx is gathered from the same
-per-tap matmuls in the same tap order, so it is compared on raw bytes. y
-and gw sum in another order and are compared within a tolerance: 1e-12
-relative in f64.
+``oracles.static_conv_window_backward_ref`` are StaticConv (k > 1) as it
+was when y and gw came from einsums over ``sliding_window_view`` windows.
+The oracle's gx runs the same per-tap matmuls on the same padded runs of
+gy, in the same tap order, so it is compared on raw bytes under any BLAS
+kernel. y and gw sum in another order and are compared within a
+tolerance: 1e-12 relative in f64.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from atconv.baselines import StaticConv
 from atconv.bench import model_peak_bytes
 from atconv.rng import Rng
-from oracles import static_conv_scatter_backward_ref, static_conv_window_forward_ref
+from oracles import static_conv_window_backward_ref, static_conv_window_forward_ref
 
 F32, F64 = np.float32, np.float64
 RTOL = {F32: 1e-5, F64: 1e-12}
@@ -32,7 +32,7 @@ def check(op, x, gy, dtype):
     y, cache = op.forward_cached(x)
     gx, gw, gb = op.backward(gy, cache)
     ref_y = static_conv_window_forward_ref(x, op.w, op.bias)
-    ref_gx, ref_gw, ref_gb = static_conv_scatter_backward_ref(gy, x, op.w, op.bias)
+    ref_gx, ref_gw, ref_gb = static_conv_window_backward_ref(gy, x, op.w, op.bias)
     assert y.flags.c_contiguous and gx.flags.c_contiguous
     assert rel_err(y, ref_y) < RTOL[dtype]
     assert gx.dtype == ref_gx.dtype and gx.tobytes() == ref_gx.tobytes()
@@ -71,7 +71,7 @@ def test_no_bias_and_f64_weights_on_f32_input():
     gx, gw, gb = op.backward(gy, cache)
     assert gb is None and y.dtype == gx.dtype == gw.dtype == F32
     assert rel_err(y, static_conv_window_forward_ref(x, op.w, None)) < RTOL[F32]
-    ref_gx, ref_gw, _ = static_conv_scatter_backward_ref(gy, x, op.w, None)
+    ref_gx, ref_gw, _ = static_conv_window_backward_ref(gy, x, op.w, None)
     assert gx.tobytes() == ref_gx.tobytes()
     assert rel_err(gw, ref_gw) < RTOL[F32]
 

@@ -42,8 +42,16 @@ and comparing the objects. It covers:
 
 The package is imported from ``src`` and the CLI runs as a subprocess of
 the same interpreter, with ``ATCONV_THREADS=1``.
+
+Many of these bits depend on the BLAS kernels that ran: the same OpenBLAS
+picks other kernels under ``OPENBLAS_CORETYPE`` and moves about half the
+entries. So the object also holds ``blas.core``, the kernel set numpy's
+bundled OpenBLAS reports (null without one); two outputs compare only at
+the same core.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -104,6 +112,19 @@ def array_sha(a) -> str:
 
 def grads_sha(grads: dict) -> str:
     return sha("".join(f"{k}:{array_sha(v)};" for k, v in sorted(grads.items())).encode())
+
+
+def blas_core():
+    """The name of the kernel set numpy's bundled OpenBLAS runs, asked of
+    the library numpy loaded; None when numpy bundles no OpenBLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            corename = lib.scipy_openblas_get_corename64_
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def cli_stdout(*argv) -> bytes:
@@ -296,7 +317,7 @@ def erf_sweep(out: dict) -> None:
 
 
 def main() -> int:
-    out = {}
+    out = {"blas.core": blas_core()}
     trained_models(out)
     cli_outputs(out)
     influence_sweep(out)
