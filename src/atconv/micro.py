@@ -94,23 +94,50 @@ class GluCache(NamedTuple):
     cc: Conv1x1Cache
 
 
+# Elements of one chunk's hidden-width map: the GLU runs a chunk of samples
+# at a time, so its hidden maps and the products its pointwise convs make
+# stay in L2 instead of streaming whole-batch maps through memory.
+_GLU_BLOCK = 1 << 16
+
+
+def _glu_chunks(b_: int, hidden: int) -> list:
+    """(lo, hi) sample ranges that split b_ samples of ``hidden``
+    hidden-width elements each into as few chunks as keep each chunk's
+    hidden map within ``_GLU_BLOCK`` elements (one sample at least), with
+    sizes that differ by one at most."""
+    chunks = -(-b_ // max(1, _GLU_BLOCK // hidden))
+    bounds = [i * b_ // chunks for i in range(chunks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def glu_forward(x, p: GluParams):
     """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels.
 
-    b = W_b x, its GELU, then a = W_a x: b is dropped before a is built,
-    and a once h = gelu(b) * a is written over the fresh GELU output, so
-    at most two hidden-width maps besides the CDF are alive at once and
-    the cache keeps one, the CDF.
+    Every stage works per sample, so the GLU runs over chunks of samples
+    (``_glu_chunks``) and each sample's bits are those of a whole-batch
+    run. Per chunk: b = W_b x, its GELU, then a = W_a x: b is dropped
+    before a is built, and a once h = gelu(b) * a is written over the
+    fresh GELU output, so at most two chunk-sized hidden maps besides the
+    CDF are alive at once. y and the CDF, the one hidden map the cache
+    keeps, are written chunk by chunk into whole-batch arrays.
     """
-    braw, cb = conv1x1_forward(x, p.w_b, p.b_b)
-    h, cg = gelu_forward(braw)
-    cdf = cg.cdf
-    del braw, cg
-    a, ca = conv1x1_forward(x, p.w_a, p.b_a)
-    h *= a  # h = gate * a, written over the fresh gate
-    del a
-    y, cc = conv1x1_forward(h, p.w_c, p.b_c)
-    return y, GluCache(ca, cb, cdf, cc._replace(x=None))
+    x = as_tensor4(x)
+    b_, _, h_, w_ = x.shape
+    e, c = p.w_a.shape
+    y = np.empty((b_, c, h_, w_), dtype=x.dtype)
+    cdf = np.empty((b_, e, h_, w_), dtype=x.dtype)
+    for lo, hi in _glu_chunks(b_, e * h_ * w_):
+        xs = x[lo:hi]
+        braw, cb = conv1x1_forward(xs, p.w_b, p.b_b)
+        h, cg = gelu_forward(braw)
+        cdf[lo:hi] = cg.cdf
+        del braw, cg
+        a, ca = conv1x1_forward(xs, p.w_a, p.b_a)
+        h *= a  # h = gate * a, written over the fresh gate
+        del a
+        y[lo:hi], cc = conv1x1_forward(h, p.w_c, p.b_c)
+        del h
+    return y, GluCache(ca._replace(x=x), cb._replace(x=x), cdf, cc._replace(x=None))
 
 
 def _gate(cg: GeluCache):
@@ -123,37 +150,50 @@ def _gate(cg: GeluCache):
 def glu_backward(gy, cache: GluCache):
     """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
 
-    a and b are rebuilt first, each by ``conv1x1_forward`` on its cache,
-    the arguments the forward used (x, and the cast weight and bias), so
-    they are the forward's bits. h = gate * a is rebuilt for W_c's
-    backward, and a is dropped once h is formed. The gate is then rebuilt
-    again and gh multiplied into it in place (a fresh product when gy is
-    wider than the GLU, to keep ``result_type``), for W_a's backward.
-    Then a is rebuilt once more and gh * a written over gh for the GELU
-    gradient, which runs alone. So besides the rebuilt b at most two
-    hidden-width maps are transient at any time, at the price of a third
-    W_a forward, and the two input gradients are summed in place.
+    Runs over the forward's chunks of samples. Per chunk, a and b are
+    rebuilt once, each by ``conv1x1_forward`` on the arguments the
+    forward used (the chunk of x, and the cast weight and bias), so they
+    are the forward's bits, and a is kept for the chunk. h = gate * a is
+    rebuilt for W_c's backward and dropped. The gate is rebuilt again and
+    gh multiplied into it in place (a fresh product when gy is wider than
+    the GLU, to keep ``result_type``), for W_a's backward; then gh * a is
+    written over gh for the GELU gradient, which runs alone. The chunk's
+    two input gradients are summed in place and written into the
+    whole-batch gx.
+
+    The three weight gradients continue their running sums from chunk to
+    chunk through ``conv1x1_backward``'s gw and gb, which add sample after
+    sample; so they equal one whole-batch call's bits.
     """
     ca, cb, cdf, cc = _need_cache(cache, "glu")
-    a = conv1x1_forward(*ca)[0]
-    cg = GeluCache(conv1x1_forward(*cb)[0], cdf)
-    h = _gate(cg)
-    h *= a
-    del a
-    gh, gw_c, gb_c = conv1x1_backward(gy, cc._replace(x=h))
-    del h
-    ga = _gate(cg)
-    if np.result_type(gh, ga) == ga.dtype:
-        ga *= gh
-    else:
-        ga = gh * ga
-    gx, gw_a, gb_a = conv1x1_backward(ga, ca)
-    del ga
-    gh *= conv1x1_forward(*ca)[0]  # gh is fresh and at least as wide as a
-    gbraw = gelu_backward(gh, cg)
-    del gh, cg
-    gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cb)
-    gx += gx_b
+    x = ca.x
+    b_, _, h_, w_ = x.shape
+    gy = as_float(gy, (b_, cc.w.shape[0], h_, w_), "gy")
+    gx = np.empty(x.shape, dtype=np.result_type(x, gy))
+    gw_a = gb_a = gw_b = gb_b = gw_c = gb_c = None
+    for lo, hi in _glu_chunks(b_, cdf[0].size):
+        cas, cbs = ca._replace(x=x[lo:hi]), cb._replace(x=x[lo:hi])
+        a = conv1x1_forward(*cas)[0]
+        cg = GeluCache(conv1x1_forward(*cbs)[0], cdf[lo:hi])
+        h = _gate(cg)
+        h *= a
+        gh, gw_c, gb_c = conv1x1_backward(gy[lo:hi], cc._replace(x=h), gw_c, gb_c)
+        del h
+        ga = _gate(cg)
+        if np.result_type(gh, ga) == ga.dtype:
+            ga *= gh
+        else:
+            ga = gh * ga
+        gxs, gw_a, gb_a = conv1x1_backward(ga, cas, gw_a, gb_a)
+        del ga
+        gh *= a  # gh is fresh and at least as wide as a
+        del a
+        gbraw = gelu_backward(gh, cg)
+        del gh, cg
+        gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cbs, gw_b, gb_b)
+        del gbraw
+        gxs += gx_b
+        gx[lo:hi] = gxs
     grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
              "w_c": gw_c, "b_c": gb_c}
     return gx, grads
@@ -171,6 +211,21 @@ class BlockParams:
     norm2_gain: np.ndarray
     norm2_offset: np.ndarray
     glu: GluParams
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Rebind each norm array through ``as_float`` against the
+        mixer's width C, which the GLU must share. The mixer and the GLU
+        checked their own arrays at their construction. Runs once, at
+        construction."""
+        c = self.mixer.channels
+        for name in ("norm1_gain", "norm1_offset", "norm2_gain", "norm2_offset"):
+            setattr(self, name, as_float(getattr(self, name), (c,), name))
+        if self.glu.w_c.shape[0] != c:
+            raise DimensionError(
+                f"glu width {self.glu.w_c.shape[0]} differs from the mixer's {c}")
 
     @classmethod
     def init(cls, rng: Rng, channels: int, kernel: int = 3, expansion: int = 4,
@@ -295,6 +350,26 @@ class MicroModel:
     head_w: np.ndarray
     head_b: np.ndarray
     op_config: ATConvConfig = field(default_factory=ATConvConfig)
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Rebind the embedding and head arrays through ``as_float``
+        against the config's widths, and check each block's width. The
+        blocks checked their own arrays at their construction. Runs once,
+        at construction."""
+        cfg = self.config
+        cfg.validate()
+        c, nc = cfg.channels, cfg.num_classes
+        shapes = {"embed_w": (c, cfg.in_channels * cfg.patch * cfg.patch),
+                  "embed_b": (c,), "head_w": (nc, c), "head_b": (nc,)}
+        for name, shape in shapes.items():
+            setattr(self, name, as_float(getattr(self, name), shape, name))
+        for i, bp in enumerate(self.blocks):
+            if bp.mixer.channels != c:
+                raise DimensionError(
+                    f"blocks.{i} has width {bp.mixer.channels}, the config {c}")
 
     @classmethod
     def init(cls, rng: Rng, config: MicroConfig,

@@ -245,28 +245,45 @@ def conv1x1_forward(x, w, bias=None):
     if bias is not None:
         bias = as_float(bias, (c_out,), "bias", x.dtype)
     n = h_ * w_
-    y = np.matmul(w, x.reshape(b_, c_in, n)).reshape(b_, c_out, h_, w_)
-    if bias is not None:
-        y += bias[None, :, None, None]  # y is fresh and already has x's dtype
+    y = np.matmul(w, x.reshape(b_, c_in, n))
+    if bias is not None and b_ == 1:
+        y += bias[:, None]  # y is fresh and already has x's dtype
+    elif bias is not None:
+        # one add of a (C_out H W) row, bias[o] repeated per pixel, over y
+        # as (B, C_out H W): one rounding per element, as the broadcast
+        # add makes, in B long runs instead of B C_out runs of H W. For
+        # one sample the row would be a second map, so the broadcast runs
+        rows = y.reshape(b_, c_out * n)
+        rows += np.repeat(bias, n)
     flop_counter.add(2 * b_ * n * c_out * c_in)
     ensure_finite(y, "conv1x1")
-    return np.ascontiguousarray(y), Conv1x1Cache(x, w, bias)
+    return y.reshape(b_, c_out, h_, w_), Conv1x1Cache(x, w, bias)
 
 
-def conv1x1_backward(gy, cache: Conv1x1Cache):
+def conv1x1_backward(gy, cache: Conv1x1Cache, gw=None, gb=None):
     """Gradients of ``conv1x1_forward`` w.r.t. x, w and the bias.
 
     gx = w^T gy is one batched matmul. gw = sum_b gy[b] x[b]^T is summed
-    from +0 in sample order, in blocks of m = 2^16 // (C_out C_in)
-    samples (at least one). Each block is one batched matmul, which runs
-    the per-sample BLAS GEMM, into slots 1..m of an (m+1, C_out, C_in)
-    buffer whose slot 0 holds the running gw; ``np.add.reduce`` over the
-    slots then adds them into gw one slot after the other, as a loop of
+    in sample order, in blocks of m = 2^16 // (C_out C_in) samples (at
+    least one). Each block is one batched matmul, which runs the
+    per-sample BLAS GEMM, into slots 1..m of an (m+1, C_out, C_in) buffer
+    whose slot 0 holds the running gw; ``np.add.reduce`` over the slots
+    then adds them into gw one slot after the other, as a loop of
     ``gw += gy[b] x[b]^T`` would. So gw keeps that loop's bits, with one
     GEMM call per block. The buffer holds at most max(2^16, C_out C_in) +
     C_out C_in elements and is freed before gx, so the peak stays that of
     gx and gw.
-    gb sums gy over batch and space.
+
+    gb is each sample's sum of gy over the pixels (``np.add.reduce`` over
+    the contiguous pixel axis), added into the running gb in sample order
+    the same way. That is the bits of ``gy.sum(axis=(0, 2, 3))``, which
+    reduces in that order too.
+
+    Both sums start from +0 (a running sum from +0 is never -0, so the
+    reduction's own +0 start adds nothing), or continue the running sums
+    ``gw`` and ``gb`` of earlier samples in place when they are given. So
+    calls over consecutive chunks of a batch, each continuing the last
+    one's gw and gb, give one whole-batch call's bits.
     """
     cache = _need_cache(cache, "conv1x1")
     x, w = cache.x, cache.w
@@ -276,7 +293,8 @@ def conv1x1_backward(gy, cache: Conv1x1Cache):
     n = h_ * w_
     gyr = gy.reshape(b_, c_out, n)
     xr = x.reshape(b_, c_in, n)
-    gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
+    if gw is None:
+        gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
     m = min(b_, max(1, _GW_BLOCK // (c_out * c_in)))
     buf = np.empty((m + 1, c_out, c_in), dtype=gw.dtype)
     for lo in range(0, b_, m):
@@ -285,7 +303,13 @@ def conv1x1_backward(gy, cache: Conv1x1Cache):
         np.matmul(gyr[lo:lo + j], xr[lo:lo + j].transpose(0, 2, 1), out=buf[1:j + 1])
         np.add.reduce(buf[:j + 1], axis=0, out=gw)
     del buf
-    gb = gy.sum(axis=(0, 2, 3)) if cache.bias is not None else None
+    if cache.bias is not None:
+        if gb is None:
+            gb = np.zeros(c_out, dtype=gy.dtype)
+        sums = np.empty((b_ + 1, c_out), dtype=gb.dtype)
+        sums[0] = gb
+        np.add.reduce(gyr, axis=2, out=sums[1:])
+        np.add.reduce(sums, axis=0, out=gb)
     gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
     return np.ascontiguousarray(gx), gw, gb
 

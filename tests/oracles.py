@@ -13,9 +13,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.op import _block_rows, _padded_blocks, _tap_runs, _tap_sum
-from atconv.primitives import (Conv1x1Cache, GeluCache, LinearCache, PoolCache, _need_cache,
-                               _pool_bounds, conv1x1_backward, conv1x1_forward, erf,
-                               gelu_backward, gelu_forward, linear_backward, linear_forward)
+from atconv.micro import GluCache
+from atconv.primitives import (_GW_BLOCK, Conv1x1Cache, GeluCache, LinearCache, PoolCache,
+                               _need_cache, _pool_bounds, conv1x1_backward, conv1x1_forward,
+                               erf, gelu_backward, gelu_forward, linear_backward,
+                               linear_forward)
 from atconv.tensor import (FLOAT_DTYPES, as_float, as_shaped, as_tensor4, as_vector,
                            ensure_finite, flop_counter)
 
@@ -1012,3 +1014,98 @@ def conv1x1_backward_sample_loop_ref(gy, cache: Conv1x1Cache):
     gb = gy.sum(axis=(0, 2, 3)) if cache.bias is not None else None
     gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
     return np.ascontiguousarray(gx), gw, gb
+
+
+# ----------------------------------------------------------------------
+# the GLU and its pointwise convs before the GLU ran over sample chunks
+# ----------------------------------------------------------------------
+# ``conv1x1_forward`` as it was when the bias was added as a broadcast
+# (1, C_out, 1, 1) array, ``conv1x1_backward`` as it was when gw started
+# from +0 alone and gb was ``gy.sum(axis=(0, 2, 3))``, and ``glu_forward``
+# and ``glu_backward`` as they were when each ran once over the whole
+# batch, copied verbatim; the GLU pair calls these two. The library
+# versions must match them bit for bit.
+
+def conv1x1_forward_broadcast_bias_ref(x, w, bias=None):
+    """y[b, o, h, w] = sum_i w[o, i] * x[b, i, h, w] (+ bias[o])."""
+    x = as_tensor4(x)
+    b_, c_in, h_, w_ = x.shape
+    w = as_float(w, (None, c_in), "w", x.dtype)
+    c_out = w.shape[0]
+    if bias is not None:
+        bias = as_float(bias, (c_out,), "bias", x.dtype)
+    n = h_ * w_
+    y = np.matmul(w, x.reshape(b_, c_in, n)).reshape(b_, c_out, h_, w_)
+    if bias is not None:
+        y += bias[None, :, None, None]  # y is fresh and already has x's dtype
+    flop_counter.add(2 * b_ * n * c_out * c_in)
+    ensure_finite(y, "conv1x1")
+    return np.ascontiguousarray(y), Conv1x1Cache(x, w, bias)
+
+
+def conv1x1_backward_whole_batch_ref(gy, cache: Conv1x1Cache):
+    cache = _need_cache(cache, "conv1x1")
+    x, w = cache.x, cache.w
+    b_, c_in, h_, w_ = x.shape
+    c_out = w.shape[0]
+    gy = as_float(gy, (b_, c_out, h_, w_), "gy")
+    n = h_ * w_
+    gyr = gy.reshape(b_, c_out, n)
+    xr = x.reshape(b_, c_in, n)
+    gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
+    m = min(b_, max(1, _GW_BLOCK // (c_out * c_in)))
+    buf = np.empty((m + 1, c_out, c_in), dtype=gw.dtype)
+    for lo in range(0, b_, m):
+        j = min(m, b_ - lo)
+        buf[0] = gw
+        np.matmul(gyr[lo:lo + j], xr[lo:lo + j].transpose(0, 2, 1), out=buf[1:j + 1])
+        np.add.reduce(buf[:j + 1], axis=0, out=gw)
+    del buf
+    gb = gy.sum(axis=(0, 2, 3)) if cache.bias is not None else None
+    gx = np.matmul(w.T, gyr).reshape(b_, c_in, h_, w_)
+    return np.ascontiguousarray(gx), gw, gb
+
+
+def glu_forward_whole_batch_ref(x, p):
+    """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels.
+
+    b = W_b x, its GELU, then a = W_a x: b is dropped before a is built,
+    and a once h = gelu(b) * a is written over the fresh GELU output, so
+    at most two hidden-width maps besides the CDF are alive at once and
+    the cache keeps one, the CDF.
+    """
+    braw, cb = conv1x1_forward_broadcast_bias_ref(x, p.w_b, p.b_b)
+    h, cg = gelu_forward(braw)
+    cdf = cg.cdf
+    del braw, cg
+    a, ca = conv1x1_forward_broadcast_bias_ref(x, p.w_a, p.b_a)
+    h *= a  # h = gate * a, written over the fresh gate
+    del a
+    y, cc = conv1x1_forward_broadcast_bias_ref(h, p.w_c, p.b_c)
+    return y, GluCache(ca, cb, cdf, cc._replace(x=None))
+
+
+def glu_backward_whole_batch_ref(gy, cache: GluCache):
+    ca, cb, cdf, cc = _need_cache(cache, "glu")
+    a = conv1x1_forward_broadcast_bias_ref(*ca)[0]
+    cg = GeluCache(conv1x1_forward_broadcast_bias_ref(*cb)[0], cdf)
+    h = _gate_ref(cg)
+    h *= a
+    del a
+    gh, gw_c, gb_c = conv1x1_backward_whole_batch_ref(gy, cc._replace(x=h))
+    del h
+    ga = _gate_ref(cg)
+    if np.result_type(gh, ga) == ga.dtype:
+        ga *= gh
+    else:
+        ga = gh * ga
+    gx, gw_a, gb_a = conv1x1_backward_whole_batch_ref(ga, ca)
+    del ga
+    gh *= conv1x1_forward_broadcast_bias_ref(*ca)[0]  # gh is fresh and at least as wide as a
+    gbraw = gelu_backward(gh, cg)
+    del gh, cg
+    gx_b, gw_b, gb_b = conv1x1_backward_whole_batch_ref(gbraw, cb)
+    gx += gx_b
+    grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
+             "w_c": gw_c, "b_c": gb_c}
+    return gx, grads

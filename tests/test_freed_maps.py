@@ -15,6 +15,8 @@ unchanged, so every output is compared on raw bytes and dtype.
 
 The rebuild relies on ``conv1x1_forward`` giving the same bytes for the
 same arguments, which single-threaded BLAS does; that is pinned here too.
+The GLU now runs over chunks of samples (``test_glu_chunks.py``); the
+peak guards below keep each earlier bound and add the chunked one.
 """
 
 import os
@@ -350,6 +352,22 @@ def test_glu_backward_transient_peak(traced_peak):
     assert traced_peak(glu_backward, gy, cache) <= (1.5 + 2) * hidden
 
 
+def test_glu_backward_transient_peak_over_chunks(traced_peak):
+    # gx (a quarter map) and one chunk's maps: 1.09 maps at B=64, where a
+    # chunk is 10 samples
+    gy, cache, hidden = _glu_at_the_acceptance_shape()
+    assert traced_peak(glu_backward, gy, cache) <= 1.3 * hidden
+
+
+def test_glu_forward_peak_over_chunks(traced_peak):
+    # the CDF, y (a quarter map) and one chunk's maps: 2.11 maps; 3.02
+    # while the forward ran over the whole batch
+    rng = Rng(911)
+    p = GluParams.init(rng, 32, 4, F32)
+    x = rng.normal(0, 1, (64, 32, 7, 7), F32)
+    assert traced_peak(glu_forward, x, p) <= 2.4 * 4 * x.nbytes
+
+
 def test_glu_cache_and_backward_transient_peak(traced_peak):
     # the cache plus the backward's transient maps; 3 + 2.27 maps while
     # the cache kept a and b
@@ -408,6 +426,11 @@ def test_training_step_peak_with_a_rebuilt_twice(traced_peak):
     assert _training_step_peak(traced_peak) <= 14.5 * MIB
 
 
+def test_training_step_peak_with_the_glu_in_chunks(traced_peak):
+    # 11.86 MiB; 14.0 MiB while the GLU ran over the whole batch
+    assert _training_step_peak(traced_peak) <= 12.5 * MIB
+
+
 def _evaluate_peak(traced_peak):
     rng = Rng(915)
     model = _acceptance_model(rng)
@@ -424,6 +447,11 @@ def test_evaluate_peak(traced_peak):
 def test_evaluate_peak_with_b_dropped_before_a(traced_peak):
     # 39.5 MiB while glu_forward held a and b together through the GELU
     assert _evaluate_peak(traced_peak) <= 36 * MIB
+
+
+def test_evaluate_peak_with_the_glu_in_chunks(traced_peak):
+    # 24.2 MiB; 33.4 MiB while the GLU ran over the whole batch
+    assert _evaluate_peak(traced_peak) <= 26 * MIB
 
 
 def test_gaussian_blur_peak(traced_peak):

@@ -119,6 +119,68 @@ def test_block_preserves_shape():
     assert y.shape == x.shape
 
 
+@pytest.mark.parametrize("name, value, error", [
+    ("norm1_gain", np.ones(4, dtype=np.int64), ArgumentError),
+    ("norm1_offset", np.zeros(5), DimensionError),
+    ("norm2_gain", np.ones((4, 1)), DimensionError),
+    ("norm2_offset", np.zeros(4, dtype=np.int64), ArgumentError),
+])
+def test_block_params_validate_with_the_tensor_helpers(name, value, error):
+    kw = dict(vars(BlockParams.init(Rng(150), 4, kernel=3, expansion=2)))
+    kw[name] = value
+    with pytest.raises(error, match=name):
+        BlockParams(**kw)
+
+
+def test_block_params_reject_a_glu_of_another_width():
+    kw = dict(vars(BlockParams.init(Rng(151), 4, kernel=3, expansion=2)))
+    kw["glu"] = GluParams.init(Rng(152), 3, expansion=2)
+    with pytest.raises(DimensionError, match="glu width 3"):
+        BlockParams(**kw)
+
+
+def test_block_params_keep_valid_arrays_as_given():
+    kw = dict(vars(BlockParams.init(Rng(153), 4, kernel=3, expansion=2, dtype=np.float32)))
+    p = BlockParams(**kw)
+    assert all(getattr(p, name) is arr for name, arr in kw.items())
+
+
+def _model_fields(seed, **config):
+    model = MicroModel.init(Rng(seed), MicroConfig(channels=4, blocks=2, patch=2, **config))
+    return {f: getattr(model, f) for f in ("config", "embed_w", "embed_b", "blocks",
+                                           "head_w", "head_b", "op_config")}
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("embed_w", np.zeros((4, 4), dtype=np.int64), ArgumentError),
+    ("embed_w", np.zeros((4, 5)), DimensionError),
+    ("embed_b", np.zeros(3), DimensionError),
+    ("head_w", np.zeros((4, 10)), DimensionError),
+    ("head_b", np.zeros(10, dtype=np.int32), ArgumentError),
+])
+def test_model_validates_with_the_tensor_helpers(name, value, error):
+    kw = _model_fields(154)
+    kw[name] = value
+    with pytest.raises(error, match=name):
+        MicroModel(**kw)
+
+
+def test_model_rejects_a_block_of_another_width():
+    kw = _model_fields(161)
+    kw["blocks"] = [kw["blocks"][0], BlockParams.init(Rng(162), 3, kernel=3, expansion=2)]
+    with pytest.raises(DimensionError, match="blocks.1 has width 3"):
+        MicroModel(**kw)
+
+
+def test_model_keeps_valid_arrays_as_given():
+    # named_parameters() aliases these arrays for the in-place Adam step
+    kw = _model_fields(163)
+    before = MicroModel(**kw).named_parameters()
+    model = MicroModel(**kw)
+    assert all(model.named_parameters()[n] is arr for n, arr in before.items())
+    assert all(getattr(model, f) is v for f, v in kw.items())
+
+
 def test_initial_loss_is_log_num_classes():
     rng = Rng(144)
     model = MicroModel.init(rng, MicroConfig(channels=16, blocks=2, patch=4))

@@ -28,11 +28,14 @@ and comparing the objects. It covers:
   and 32x32 maps: ``adaptive_avg_pool_forward`` y and
   ``adaptive_avg_pool_backward`` gx;
 - a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
-  f32, f64 and f32 input with an f64 gradient, at the acceptance shape and
+  f32, f64 and f32 input with an f64 gradient, at the acceptance shape,
+  at 256 and 45 samples of it (several chunks, not all of one size), and
   one odd shape;
 - a seeded pointwise-conv sweep, ``conv1x1_backward`` gx/gw/gb in f32 and
   f64 at batch sizes of one sample, one gw block and one more sample, and
-  three blocks and a partial one;
+  three blocks and a partial one; and ``conv1x1_forward`` y with a bias in
+  f32 and f64 at the GLU's hidden map (B=64 and 256) and the operator's
+  B8 C64 32x32 map;
 - ``gelu_forward`` y and CDF over erf's region edges scaled by sqrt(2),
   with the error message for each non-finite input;
 - ``erf`` over a seeded sweep in f32 and f64, unscaled and scaled by
@@ -87,12 +90,16 @@ INFLUENCE_ANCHOR = (29, 1)
 # (B, C) and (H, W) of the pooling sweep: an odd square, uneven and even cells
 POOL_BC = (3, 8)
 POOL_MAPS = ((7, 7), (30, 17), (32, 32))
-# the acceptance config's GLU input (B=64, C=32, 7x7) and an odd shape
-GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13))
+# the acceptance config's GLU input (B=64, C=32, 7x7), evaluate's batch of
+# it and a batch of 45 (several chunks each, not all of one size), and an
+# odd shape
+GLU_SHAPES = ((64, 32, 7, 7), (3, 24, 11, 13), (256, 32, 7, 7), (45, 32, 7, 7))
 # (C_out, C_in, H, W) of the pointwise-conv sweep, and its batch sizes: gw
 # sums 2^16 // (40 * 24) = 68 samples per block
 CONV1X1_SHAPE = (40, 24, 5, 6)
 CONV1X1_BATCHES = (1, 69, 205)
+# (B, C_out, H, W) and C_in of the pointwise-conv forward sweep
+CONV1X1_FORWARD = (((64, 128, 7, 7), 32), ((256, 128, 7, 7), 32), ((8, 64, 32, 32), 64))
 # (x dtype, gy dtype)
 GLU_DTYPES = ((np.float32, np.float32), (np.float64, np.float64),
               (np.float32, np.float64))
@@ -264,6 +271,14 @@ def conv1x1_sweep(out: dict) -> None:
             out[f"{tag}.gx"] = array_sha(gx)
             out[f"{tag}.gw"] = array_sha(gw)
             out[f"{tag}.gb"] = array_sha(gb)
+        for shape, c_in in CONV1X1_FORWARD:
+            b_, c_out, h_, w_ = shape
+            rng = Rng(7500 + sum(shape))
+            x = rng.normal(0, 1, (b_, c_in, h_, w_), dtype)
+            w = rng.normal(0, 1, (c_out, c_in), dtype)
+            bias = rng.normal(0, 1, (c_out,), dtype)
+            tag = f"conv1x1.{np.dtype(dtype).name}." + "x".join(map(str, shape))
+            out[f"{tag}.y"] = array_sha(conv1x1_forward(x, w, bias)[0])
 
 
 def gelu_edges(dtype) -> np.ndarray:
