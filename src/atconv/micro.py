@@ -18,22 +18,22 @@ the model's arrays, and ``adam_step`` updates them in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
-from .op import ATConvCache, ATConvConfig, ATConvParams, atconv_backward, atconv_forward_cached
+from .errors import ArgumentError, DimensionError, StateError
+from .op import ATConvConfig, ATConvParams, atconv_backward, atconv_forward_cached
 from .primitives import (
     Conv1x1Cache, GeluCache, _need_cache,
     conv1x1_backward, conv1x1_forward,
     gelu_backward, gelu_forward,
-    layer_norm_backward, layer_norm_forward,
+    layer_norm_backward, layer_norm_forward, layer_norm_output,
     linear_backward, linear_forward,
 )
 from .rng import Rng
-from .tensor import as_float, as_tensor4
+from .tensor import as_float, as_shaped, as_tensor4
 
 
 # ======================================================================
@@ -84,10 +84,13 @@ class GluParams:
 
 class GluCache(NamedTuple):
     """What ``glu_backward`` reads. Of the hidden-width maps it keeps only
-    the GELU's CDF. W_a's and W_b's caches hold the block input x (C wide)
+    the GELU's CDF. W_a's and W_b's caches hold the GLU input x (C wide)
     and the weight and bias as cast to x's dtype, which rebuild a = W_a x
     and the GELU's input b = W_b x bit for bit. W_c's cache comes without
-    its input h, which the backward rebuilds too."""
+    its input h, which the backward rebuilds too. Inside a block, x is
+    norm2's output: ``block_forward`` stores both caches without it, and
+    ``block_backward`` puts the rebuilt map back for the GLU's backward
+    and drops the whole cache once that backward returns."""
     ca: Conv1x1Cache
     cb: Conv1x1Cache
     cdf: np.ndarray
@@ -119,7 +122,8 @@ def glu_forward(x, p: GluParams):
     before a is built, and a once h = gelu(b) * a is written over the
     fresh GELU output, so at most two chunk-sized hidden maps besides the
     CDF are alive at once. y and the CDF, the one hidden map the cache
-    keeps, are written chunk by chunk into whole-batch arrays.
+    keeps, are whole-batch arrays that each chunk's W_c conv and GELU
+    write their slices of in place (``out=``, ``cdf_out=``).
     """
     x = as_tensor4(x)
     b_, _, h_, w_ = x.shape
@@ -129,13 +133,12 @@ def glu_forward(x, p: GluParams):
     for lo, hi in _glu_chunks(b_, e * h_ * w_):
         xs = x[lo:hi]
         braw, cb = conv1x1_forward(xs, p.w_b, p.b_b)
-        h, cg = gelu_forward(braw)
-        cdf[lo:hi] = cg.cdf
-        del braw, cg
+        h = gelu_forward(braw, cdf[lo:hi])[0]
+        del braw
         a, ca = conv1x1_forward(xs, p.w_a, p.b_a)
         h *= a  # h = gate * a, written over the fresh gate
         del a
-        y[lo:hi], cc = conv1x1_forward(h, p.w_c, p.b_c)
+        cc = conv1x1_forward(h, p.w_c, p.b_c, y[lo:hi])[1]
         del h
     return y, GluCache(ca._replace(x=x), cb._replace(x=x), cdf, cc._replace(x=None))
 
@@ -240,23 +243,87 @@ class BlockParams:
         )
 
 
+class StageCaches:
+    """A forward's stage caches, ``caches`` (None once spent), which serve
+    one backward.
+
+    ``shape`` is the forward's output shape. ``spend`` checks the
+    backward's cotangent against it first, so a wrong cotangent raises
+    DimensionError whether or not the caches are spent. It then hands the
+    caches out and keeps no reference to them, as autograd frameworks
+    free saved tensors after one backward: the backward drops each stage's
+    cache once that stage is done, and a second backward raises StateError
+    naming the stage.
+    """
+
+    def __init__(self, stage: str, shape: tuple, caches: list):
+        self.stage, self.shape, self.caches = stage, shape, caches
+
+    def spend(self, gy, name: str = "gy"):
+        """(gy checked against ``shape``, the stage caches)."""
+        gy = as_shaped(gy, self.shape, name)
+        if self.caches is None:
+            raise StateError(f"{self.stage}_backward got a spent cache: "
+                             f"{self.stage}_forward's cache serves one backward")
+        caches, self.caches = self.caches, None
+        return gy, caches
+
+
 def block_forward(x, p: BlockParams, config: Optional[ATConvConfig] = None):
+    """out = x1 + glu(norm2(x1)), x1 = x + mixer(norm1(x)).
+
+    The cache holds each norm's x-hat but neither norm's output n: the
+    mixer's value projection and the GLU's two input projections keep
+    their weights without their input, and ``block_backward`` rebuilds n
+    from x-hat with ``layer_norm_output``. Without a value projection the
+    depthwise stage keeps n1 itself as its v, so n1 is kept there. mix, n1
+    and n2 are dropped at their last use here, and the second residual
+    is added into x1 in place when that keeps the sum's dtype.
+    """
     config = config if config is not None else ATConvConfig()
     n1, c_n1 = layer_norm_forward(x, p.norm1_gain, p.norm1_offset)
     mix, c_mix = atconv_forward_cached(n1, p.mixer, config)
+    del n1
+    if c_mix.value is not None:
+        c_mix = replace(c_mix, value=c_mix.value._replace(x=None))
     x1 = x + mix
+    del mix
     n2, c_n2 = layer_norm_forward(x1, p.norm2_gain, p.norm2_offset)
     g, c_glu = glu_forward(n2, p.glu)
-    return x1 + g, (c_n1, c_mix, c_n2, c_glu)
+    del n2
+    c_glu = c_glu._replace(ca=c_glu.ca._replace(x=None), cb=c_glu.cb._replace(x=None))
+    if np.result_type(x1, g) == x1.dtype:
+        x1 += g
+    else:
+        x1 = x1 + g
+    return x1, StageCaches("block", x1.shape, [c_n1, c_mix, c_n2, c_glu])
 
 
-def block_backward(gy, cache):
-    c_n1, c_mix, c_n2, c_glu = _need_cache(cache, "block")
+def block_backward(gy, cache: StageCaches):
+    """Gradients of ``block_forward`` w.r.t. x and the block's weights.
+
+    Spends the cache (``StageCaches``): each stage's cache is dropped once
+    that stage's backward returns. norm2's output n2 is rebuilt just
+    before the GLU's backward and norm1's n1 before the mixer's (when its
+    value projection left it out), each from its norm's cache, and dropped
+    after that backward.
+    """
+    gy, (c_n1, c_mix, c_n2, c_glu) = _need_cache(cache, "block").spend(gy)
+    n2 = layer_norm_output(c_n2)
+    c_glu = c_glu._replace(ca=c_glu.ca._replace(x=n2), cb=c_glu.cb._replace(x=n2))
+    del n2
     gn2, glu_grads = glu_backward(gy, c_glu)
+    del c_glu
     gx1_from_norm, g2_gain, g2_offset = layer_norm_backward(gn2, c_n2)
+    del gn2, c_n2
     gx1 = gy + gx1_from_norm
+    del gx1_from_norm
+    if c_mix.value is not None:
+        c_mix = replace(c_mix, value=c_mix.value._replace(x=layer_norm_output(c_n1)))
     gn1, mix_grads = atconv_backward(gx1, c_mix)
+    del c_mix
     gx_from_norm, g1_gain, g1_offset = layer_norm_backward(gn1, c_n1)
+    del gn1, c_n1
     gx = gx1 + gx_from_norm
     grads = {"norm1_gain": g1_gain, "norm1_offset": g1_offset,
              "norm2_gain": g2_gain, "norm2_offset": g2_offset}
@@ -401,6 +468,7 @@ class MicroModel:
         return linear_forward(h.mean(axis=(2, 3)), self.head_w, self.head_b)[0]
 
     def forward_cached(self, x):
+        """(logits, cache); the cache serves one ``backward``."""
         x = as_tensor4(x)
         h, c_embed = patch_embed_forward(x, self.embed_w, self.embed_b, self.config.patch)
         block_caches = []
@@ -409,17 +477,23 @@ class MicroModel:
             block_caches.append(bc)
         feats = h.mean(axis=(2, 3))
         logits, c_head = linear_forward(feats, self.head_w, self.head_b)
-        return logits, (c_embed, block_caches, h.shape, c_head)
+        return logits, StageCaches("micro_model", logits.shape,
+                                   [c_embed, block_caches, h.shape, c_head])
 
     def backward(self, dlogits, cache):
-        c_embed, block_caches, h_shape, c_head = _need_cache(cache, "micro_model")
+        """(gx, grads). Spends the cache (``StageCaches``): each block's
+        cache is taken out of it and handed to ``block_backward``, which
+        spends it in turn, so a block's maps are freed as soon as its
+        backward is done with them."""
+        dlogits, (c_embed, block_caches, h_shape, c_head) = _need_cache(
+            cache, "micro_model").spend(dlogits, "dlogits")
         gfeats, gw_head, gb_head = linear_backward(dlogits, c_head)
         area = h_shape[2] * h_shape[3]
         gh = np.broadcast_to(
             (gfeats / area)[:, :, None, None], h_shape).astype(gfeats.dtype)
         grads = {"head_w": gw_head, "head_b": gb_head}
         for i in reversed(range(len(self.blocks))):
-            gh, bgrads = block_backward(gh, block_caches[i])
+            gh, bgrads = block_backward(gh, block_caches.pop())
             grads.update({f"blocks.{i}.{k}": v for k, v in bgrads.items()})
         gx, gw_embed, gb_embed = patch_embed_backward(gh, c_embed)
         grads["embed_w"] = gw_embed

@@ -27,6 +27,11 @@ import numpy as np
 from .errors import DimensionError, ArgumentError, StateError
 from .tensor import as_float, as_shaped, as_tensor4, ensure_finite, flop_counter
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -77,13 +82,15 @@ _ERF32_Q = tuple(np.float32(v) for v in (
 _ERF_BLOCK = 1 << 15
 
 
-def erf(x: np.ndarray, scale=None) -> np.ndarray:
+def erf(x: np.ndarray, scale=None, out=None) -> np.ndarray:
     """Error function; with a ``scale``, erf(x * scale) without the whole
     map x * scale, and with the bits that map would give.
 
     The result has x's shape and the product's dtype, x's own without a
     scale (a 0-d input gives a 0-d array); an integer or bool result
-    dtype becomes float64. The result dtype picks one of two precisions:
+    dtype becomes float64. It is written into ``out``, a C-contiguous
+    array of that shape and dtype, when one is given, and returned. The
+    result dtype picks one of two precisions:
 
     - float32: ``_erf32_block``, the rational c * (P(c^2) / Q(c^2)) on c =
       x clamped to [-4, 4], evaluated in float32 by Horner's rule and
@@ -106,14 +113,18 @@ def erf(x: np.ndarray, scale=None) -> np.ndarray:
     dtype = x.dtype if scale is None else np.result_type(x, scale)
     if not np.issubdtype(dtype, np.floating):
         dtype = np.dtype(np.float64)
-    out = np.empty(flat.shape, dtype=dtype)
+    if out is None:
+        out = np.empty(x.shape, dtype=dtype)
+    elif out.shape != x.shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ArgumentError(f"out must be a C-contiguous {x.shape} {dtype} array")
+    flat_out = out.reshape(-1)
     erf_block = _erf32_block if dtype == np.float32 else _erf_block
     for lo in range(0, flat.size, _ERF_BLOCK):
         block = flat[lo:lo + _ERF_BLOCK]
         if scale is not None:
             block = block * scale
-        erf_block(block, out[lo:lo + _ERF_BLOCK])
-    return out.reshape(x.shape)
+        erf_block(block, flat_out[lo:lo + _ERF_BLOCK])
+    return out
 
 
 def _erf32_block(x, out):
@@ -121,11 +132,13 @@ def _erf32_block(x, out):
 
     c * (P / Q), not (c * P) / Q: c * P would lose a subnormal c's low
     bits before the division. The final clip holds results in [3.57, 4],
-    where the rational reads 1.0000002, to 1. The clips are the ndarray
-    method: ``np.clip``'s wrapper costs about 4 us a call and leaves 120
-    bytes of Python objects alive after it.
+    where the rational reads 1.0000002, to 1. Both clips call numpy's
+    clip ufunc, ``_clip``, itself: ``np.clip`` and the ndarray method
+    reach it through a Python wrapper, so their bits, NaN and -0
+    included, are its own. ``np.maximum`` then ``np.minimum`` would also
+    keep them, but at two passes of more than twice the clip's time.
     """
-    c = x.clip(-4.0, 4.0)
+    c = _clip(x, -4.0, 4.0)
     s = c * c
     p = s * _ERF32_P[-1]
     for a in _ERF32_P[-2:0:-1]:
@@ -139,7 +152,7 @@ def _erf32_block(x, out):
     q += _ERF32_Q[0]
     p /= q
     p *= c
-    p.clip(-1.0, 1.0, out=out)
+    _clip(p, -1.0, 1.0, out=out)
 
 
 def _erf_block(x, out):
@@ -236,8 +249,10 @@ class Conv1x1Cache(NamedTuple):
     bias: Optional[np.ndarray]
 
 
-def conv1x1_forward(x, w, bias=None):
-    """y[b, o, h, w] = sum_i w[o, i] * x[b, i, h, w] (+ bias[o])."""
+def conv1x1_forward(x, w, bias=None, out=None):
+    """y[b, o, h, w] = sum_i w[o, i] * x[b, i, h, w] (+ bias[o]), written
+    into ``out``, a C-contiguous array of y's shape and x's dtype, when
+    one is given, with the bits of a fresh y."""
     x = as_tensor4(x)
     b_, c_in, h_, w_ = x.shape
     w = as_float(w, (None, c_in), "w", x.dtype)
@@ -245,9 +260,14 @@ def conv1x1_forward(x, w, bias=None):
     if bias is not None:
         bias = as_float(bias, (c_out,), "bias", x.dtype)
     n = h_ * w_
-    y = np.matmul(w, x.reshape(b_, c_in, n))
+    if out is not None:
+        if out.shape != (b_, c_out, h_, w_) or out.dtype != x.dtype or not out.flags.c_contiguous:
+            raise ArgumentError(
+                f"out must be a C-contiguous {(b_, c_out, h_, w_)} {x.dtype} array")
+        out = out.reshape(b_, c_out, n)
+    y = np.matmul(w, x.reshape(b_, c_in, n), out=out)
     if bias is not None and b_ == 1:
-        y += bias[:, None]  # y is fresh and already has x's dtype
+        y += bias[:, None]  # y already has x's dtype
     elif bias is not None:
         # one add of a (C_out H W) row, bias[o] repeated per pixel, over y
         # as (B, C_out H W): one rounding per element, as the broadcast
@@ -490,14 +510,15 @@ class GeluCache(NamedTuple):
     cdf: np.ndarray
 
 
-def gelu_forward(x):
+def gelu_forward(x, cdf_out=None):
     """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate.
 
     x / sqrt(2) is formed one ``erf`` block at a time, never as a whole
-    map, so the peak is the CDF and y plus erf's block temporaries.
+    map, so the peak is the CDF and y plus erf's block temporaries. The
+    CDF is built in ``cdf_out`` when one is given (erf's ``out``).
     """
     x = np.asarray(x)
-    e1 = erf(x, INV_SQRT2)
+    e1 = erf(x, INV_SQRT2, cdf_out)
     e1 += 1.0
     y = 0.5 * x
     y *= e1
@@ -582,9 +603,23 @@ LAYER_NORM_EPS = 1e-6
 
 
 class LayerNormCache(NamedTuple):
+    """x-hat, the normalized input; 1 / std; and the gain and offset as
+    cast to x's dtype. The backward reads the first three. The output is
+    not kept: ``layer_norm_output`` rebuilds it from x-hat, gain and
+    offset with the forward's bits."""
     xhat: np.ndarray
     inv_std: np.ndarray
     gain: np.ndarray
+    offset: np.ndarray
+
+
+def layer_norm_output(cache: LayerNormCache) -> np.ndarray:
+    """gain * x-hat + offset, per channel, as a fresh map: the output
+    ``layer_norm_forward`` returns, which it computes here too, so a
+    caller that dropped it gets the same bits back from the cache."""
+    y = cache.gain[:, None, None] * cache.xhat
+    y += cache.offset[:, None, None]
+    return y
 
 
 def layer_norm_forward(x, gain, offset):
@@ -599,14 +634,15 @@ def layer_norm_forward(x, gain, offset):
     xhat = x - x.mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv_std
-    y = gain[:, None, None] * xhat + offset[:, None, None]
+    cache = LayerNormCache(xhat, inv_std, gain, offset)
+    y = layer_norm_output(cache)
     ensure_finite(y, "layer_norm")
-    return y, LayerNormCache(xhat, inv_std, gain)
+    return y, cache
 
 
 def layer_norm_backward(gy, cache: LayerNormCache):
     cache = _need_cache(cache, "layer_norm")
-    xhat, inv_std, gain = cache
+    xhat, inv_std, gain = cache.xhat, cache.inv_std, cache.gain
     gy = as_shaped(gy, xhat.shape, "gy")
     ggain = (gy * xhat).sum(axis=(0, 2, 3))
     goffset = gy.sum(axis=(0, 2, 3))

@@ -12,12 +12,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
-from atconv.op import _block_rows, _padded_blocks, _tap_runs, _tap_sum
-from atconv.micro import GluCache
-from atconv.primitives import (_GW_BLOCK, Conv1x1Cache, GeluCache, LinearCache, PoolCache,
-                               _need_cache, _pool_bounds, conv1x1_backward, conv1x1_forward,
-                               erf, gelu_backward, gelu_forward, linear_backward,
-                               linear_forward)
+from atconv.micro import (GluCache, glu_backward, glu_forward, patch_embed_backward,
+                          patch_embed_forward)
+from atconv.op import (ATConvConfig, _block_rows, _padded_blocks, _tap_runs, _tap_sum,
+                       atconv_backward, atconv_forward_cached)
+from atconv.primitives import (_ERF32_P, _ERF32_Q, _GW_BLOCK, Conv1x1Cache, GeluCache,
+                               LinearCache, PoolCache, _need_cache, _pool_bounds,
+                               conv1x1_backward, conv1x1_forward, erf, gelu_backward,
+                               gelu_forward, layer_norm_backward, layer_norm_forward,
+                               linear_backward, linear_forward)
 from atconv.tensor import (FLOAT_DTYPES, as_float, as_shaped, as_tensor4, as_vector,
                            ensure_finite, flop_counter)
 
@@ -1109,3 +1112,88 @@ def glu_backward_whole_batch_ref(gy, cache: GluCache):
     grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
              "w_c": gw_c, "b_c": gb_c}
     return gx, grads
+
+
+# ----------------------------------------------------------------------
+# the residual block and the classifier's backward before caches were spent
+# ----------------------------------------------------------------------
+# ``block_forward``, ``block_backward``, and ``MicroModel.forward_cached``
+# and ``MicroModel.backward`` (as functions of the model) as they were when
+# the block cache held both norms' outputs through the mixer's value
+# projection and the GLU's input projections, every block's cache lived
+# until the step ended, and the residuals were added into fresh maps,
+# copied verbatim. The library versions must match them bit for bit.
+
+def block_forward_kept_caches_ref(x, p, config=None):
+    config = config if config is not None else ATConvConfig()
+    n1, c_n1 = layer_norm_forward(x, p.norm1_gain, p.norm1_offset)
+    mix, c_mix = atconv_forward_cached(n1, p.mixer, config)
+    x1 = x + mix
+    n2, c_n2 = layer_norm_forward(x1, p.norm2_gain, p.norm2_offset)
+    g, c_glu = glu_forward(n2, p.glu)
+    return x1 + g, (c_n1, c_mix, c_n2, c_glu)
+
+
+def block_backward_kept_caches_ref(gy, cache):
+    c_n1, c_mix, c_n2, c_glu = _need_cache(cache, "block")
+    gn2, glu_grads = glu_backward(gy, c_glu)
+    gx1_from_norm, g2_gain, g2_offset = layer_norm_backward(gn2, c_n2)
+    gx1 = gy + gx1_from_norm
+    gn1, mix_grads = atconv_backward(gx1, c_mix)
+    gx_from_norm, g1_gain, g1_offset = layer_norm_backward(gn1, c_n1)
+    gx = gx1 + gx_from_norm
+    grads = {"norm1_gain": g1_gain, "norm1_offset": g1_offset,
+             "norm2_gain": g2_gain, "norm2_offset": g2_offset}
+    grads.update({f"mixer.{k}": v for k, v in mix_grads.items()})
+    grads.update({f"glu.{k}": v for k, v in glu_grads.items()})
+    return gx, grads
+
+
+def micro_forward_cached_kept_caches_ref(self, x):
+    x = as_tensor4(x)
+    h, c_embed = patch_embed_forward(x, self.embed_w, self.embed_b, self.config.patch)
+    block_caches = []
+    for bp in self.blocks:
+        h, bc = block_forward_kept_caches_ref(h, bp, self.op_config)
+        block_caches.append(bc)
+    feats = h.mean(axis=(2, 3))
+    logits, c_head = linear_forward(feats, self.head_w, self.head_b)
+    return logits, (c_embed, block_caches, h.shape, c_head)
+
+
+def micro_backward_kept_caches_ref(self, dlogits, cache):
+    c_embed, block_caches, h_shape, c_head = _need_cache(cache, "micro_model")
+    gfeats, gw_head, gb_head = linear_backward(dlogits, c_head)
+    area = h_shape[2] * h_shape[3]
+    gh = np.broadcast_to(
+        (gfeats / area)[:, :, None, None], h_shape).astype(gfeats.dtype)
+    grads = {"head_w": gw_head, "head_b": gb_head}
+    for i in reversed(range(len(self.blocks))):
+        gh, bgrads = block_backward_kept_caches_ref(gh, block_caches[i])
+        grads.update({f"blocks.{i}.{k}": v for k, v in bgrads.items()})
+    gx, gw_embed, gb_embed = patch_embed_backward(gh, c_embed)
+    grads["embed_w"] = gw_embed
+    grads["embed_b"] = gb_embed
+    return gx, grads
+
+
+# ``primitives._erf32_block`` as it was when both clips were the ndarray
+# ``clip`` method, copied verbatim with its coefficients; the ufunc clips
+# must match it bit for bit, NaN and -0 included.
+
+def erf32_block_clip_method_ref(x, out):
+    c = x.clip(-4.0, 4.0)
+    s = c * c
+    p = s * _ERF32_P[-1]
+    for a in _ERF32_P[-2:0:-1]:
+        p += a
+        p *= s
+    p += _ERF32_P[0]
+    q = s * _ERF32_Q[-1]
+    for a in _ERF32_Q[-2:0:-1]:
+        q += a
+        q *= s
+    q += _ERF32_Q[0]
+    p /= q
+    p *= c
+    p.clip(-1.0, 1.0, out=out)

@@ -15,8 +15,9 @@ unchanged, so every output is compared on raw bytes and dtype.
 
 The rebuild relies on ``conv1x1_forward`` giving the same bytes for the
 same arguments, which single-threaded BLAS does; that is pinned here too.
-The GLU now runs over chunks of samples (``test_glu_chunks.py``); the
-peak guards below keep each earlier bound and add the chunked one.
+The GLU now runs over chunks of samples (``test_glu_chunks.py``), and
+the block spends its caches in the backward (``test_spent_caches.py``);
+the peak guards below keep each earlier bound and add the newer ones.
 """
 
 import os
@@ -368,6 +369,16 @@ def test_glu_forward_peak_over_chunks(traced_peak):
     assert traced_peak(glu_forward, x, p) <= 2.4 * 4 * x.nbytes
 
 
+def test_glu_forward_peak_with_chunks_written_in_place(traced_peak):
+    # 1.96 maps: each chunk's W_c conv and GELU write into y and the CDF,
+    # where the chunk's own y and CDF were copied over (2.11 maps)
+    rng = Rng(911)
+    p = GluParams.init(rng, 32, 4, F32)
+    x = rng.normal(0, 1, (64, 32, 7, 7), F32)
+    glu_forward(x, p)  # the first call in a process allocates a little more
+    assert traced_peak(glu_forward, x, p) <= 2.05 * 4 * x.nbytes
+
+
 def test_glu_cache_and_backward_transient_peak(traced_peak):
     # the cache plus the backward's transient maps; 3 + 2.27 maps while
     # the cache kept a and b
@@ -431,6 +442,14 @@ def test_training_step_peak_with_the_glu_in_chunks(traced_peak):
     assert _training_step_peak(traced_peak) <= 12.5 * MIB
 
 
+def test_training_step_peak_with_spent_caches(traced_peak):
+    # 9.57 MiB, in the second block's GLU forward: each block's cache is
+    # spent by its backward, holds no norm output, and the residuals add
+    # in place. 11.85 MiB while every block's cache lived until the step
+    # ended, with the peak in the second block's depthwise backward
+    assert _training_step_peak(traced_peak) <= 10.3 * MIB
+
+
 def _evaluate_peak(traced_peak):
     rng = Rng(915)
     model = _acceptance_model(rng)
@@ -452,6 +471,12 @@ def test_evaluate_peak_with_b_dropped_before_a(traced_peak):
 def test_evaluate_peak_with_the_glu_in_chunks(traced_peak):
     # 24.2 MiB; 33.4 MiB while the GLU ran over the whole batch
     assert _evaluate_peak(traced_peak) <= 26 * MIB
+
+
+def test_evaluate_peak_with_in_place_residuals(traced_peak):
+    # 20.74 MiB: the block drops its mixer output and norm outputs at their
+    # last use and adds the GLU's output into x1 in place; 24.2 MiB before
+    assert _evaluate_peak(traced_peak) <= 22 * MIB
 
 
 def test_gaussian_blur_peak(traced_peak):

@@ -4,7 +4,9 @@ Each stage backward, primitive, operator stage, whole operator or
 classifier layer, checks its cotangent against the output shape its
 cache records, so a cotangent of another batch or rank raises
 DimensionError instead of broadcasting into a wrong gradient, and a
-missing cache raises StateError.
+missing cache raises StateError. The block's and the classifier's caches
+serve one backward: a second one raises StateError naming the stage, and
+a wrong cotangent still raises DimensionError first.
 """
 
 import numpy as np
@@ -90,6 +92,18 @@ def test_a_missing_cache_raises(name):
     backward, y, _ = _build(name)
     with pytest.raises(StateError):
         backward(np.ones_like(y), None)
+
+
+# the stages whose cache serves one backward -> the name their error gives
+SPENT_ONCE = {"block": "block", "MicroModel": "micro_model"}
+
+
+@pytest.mark.parametrize("name", SPENT_ONCE)
+def test_a_spent_cache_raises(name):
+    backward, y, cache = _build(name)
+    backward(np.ones_like(y), cache)
+    with pytest.raises(StateError, match=f"^{SPENT_ONCE[name]}_backward got a spent cache"):
+        backward(np.ones_like(y), cache)
 
 
 def test_dkm_backward_rejects_a_galpha_of_another_batch():

@@ -27,6 +27,11 @@ and comparing the objects. It covers:
 - a seeded pooling sweep in f32 and f64 at k in {1, 3, 5} on 7x7, 30x17
   and 32x32 maps: ``adaptive_avg_pool_forward`` y and
   ``adaptive_avg_pool_backward`` gx;
+- one training step's gradients at the acceptance config (B=64, C=32,
+  2 blocks, 28x28 input), f32 and f64: ``MicroModel.forward_cached``
+  then ``MicroModel.backward`` of a seeded cotangent, with a seeded head
+  (the initial zero head passes no gradient into the blocks), gx and
+  grads;
 - a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
   f32, f64 and f32 input with an f64 gradient, at the acceptance shape,
   at 256 and 45 samples of it (several chunks, not all of one size), and
@@ -73,7 +78,8 @@ from atconv.baselines import IdentityOp, StaticDepthwise  # noqa: E402
 from atconv.bench import make_operator  # noqa: E402
 from atconv.data import synth_dataset  # noqa: E402
 from atconv.errors import NumericError  # noqa: E402
-from atconv.micro import GluParams, MicroConfig, glu_backward, glu_forward  # noqa: E402
+from atconv.micro import (GluParams, MicroConfig, MicroModel, glu_backward,  # noqa: E402
+                          glu_forward)
 from atconv.primitives import (INV_SQRT2, adaptive_avg_pool_backward,  # noqa: E402
                                adaptive_avg_pool_forward, conv1x1_backward,
                                conv1x1_forward, erf, gelu_forward)
@@ -242,6 +248,19 @@ def pool_sweep(out: dict) -> None:
                 out[f"{tag}.gx"] = array_sha(adaptive_avg_pool_backward(gy, cache))
 
 
+def micro_step(out: dict) -> None:
+    config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
+    for dtype in (np.float32, np.float64):
+        rng = Rng(8000)
+        model = MicroModel.init(rng, config, dtype=dtype)
+        model.set_parameter("head_w", rng.normal(0, 1, model.head_w.shape, dtype))
+        x = rng.normal(0, 1, (64, 1, 28, 28), dtype)
+        logits, cache = model.forward_cached(x)
+        gx, grads = model.backward(rng.normal(0, 1, logits.shape, dtype), cache)
+        out[f"micro.step.{np.dtype(dtype).name}.gx"] = array_sha(gx)
+        out[f"micro.step.{np.dtype(dtype).name}.grads"] = grads_sha(grads)
+
+
 def glu_sweep(out: dict) -> None:
     for shape in GLU_SHAPES:
         for xdt, gdt in GLU_DTYPES:
@@ -339,6 +358,7 @@ def main() -> int:
     kernel_sweep(out)
     config_sweep(out)
     pool_sweep(out)
+    micro_step(out)
     glu_sweep(out)
     conv1x1_sweep(out)
     gelu_sweep(out)
