@@ -119,11 +119,12 @@ def glu_forward(x, p: GluParams):
     Every stage works per sample, so the GLU runs over chunks of samples
     (``_glu_chunks``) and each sample's bits are those of a whole-batch
     run. Per chunk: b = W_b x, its GELU, then a = W_a x: b is dropped
-    before a is built, and a once h = gelu(b) * a is written over the
-    fresh GELU output, so at most two chunk-sized hidden maps besides the
-    CDF are alive at once. y and the CDF, the one hidden map the cache
-    keeps, are whole-batch arrays that each chunk's W_c conv and GELU
-    write their slices of in place (``out=``, ``cdf_out=``).
+    before a is built, a once h = gelu(b) * a is written over the fresh
+    GELU output, and h once W_c's conv returns (its cache is kept without
+    it). So at most two chunk-sized hidden maps besides the CDF are alive
+    at once, and none outlives its chunk. y and the CDF, the one hidden
+    map the cache keeps, are whole-batch arrays that each chunk's W_c
+    conv and GELU write their slices of in place (``out=``, ``cdf_out=``).
     """
     x = as_tensor4(x)
     b_, _, h_, w_ = x.shape
@@ -138,9 +139,9 @@ def glu_forward(x, p: GluParams):
         a, ca = conv1x1_forward(xs, p.w_a, p.b_a)
         h *= a  # h = gate * a, written over the fresh gate
         del a
-        cc = conv1x1_forward(h, p.w_c, p.b_c, y[lo:hi])[1]
+        cc = conv1x1_forward(h, p.w_c, p.b_c, y[lo:hi])[1]._replace(x=None)
         del h
-    return y, GluCache(ca._replace(x=x), cb._replace(x=x), cdf, cc._replace(x=None))
+    return y, GluCache(ca._replace(x=x), cb._replace(x=x), cdf, cc)
 
 
 def _gate(cg: GeluCache):
@@ -275,17 +276,20 @@ def block_forward(x, p: BlockParams, config: Optional[ATConvConfig] = None):
     The cache holds each norm's x-hat but neither norm's output n: the
     mixer's value projection and the GLU's two input projections keep
     their weights without their input, and ``block_backward`` rebuilds n
-    from x-hat with ``layer_norm_output``. Without a value projection the
-    depthwise stage keeps n1 itself as its v, so n1 is kept there. mix, n1
-    and n2 are dropped at their last use here, and the second residual
-    is added into x1 in place when that keeps the sum's dtype.
+    from x-hat with ``layer_norm_output``. The depthwise stage keeps its
+    kernels without its input v, the value projection of n1, which the
+    backward rebuilds from n1 too. Without a value projection v is n1
+    itself, so the depthwise stage keeps it. mix, n1 and n2 are dropped
+    at their last use here, and the second residual is added into x1 in
+    place when that keeps the sum's dtype.
     """
     config = config if config is not None else ATConvConfig()
     n1, c_n1 = layer_norm_forward(x, p.norm1_gain, p.norm1_offset)
     mix, c_mix = atconv_forward_cached(n1, p.mixer, config)
     del n1
     if c_mix.value is not None:
-        c_mix = replace(c_mix, value=c_mix.value._replace(x=None))
+        c_mix = replace(c_mix, value=c_mix.value._replace(x=None),
+                        dd=c_mix.dd._replace(v=None))
     x1 = x + mix
     del mix
     n2, c_n2 = layer_norm_forward(x1, p.norm2_gain, p.norm2_offset)
@@ -306,7 +310,10 @@ def block_backward(gy, cache: StageCaches):
     that stage's backward returns. norm2's output n2 is rebuilt just
     before the GLU's backward and norm1's n1 before the mixer's (when its
     value projection left it out), each from its norm's cache, and dropped
-    after that backward.
+    after that backward. With the value projection, the depthwise stage's
+    v is rebuilt from n1 as well, by ``conv1x1_forward`` on the arguments
+    the forward used (n1, and the weight and bias as cast), so it has the
+    forward's bits.
     """
     gy, (c_n1, c_mix, c_n2, c_glu) = _need_cache(cache, "block").spend(gy)
     n2 = layer_norm_output(c_n2)
@@ -319,7 +326,9 @@ def block_backward(gy, cache: StageCaches):
     gx1 = gy + gx1_from_norm
     del gx1_from_norm
     if c_mix.value is not None:
-        c_mix = replace(c_mix, value=c_mix.value._replace(x=layer_norm_output(c_n1)))
+        value = c_mix.value._replace(x=layer_norm_output(c_n1))
+        c_mix = replace(c_mix, value=value, dd=c_mix.dd._replace(v=conv1x1_forward(*value)[0]))
+        del value
     gn1, mix_grads = atconv_backward(gx1, c_mix)
     del c_mix
     gx_from_norm, g1_gain, g1_offset = layer_norm_backward(gn1, c_n1)
@@ -353,20 +362,20 @@ def _unpatchify(g, in_shape, patch: int):
 
 def patch_embed_forward(x, w, bias, patch: int):
     """Non-overlapping patch projection: fold each patch into channels,
-    then mix pointwise."""
+    then mix pointwise. The cache keeps the input, which the caller holds
+    anyway, rather than its folded copy, and the backward folds it again."""
     x = as_tensor4(x)
     if x.shape[2] % patch or x.shape[3] % patch:
         raise DimensionError(
             f"spatial size {x.shape[2:]} not divisible by patch {patch}")
-    cols = _patchify(x, patch)
-    y, sub = conv1x1_forward(cols, w, bias)
-    return y, (sub, x.shape, patch)
+    y, sub = conv1x1_forward(_patchify(x, patch), w, bias)
+    return y, (sub._replace(x=None), x, patch)
 
 
 def patch_embed_backward(gy, cache):
-    sub, in_shape, patch = _need_cache(cache, "patch_embed")
-    gcols, gw, gb = conv1x1_backward(gy, sub)
-    return _unpatchify(gcols, in_shape, patch), gw, gb
+    sub, x, patch = _need_cache(cache, "patch_embed")
+    gcols, gw, gb = conv1x1_backward(gy, sub._replace(x=_patchify(x, patch)))
+    return _unpatchify(gcols, x.shape, patch), gw, gb
 
 
 # ======================================================================

@@ -76,10 +76,14 @@ _ERF32_Q = tuple(np.float32(v) for v in (
     -2.13374055278905e-04, -1.45660718464996e-05))
 
 
-# Elements per pass. Whole-array temporaries at the GLU's size page-fault
-# afresh on every call; block-sized ones (256 KiB in float64, 128 KiB in
-# float32) stay in cache and are reused by the allocator.
-_ERF_BLOCK = 1 << 15
+# Bytes of one temporary of a pass. Whole-array temporaries at the GLU's
+# size page-fault afresh on every call; block-sized ones stay in cache and
+# are reused by the allocator, as long as each stays below glibc's 128 KiB
+# mmap and trim thresholds, which a request of 128 KiB itself may cross.
+_ERF_BLOCK_BYTES = 96 << 10
+# Elements per float32 pass. The float64 path computes in float64, so a
+# pass takes half as many, and every float32 block edge is a float64 one.
+_ERF_BLOCK = _ERF_BLOCK_BYTES // 4
 
 
 def erf(x: np.ndarray, scale=None, out=None) -> np.ndarray:
@@ -103,10 +107,11 @@ def erf(x: np.ndarray, scale=None, out=None) -> np.ndarray:
       elements are gathered by index, evaluated and scattered back, so
       an element pays for its own region only.
 
-    The flattened input is taken in blocks of ``_ERF_BLOCK`` elements. A
-    block is multiplied by ``scale`` in the product's dtype before
-    anything else, so it sees the same bits the whole-map product would
-    hold. Both paths map NaN to NaN and +-inf to +-1.
+    The flattened input is taken in blocks of ``_ERF_BLOCK_BYTES`` per
+    temporary (``_ERF_BLOCK`` elements in float32, half as many on the
+    float64 path), so no temporary reaches 128 KiB. A block is
+    multiplied by ``scale`` in the product's dtype before anything else,
+    so it sees the same bits the whole-map product would hold. Both paths map NaN to NaN and +-inf to +-1.
     """
     x = np.asarray(x)
     flat = x.ravel()
@@ -118,12 +123,13 @@ def erf(x: np.ndarray, scale=None, out=None) -> np.ndarray:
     elif out.shape != x.shape or out.dtype != dtype or not out.flags.c_contiguous:
         raise ArgumentError(f"out must be a C-contiguous {x.shape} {dtype} array")
     flat_out = out.reshape(-1)
-    erf_block = _erf32_block if dtype == np.float32 else _erf_block
-    for lo in range(0, flat.size, _ERF_BLOCK):
-        block = flat[lo:lo + _ERF_BLOCK]
+    erf_block, step = ((_erf32_block, _ERF_BLOCK) if dtype == np.float32
+                       else (_erf_block, _ERF_BLOCK // 2))
+    for lo in range(0, flat.size, step):
+        block = flat[lo:lo + step]
         if scale is not None:
             block = block * scale
-        erf_block(block, flat_out[lo:lo + _ERF_BLOCK])
+        erf_block(block, flat_out[lo:lo + step])
     return out
 
 
@@ -131,14 +137,16 @@ def _erf32_block(x, out):
     """float32 erf of the 1-D block ``x`` into ``out``.
 
     c * (P / Q), not (c * P) / Q: c * P would lose a subnormal c's low
-    bits before the division. The final clip holds results in [3.57, 4],
-    where the rational reads 1.0000002, to 1. Both clips call numpy's
-    clip ufunc, ``_clip``, itself: ``np.clip`` and the ndarray method
-    reach it through a Python wrapper, so their bits, NaN and -0
-    included, are its own. ``np.maximum`` then ``np.minimum`` would also
-    keep them, but at two passes of more than twice the clip's time.
+    bits before the division. c is clamped into ``out``, which the final
+    clip overwrites, so c costs no temporary of its own. The final clip
+    holds results in [3.57, 4], where the rational reads 1.0000002, to 1.
+    Both clips call numpy's clip ufunc, ``_clip``, itself: ``np.clip``
+    and the ndarray method reach it through a Python wrapper, so their
+    bits, NaN and -0 included, are its own. ``np.maximum`` then
+    ``np.minimum`` would also keep them, but at two passes of more than
+    twice the clip's time.
     """
-    c = _clip(x, -4.0, 4.0)
+    c = _clip(x, -4.0, 4.0, out=out)
     s = c * c
     p = s * _ERF32_P[-1]
     for a in _ERF32_P[-2:0:-1]:

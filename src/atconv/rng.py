@@ -33,9 +33,11 @@ def _splitmix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _rotl(x: np.ndarray, k: int) -> np.ndarray:
-    kk = np.uint64(k)
-    return (x << kk) | (x >> (np.uint64(64) - kk))
+# xoshiro256**'s constants: the scrambler's multipliers and rotation, the
+# state shift, and the state rotation, with the right shifts that complete
+# each rotation
+_U5, _U9, _U17 = np.uint64(5), np.uint64(9), np.uint64(17)
+_U7, _U57, _U45, _U19 = np.uint64(7), np.uint64(57), np.uint64(45), np.uint64(19)
 
 
 class Rng:
@@ -52,29 +54,42 @@ class Rng:
         self._s0, self._s1, self._s2, self._s3 = lanes
         self._buf = np.empty(0, dtype=np.uint64)
 
-    def _round(self) -> np.ndarray:
-        """Advance every lane once, returning one u64 per lane."""
+    def _rounds(self, out: np.ndarray) -> None:
+        """Advance every lane once per row of ``out``, a (rounds, lanes)
+        uint64 array, writing each round's one u64 per lane into its row.
+        The state words are updated in place, the scrambler and the
+        rotations run through two scratch rows, and uint64 arithmetic
+        wraps."""
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        t, u = np.empty_like(s1), np.empty_like(s1)
         with np.errstate(over="ignore"):
-            out = _rotl(s1 * np.uint64(5), 7) * np.uint64(9)
-            t = s1 << np.uint64(17)
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            self._s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2 = s0, s1, s2
-        return out
+            for row in out:
+                # row = rotl(s1 * 5, 7) * 9
+                np.multiply(s1, _U5, out=t)
+                np.left_shift(t, _U7, out=u)
+                t >>= _U57
+                np.bitwise_or(u, t, out=row)
+                row *= _U9
+                np.left_shift(s1, _U17, out=t)
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                # s3 = rotl(s3, 45)
+                np.left_shift(s3, _U45, out=u)
+                s3 >>= _U19
+                s3 |= u
 
     def u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws."""
         if n < 0:
             raise ArgumentError(f"draw count must be >= 0, got {n}")
-        while self._buf.size < n:
-            rounds = max(1, -(-(n - self._buf.size) // _LANES))
-            fresh = [self._round() for _ in range(rounds)]
-            self._buf = np.concatenate([self._buf] + fresh)
+        short = n - self._buf.size
+        if short > 0:
+            fresh = np.empty((-(-short // _LANES), _LANES), dtype=np.uint64)
+            self._rounds(fresh)
+            self._buf = np.concatenate([self._buf, fresh.reshape(-1)])
         out, self._buf = self._buf[:n].copy(), self._buf[n:]
         return out
 

@@ -106,9 +106,10 @@ def train(model_config: MicroConfig, train_set, test_set,
     params = model.named_parameters()
     state = adam_init(params)
 
-    x_train = train_set.images.astype(dtype)
+    # nothing writes the images, so sets already in the dtype are not copied
+    x_train = train_set.images.astype(dtype, copy=False)
     y_train = train_set.labels
-    x_test = test_set.images.astype(dtype)
+    x_test = test_set.images.astype(dtype, copy=False)
     y_test = test_set.labels
 
     records = []

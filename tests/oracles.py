@@ -12,8 +12,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from atconv.errors import ArgumentError, DimensionError, NumericError
-from atconv.micro import (GluCache, glu_backward, glu_forward, patch_embed_backward,
-                          patch_embed_forward)
+from atconv.micro import (GluCache, _patchify, _unpatchify, glu_backward, glu_forward,
+                          patch_embed_backward, patch_embed_forward)
 from atconv.op import (ATConvConfig, _block_rows, _padded_blocks, _tap_runs, _tap_sum,
                        atconv_backward, atconv_forward_cached)
 from atconv.primitives import (_ERF32_P, _ERF32_Q, _GW_BLOCK, Conv1x1Cache, GeluCache,
@@ -21,6 +21,7 @@ from atconv.primitives import (_ERF32_P, _ERF32_Q, _GW_BLOCK, Conv1x1Cache, Gelu
                                conv1x1_backward, conv1x1_forward, erf, gelu_backward,
                                gelu_forward, layer_norm_backward, layer_norm_forward,
                                linear_backward, linear_forward)
+from atconv.rng import _LANES
 from atconv.tensor import (FLOAT_DTYPES, as_float, as_shaped, as_tensor4, as_vector,
                            ensure_finite, flop_counter)
 
@@ -1197,3 +1198,67 @@ def erf32_block_clip_method_ref(x, out):
     p /= q
     p *= c
     p.clip(-1.0, 1.0, out=out)
+
+
+# ----------------------------------------------------------------------
+# the patch embedding that cached its folded columns
+# ----------------------------------------------------------------------
+# ``micro.patch_embed_forward`` and ``patch_embed_backward`` as they were
+# when the cache held the ``_patchify`` columns rather than the input,
+# copied verbatim. The library versions must match them bit for bit.
+
+def patch_embed_forward_cols_ref(x, w, bias, patch: int):
+    x = as_tensor4(x)
+    if x.shape[2] % patch or x.shape[3] % patch:
+        raise DimensionError(
+            f"spatial size {x.shape[2:]} not divisible by patch {patch}")
+    cols = _patchify(x, patch)
+    y, sub = conv1x1_forward(cols, w, bias)
+    return y, (sub, x.shape, patch)
+
+
+def patch_embed_backward_cols_ref(gy, cache):
+    sub, in_shape, patch = _need_cache(cache, "patch_embed")
+    gcols, gw, gb = conv1x1_backward(gy, sub)
+    return _unpatchify(gcols, in_shape, patch), gw, gb
+
+
+# ----------------------------------------------------------------------
+# the random stream's rounds, one fresh array each
+# ----------------------------------------------------------------------
+# ``rng._rotl``, ``Rng._round`` and ``Rng.u64`` as they were when each
+# xoshiro round entered its own errstate, built its constants and returned
+# a fresh array, copied verbatim as functions of the generator. The
+# library's draws must match them byte for byte.
+
+def _rotl_ref(x: np.ndarray, k: int) -> np.ndarray:
+    kk = np.uint64(k)
+    return (x << kk) | (x >> (np.uint64(64) - kk))
+
+
+def rng_round_ref(self) -> np.ndarray:
+    """Advance every lane once, returning one u64 per lane."""
+    s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+    with np.errstate(over="ignore"):
+        out = _rotl_ref(s1 * np.uint64(5), 7) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s3 = _rotl_ref(s3, 45)
+    self._s0, self._s1, self._s2 = s0, s1, s2
+    return out
+
+
+def rng_u64_ref(self, n: int) -> np.ndarray:
+    """Next ``n`` raw 64-bit draws."""
+    if n < 0:
+        raise ArgumentError(f"draw count must be >= 0, got {n}")
+    while self._buf.size < n:
+        rounds = max(1, -(-(n - self._buf.size) // _LANES))
+        fresh = [rng_round_ref(self) for _ in range(rounds)]
+        self._buf = np.concatenate([self._buf] + fresh)
+    out, self._buf = self._buf[:n].copy(), self._buf[n:]
+    return out

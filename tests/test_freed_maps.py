@@ -379,6 +379,16 @@ def test_glu_forward_peak_with_chunks_written_in_place(traced_peak):
     assert traced_peak(glu_forward, x, p) <= 2.05 * 4 * x.nbytes
 
 
+def test_glu_forward_peak_with_each_chunk_h_dropped(traced_peak):
+    # 1.65 maps: W_c's cache drops its input h chunk by chunk, where the
+    # last chunk's h lived through the next chunk's GELU (1.96 maps)
+    rng = Rng(911)
+    p = GluParams.init(rng, 32, 4, F32)
+    x = rng.normal(0, 1, (64, 32, 7, 7), F32)
+    glu_forward(x, p)
+    assert traced_peak(glu_forward, x, p) <= 1.75 * 4 * x.nbytes
+
+
 def test_glu_cache_and_backward_transient_peak(traced_peak):
     # the cache plus the backward's transient maps; 3 + 2.27 maps while
     # the cache kept a and b
@@ -406,17 +416,17 @@ def test_gelu_forward_peak(traced_peak):
     assert traced_peak(gelu_forward, x) <= 4.0 * MIB
 
 
-def _acceptance_model(rng):
+def _acceptance_model(rng, dtype=F32):
     config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
-    return MicroModel.init(rng, config, dtype=F32)
+    return MicroModel.init(rng, config, dtype=dtype)
 
 
-def _training_step_peak(traced_peak):
+def _training_step_peak(traced_peak, dtype=F32):
     rng = Rng(914)
-    model = _acceptance_model(rng)
+    model = _acceptance_model(rng, dtype)
     params = model.named_parameters()
     state = adam_init(params)
-    x = rng.normal(0, 1, (64, 1, 28, 28), F32)
+    x = rng.normal(0, 1, (64, 1, 28, 28), dtype)
     labels = np.arange(64) % 10
     return traced_peak(step, model, x, labels, cross_entropy, params, state, AdamHyper())
 
@@ -450,6 +460,20 @@ def test_training_step_peak_with_spent_caches(traced_peak):
     assert _training_step_peak(traced_peak) <= 10.3 * MIB
 
 
+def test_training_step_peak_with_v_and_the_patch_columns_rebuilt(traced_peak):
+    # 8.46 MiB, in the second block's GLU backward: the block cache keeps
+    # no depthwise v, the patch embedding keeps its input, not its
+    # columns, and the GLU drops each chunk's h; 9.57 MiB before, in the
+    # second block's GLU forward
+    assert _training_step_peak(traced_peak) <= 8.9 * MIB
+
+
+def test_training_step_peak_in_float64(traced_peak):
+    # 16.90 MiB; 19.37 MiB while the block cache kept v and the patch
+    # embedding its columns
+    assert _training_step_peak(traced_peak, F64) <= 17.8 * MIB
+
+
 def _evaluate_peak(traced_peak):
     rng = Rng(915)
     model = _acceptance_model(rng)
@@ -477,6 +501,12 @@ def test_evaluate_peak_with_in_place_residuals(traced_peak):
     # 20.74 MiB: the block drops its mixer output and norm outputs at their
     # last use and adds the GLU's output into x1 in place; 24.2 MiB before
     assert _evaluate_peak(traced_peak) <= 22 * MIB
+
+
+def test_evaluate_peak_without_v_in_the_block_cache(traced_peak):
+    # 18.72 MiB: the block's cache holds no depthwise v through the GLU,
+    # and the GLU drops each chunk's h; 20.74 MiB before
+    assert _evaluate_peak(traced_peak) <= 19.5 * MIB
 
 
 def test_gaussian_blur_peak(traced_peak):

@@ -127,8 +127,8 @@ def test_the_block_cache_keeps_no_norm_output_but_the_depthwise_v(value_proj):
     cache = block_forward(x, p, ATConvConfig(use_value_proj=value_proj))[1]
     c_n1, c_mix, c_n2, c_glu = cache.caches
     assert c_glu.ca.x is None and c_glu.cb.x is None
-    if value_proj:
-        assert c_mix.value.x is None
+    if value_proj:  # v is rebuilt from n1 by the backward
+        assert c_mix.value.x is None and c_mix.dd.v is None
     else:  # v is norm1's output, which the depthwise stage needs anyway
         assert c_mix.value is None
         same(c_mix.dd.v, layer_norm_output(c_n1))

@@ -31,7 +31,9 @@ and comparing the objects. It covers:
   2 blocks, 28x28 input), f32 and f64: ``MicroModel.forward_cached``
   then ``MicroModel.backward`` of a seeded cotangent, with a seeded head
   (the initial zero head passes no gradient into the blocks), gx and
-  grads;
+  grads; and the same step with the mixer's value projection off
+  (``micro.step.<dtype>.no_value_proj``), where the depthwise stage keeps
+  norm1's output as its v;
 - a seeded GLU sweep, ``glu_forward`` y and ``glu_backward`` gx/grads, in
   f32, f64 and f32 input with an f64 gradient, at the acceptance shape,
   at 256 and 45 samples of it (several chunks, not all of one size), and
@@ -250,15 +252,18 @@ def pool_sweep(out: dict) -> None:
 
 def micro_step(out: dict) -> None:
     config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
-    for dtype in (np.float32, np.float64):
-        rng = Rng(8000)
-        model = MicroModel.init(rng, config, dtype=dtype)
-        model.set_parameter("head_w", rng.normal(0, 1, model.head_w.shape, dtype))
-        x = rng.normal(0, 1, (64, 1, 28, 28), dtype)
-        logits, cache = model.forward_cached(x)
-        gx, grads = model.backward(rng.normal(0, 1, logits.shape, dtype), cache)
-        out[f"micro.step.{np.dtype(dtype).name}.gx"] = array_sha(gx)
-        out[f"micro.step.{np.dtype(dtype).name}.grads"] = grads_sha(grads)
+    for suffix, op_config in (("", None),
+                              (".no_value_proj", atconv_op.ATConvConfig(use_value_proj=False))):
+        for dtype in (np.float32, np.float64):
+            rng = Rng(8000)
+            model = MicroModel.init(rng, config, op_config, dtype)
+            model.set_parameter("head_w", rng.normal(0, 1, model.head_w.shape, dtype))
+            x = rng.normal(0, 1, (64, 1, 28, 28), dtype)
+            logits, cache = model.forward_cached(x)
+            gx, grads = model.backward(rng.normal(0, 1, logits.shape, dtype), cache)
+            tag = f"micro.step.{np.dtype(dtype).name}{suffix}"
+            out[f"{tag}.gx"] = array_sha(gx)
+            out[f"{tag}.grads"] = grads_sha(grads)
 
 
 def glu_sweep(out: dict) -> None:
