@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (ArgumentError, DegenerateMapError, DimensionError,
                      NumericError, UndefinedMetricError)
-from .tensor import as_tensor4
+from .tensor import as_tensor4, block_ranges
 
 EIG_CLAMP = 1e-12
 
@@ -155,11 +155,11 @@ def gaussian_blur(x, sigma: float = 1.0) -> np.ndarray:
 
     Separable passes; identical to the dense 2-D kernel because replicate
     padding clamps each axis independently. The B*C planes are taken in
-    blocks of about ``_BLUR_BLOCK`` elements. Each block is edge-padded by
-    the radius on both axes in float64; the row pass, then the column
-    pass, adds kern[j] times the copy shifted by j into sums that start
-    from +0, over j in order. Beyond the output, only one block's buffers
-    are allocated.
+    blocks of at most ``_BLUR_BLOCK`` elements (``block_ranges``). Each
+    block is edge-padded by the radius on both axes in float64; the row
+    pass, then the column pass, adds kern[j] times the copy shifted by j
+    into sums that start from +0, over j in order. Beyond the output, only
+    one block's buffers are allocated.
     """
     x = as_tensor4(x)
     if sigma <= 0:
@@ -172,9 +172,8 @@ def gaussian_blur(x, sigma: float = 1.0) -> np.ndarray:
     n = b_ * c_
     x3 = x.reshape(n, h_, w_)
     out = np.empty_like(x3)
-    step = max(1, _BLUR_BLOCK // (h_ * w_))
-    for lo in range(0, n, step):
-        xp = np.pad(x3[lo:lo + step].astype(np.float64, copy=False),
+    for lo, hi in block_ranges(n, h_ * w_, _BLUR_BLOCK):
+        xp = np.pad(x3[lo:hi].astype(np.float64, copy=False),
                     ((0, 0), (r, r), (r, r)), mode="edge")
         m = len(xp)
         # rows pass, at every padded column: rows[h] = sum_j kern[j] * x[clamp(h + j - r)]
@@ -188,7 +187,7 @@ def gaussian_blur(x, sigma: float = 1.0) -> np.ndarray:
         for j, kj in enumerate(kern):
             np.multiply(kj, rows[:, :, j:j + w_], out=prod)
             cols += prod
-        out[lo:lo + m] = cols
+        out[lo:hi] = cols
     return out.reshape(x.shape)
 
 

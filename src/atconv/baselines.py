@@ -113,7 +113,8 @@ class StaticConv(atconv_op.Operator):
         b_, c_in, h_, w_ = x.shape
         k = self.k
         cols = np.empty((c_in, k * k, h_ * (w_ + k - 1)), dtype=x.dtype)
-        for _, xpad in atconv_op._padded_blocks(x.reshape(b_ * c_in, h_, w_), k // 2, c_in):
+        samples = [(b * c_in, (b + 1) * c_in) for b in range(b_)]
+        for _, xpad in atconv_op._padded_blocks(x.reshape(b_ * c_in, h_, w_), k // 2, samples):
             for i, run in enumerate(atconv_op._tap_runs(xpad, k)):
                 cols[:, i] = run
             yield cols.reshape(c_in * k * k, -1)
@@ -137,7 +138,8 @@ class StaticConv(atconv_op.Operator):
         gw = np.zeros((c_out, c_in * k * k), dtype=np.result_type(gy, x))
         cols = self._columns(x)
         gb = gy.sum(axis=(0, 2, 3)) if self.bias is not None else None
-        gyblocks = atconv_op._padded_blocks(gy.reshape(b_ * c_out, h_, w_), k // 2, c_out)
+        samples = [(b * c_out, (b + 1) * c_out) for b in range(b_)]
+        gyblocks = atconv_op._padded_blocks(gy.reshape(b_ * c_out, h_, w_), k // 2, samples)
         for gxb, (_, gypad) in zip(gx, gyblocks):
             runs = atconv_op._tap_runs(gypad, k, flip=True)
             sums.fill(0)

@@ -102,6 +102,8 @@ class IdxDataset:
         if raw.shape[0] != labels.shape[0]:
             raise DataConsistencyError(
                 f"{raw.shape[0]} images but {labels.shape[0]} labels")
+        if labels.size and int(labels.min()) < 0:
+            raise DataConsistencyError(f"label {int(labels.min())} is negative")
         if labels.size and int(labels.max()) >= num_classes:
             raise DataConsistencyError(
                 f"label {int(labels.max())} out of range for {num_classes} classes")

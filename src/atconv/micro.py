@@ -33,7 +33,7 @@ from .primitives import (
     linear_backward, linear_forward,
 )
 from .rng import Rng
-from .tensor import as_float, as_shaped, as_tensor4
+from .tensor import as_float, as_shaped, as_tensor4, block_ranges
 
 
 # ======================================================================
@@ -97,27 +97,12 @@ class GluCache(NamedTuple):
     cc: Conv1x1Cache
 
 
-# Elements of one chunk's hidden-width map: the GLU runs a chunk of samples
-# at a time, so its hidden maps and the products its pointwise convs make
-# stay in L2 instead of streaming whole-batch maps through memory.
-_GLU_BLOCK = 1 << 16
-
-
-def _glu_chunks(b_: int, hidden: int) -> list:
-    """(lo, hi) sample ranges that split b_ samples of ``hidden``
-    hidden-width elements each into as few chunks as keep each chunk's
-    hidden map within ``_GLU_BLOCK`` elements (one sample at least), with
-    sizes that differ by one at most."""
-    chunks = -(-b_ // max(1, _GLU_BLOCK // hidden))
-    bounds = [i * b_ // chunks for i in range(chunks + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def glu_forward(x, p: GluParams):
     """y = W_c ((W_a x) * gelu(W_b x)); all maps pointwise over pixels.
 
-    Every stage works per sample, so the GLU runs over chunks of samples
-    (``_glu_chunks``) and each sample's bits are those of a whole-batch
+    Every stage works per sample, so the GLU runs over chunks of samples,
+    each chunk's hidden map within ``tensor.BLOCK`` elements
+    (``block_ranges``), and each sample's bits are those of a whole-batch
     run. Per chunk: b = W_b x, its GELU, then a = W_a x: b is dropped
     before a is built, a once h = gelu(b) * a is written over the fresh
     GELU output, and h once W_c's conv returns (its cache is kept without
@@ -131,7 +116,7 @@ def glu_forward(x, p: GluParams):
     e, c = p.w_a.shape
     y = np.empty((b_, c, h_, w_), dtype=x.dtype)
     cdf = np.empty((b_, e, h_, w_), dtype=x.dtype)
-    for lo, hi in _glu_chunks(b_, e * h_ * w_):
+    for lo, hi in block_ranges(b_, e * h_ * w_):
         xs = x[lo:hi]
         braw, cb = conv1x1_forward(xs, p.w_b, p.b_b)
         h = gelu_forward(braw, cdf[lo:hi])[0]
@@ -175,7 +160,7 @@ def glu_backward(gy, cache: GluCache):
     gy = as_float(gy, (b_, cc.w.shape[0], h_, w_), "gy")
     gx = np.empty(x.shape, dtype=np.result_type(x, gy))
     gw_a = gb_a = gw_b = gb_b = gw_c = gb_c = None
-    for lo, hi in _glu_chunks(b_, cdf[0].size):
+    for lo, hi in block_ranges(b_, cdf[0].size):
         cas, cbs = ca._replace(x=x[lo:hi]), cb._replace(x=x[lo:hi])
         a = conv1x1_forward(*cas)[0]
         cg = GeluCache(conv1x1_forward(*cbs)[0], cdf[lo:hi])
@@ -540,6 +525,8 @@ def cross_entropy(logits, labels):
     if logits.ndim != 2:
         raise DimensionError(f"logits must be (B, classes), got {logits.shape}")
     b_, nc = logits.shape
+    if b_ == 0:
+        raise DimensionError(f"cross_entropy got an empty batch: logits of shape {logits.shape}")
     if labels.shape != (b_,):
         raise DimensionError(f"labels must be ({b_},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= nc:

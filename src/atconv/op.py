@@ -42,7 +42,7 @@ from .primitives import (
     sigmoid_backward, sigmoid_forward, softmax_backward, softmax_forward,
 )
 from .rng import Rng
-from .tensor import as_float, as_shaped, as_tensor4, ensure_finite, flop_counter
+from .tensor import as_float, as_shaped, as_tensor4, block_ranges, ensure_finite, flop_counter
 
 KERNEL_MODS = ("none", "softmax", "central_diff", "dkm")
 
@@ -183,36 +183,22 @@ class ATConvConfig:
 # dynamic depthwise aggregation
 # ======================================================================
 
-# Elements per block of the tap sum: 256 KiB of float32 sums plus one
-# product buffer and one padded input block of about the same size stay in
-# L2 across all k*k taps, where whole-tensor products would stream through
-# memory once per tap.
-_TAP_BLOCK = 1 << 16
-
-
-def _block_rows(n, span):
-    """Planes per block when n planes of ``span`` elements go into as few
-    near-equal blocks as keep each within about ``_TAP_BLOCK`` elements."""
-    blocks = -(-n // max(1, _TAP_BLOCK // span))
-    return -(-n // blocks)
-
-
-def _padded_blocks(x3, p, rows, dtype=None):
-    """Yield (lo, xpad) for the (N, H, W) planes of ``x3``, ``rows`` at a
-    time: xpad holds planes lo.. zero-padded by ``p``, shape
-    (m, H+2p+1, W+2p), in one reused buffer of ``dtype`` (x3's when None),
-    into which each block is cast.
+def _padded_blocks(x3, p, ranges, dtype=None):
+    """Yield (lo, xpad) for each (lo, hi) range of the (N, H, W) planes of
+    ``x3``: xpad holds planes lo..hi zero-padded by ``p``, shape
+    (hi-lo, H+2p+1, W+2p), in one reused buffer of ``dtype`` (x3's when
+    None) sized by the longest range, into which each block is cast.
 
     The zero border is never written. The spare bottom row keeps a run of
     H*(W+2p) elements from the last tap's offset inside its own plane.
     """
-    n, h, w = x3.shape
+    _, h, w = x3.shape
     dtype = x3.dtype if dtype is None else dtype
+    rows = max(hi - lo for lo, hi in ranges)
     xpad = np.zeros((rows, h + 2 * p + 1, w + 2 * p), dtype=dtype)
-    for lo in range(0, n, rows):
-        m = min(rows, n - lo)
-        xpad[:m, p:p + h, p:p + w] = x3[lo:lo + m]
-        yield lo, xpad[:m]
+    for lo, hi in ranges:
+        xpad[:hi - lo, p:p + h, p:p + w] = x3[lo:hi]
+        yield lo, xpad[:hi - lo]
 
 
 def _tap_runs(xpad, k, flip=False):
@@ -239,11 +225,13 @@ def _tap_sum(x, alpha, dtype, flip):
     (u, t) is the ``_tap_runs`` run, mirrored when ``flip`` is set.
 
     The flattened B*C axis is taken in the blocks of ``_padded_blocks``,
-    sized by ``_block_rows``. A plane's sums are kept at the padded row
-    width, in the layout ``StaticConv`` shares, and the k-1 extra sums per
-    row are dropped. For each tap, the product is written into a reused
-    buffer, computed in ``result_type(x, alpha)``, and added into the sums,
-    which start from +0 and visit the taps in row-major order.
+    each within ``tensor.BLOCK`` elements (``block_ranges``), so a block's
+    sums, product buffer and padded input stay in L2 across all k*k taps.
+    A plane's sums are kept at the padded row width, in the layout
+    ``StaticConv`` shares, and the k-1 extra sums per row are dropped.
+    For each tap, the product is written into a reused buffer, computed
+    in ``result_type(x, alpha)``, and added into the sums, which start
+    from +0 and visit the taps in row-major order.
 
     The product is ``np.einsum("m,ms->ms")`` of the tap's row scales, a
     contiguous (k*k, B*C) copy of alpha, with the run. x is padded and
@@ -264,11 +252,12 @@ def _tap_sum(x, alpha, dtype, flip):
     n = b_ * c_
     span = h * (w + k - 1)
     out = np.empty((n, h, w), dtype=dtype)
-    rows = _block_rows(n, span)
+    ranges = block_ranges(n, span)
+    rows = max(hi - lo for lo, hi in ranges)
     acc = np.empty((rows, span), dtype=dtype)
     prod = np.empty((rows, span), dtype=np.result_type(x, alpha))
     scales = np.ascontiguousarray(alpha.reshape(n, k * k).T, dtype=prod.dtype)
-    for lo, xpad in _padded_blocks(x.reshape(n, h, w), k // 2, rows, prod.dtype):
+    for lo, xpad in _padded_blocks(x.reshape(n, h, w), k // 2, ranges, prod.dtype):
         m = len(xpad)
         sums, pb = acc[:m], prod[:m]
         sums.fill(0)
@@ -334,8 +323,8 @@ def dyn_depthwise_backward(gy, cache: DynDepthwiseCache):
     n = b_ * c_
     gy3 = gy.reshape(n, h_, w_)
     ga = np.empty((n, k * k), dtype=alpha.dtype)
-    rows = _block_rows(n, h_ * (w_ + 2 * p))
-    for lo, vpad in _padded_blocks(v.reshape(n, h_, w_), p, rows):
+    ranges = block_ranges(n, h_ * (w_ + 2 * p))
+    for lo, vpad in _padded_blocks(v.reshape(n, h_, w_), p, ranges):
         m = len(vpad)
         for i, run in enumerate(_tap_runs(vpad, k)):
             ga[lo:lo + m, i] = np.einsum("nhw,nhw->n", gy3[lo:lo + m],
@@ -781,7 +770,8 @@ class ATConv(Operator):
         n_cells = nh * nw
         # row c*'s |.| sums: its cells, then its window pixels
         sums = np.empty((c_, n_cells + h_win.size * w_win.size))
-        # near-equal blocks of at least two rows
+        # near-equal blocks of at least two rows, a floor no budget for
+        # ``block_ranges`` can set, so the sums below add in order
         blocks = min(-(-c_ * c_ * n_cells // _CELL_BLOCK), max(1, c_ // 2))
         for b in range(blocks):
             lo, hi = c_ * b // blocks, c_ * (b + 1) // blocks

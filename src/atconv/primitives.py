@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, ArgumentError, StateError
-from .tensor import as_float, as_shaped, as_tensor4, ensure_finite, flop_counter
+from .tensor import as_float, as_shaped, as_tensor4, block_ranges, ensure_finite, flop_counter
 
 try:
     from numpy._core.umath import clip as _clip
@@ -80,6 +80,8 @@ _ERF32_Q = tuple(np.float32(v) for v in (
 # size page-fault afresh on every call; block-sized ones stay in cache and
 # are reused by the allocator, as long as each stays below glibc's 128 KiB
 # mmap and trim thresholds, which a request of 128 KiB itself may cross.
+# So erf keeps this fixed step, not ``block_ranges``; its edge tests place
+# values at the block edge.
 _ERF_BLOCK_BYTES = 96 << 10
 # Elements per float32 pass. The float64 path computes in float64, so a
 # pass takes half as many, and every float32 block edge is a float64 one.
@@ -246,10 +248,6 @@ def _erf_from_scaled_erfc(xs, ys, r):
 # pointwise (1x1) convolution: per-pixel channel mixing
 # ======================================================================
 
-# Elements of the per-sample products one block of conv1x1's gw holds.
-_GW_BLOCK = 1 << 16
-
-
 class Conv1x1Cache(NamedTuple):
     """The input, and the weight and bias (or None) as cast to its dtype."""
     x: np.ndarray
@@ -292,13 +290,14 @@ def conv1x1_backward(gy, cache: Conv1x1Cache, gw=None, gb=None):
     """Gradients of ``conv1x1_forward`` w.r.t. x, w and the bias.
 
     gx = w^T gy is one batched matmul. gw = sum_b gy[b] x[b]^T is summed
-    in sample order, in blocks of m = 2^16 // (C_out C_in) samples (at
-    least one). Each block is one batched matmul, which runs the
-    per-sample BLAS GEMM, into slots 1..m of an (m+1, C_out, C_in) buffer
-    whose slot 0 holds the running gw; ``np.add.reduce`` over the slots
-    then adds them into gw one slot after the other, as a loop of
-    ``gw += gy[b] x[b]^T`` would. So gw keeps that loop's bits, with one
-    GEMM call per block. The buffer holds at most max(2^16, C_out C_in) +
+    in sample order, in blocks of samples whose products fit in
+    ``tensor.BLOCK`` elements (``block_ranges``), m samples in the longest.
+    Each block is one batched matmul, which runs the per-sample BLAS GEMM,
+    into slots 1..m of an (m+1, C_out, C_in) buffer whose slot 0 holds
+    the running gw; ``np.add.reduce`` over the slots then adds them into
+    gw one slot after the other, as a loop of ``gw += gy[b] x[b]^T``
+    would. So gw keeps that loop's bits, with one
+    GEMM call per block. The buffer holds at most max(BLOCK, C_out C_in) +
     C_out C_in elements and is freed before gx, so the peak stays that of
     gx and gw.
 
@@ -323,12 +322,13 @@ def conv1x1_backward(gy, cache: Conv1x1Cache, gw=None, gb=None):
     xr = x.reshape(b_, c_in, n)
     if gw is None:
         gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
-    m = min(b_, max(1, _GW_BLOCK // (c_out * c_in)))
+    ranges = block_ranges(b_, c_out * c_in)
+    m = max(hi - lo for lo, hi in ranges)
     buf = np.empty((m + 1, c_out, c_in), dtype=gw.dtype)
-    for lo in range(0, b_, m):
-        j = min(m, b_ - lo)
+    for lo, hi in ranges:
+        j = hi - lo
         buf[0] = gw
-        np.matmul(gyr[lo:lo + j], xr[lo:lo + j].transpose(0, 2, 1), out=buf[1:j + 1])
+        np.matmul(gyr[lo:hi], xr[lo:hi].transpose(0, 2, 1), out=buf[1:j + 1])
         np.add.reduce(buf[:j + 1], axis=0, out=gw)
     del buf
     if cache.bias is not None:
@@ -388,11 +388,6 @@ def _cell_windows(bounds, cell) -> np.ndarray:
     return win
 
 
-# Elements per block of planes in the pooling backward's spread: a block's
-# gathered cell rows stay small next to the map they are added into.
-_POOL_BLOCK = 1 << 16
-
-
 def adaptive_avg_pool_forward(x, k: int):
     """Average the input over a k x k grid of (possibly overlapping) windows.
 
@@ -431,9 +426,9 @@ def adaptive_avg_pool_backward(gy, cache: PoolCache, out=None):
     (``_cell_windows``). Each cell's value is summed once, from +0, over
     its windows in row-major order, a missing window adding +0: the sum a
     loop of window adds into a zero map gives each of the cell's
-    positions, bit for bit. The cells are then spread a block of
-    ``_POOL_BLOCK`` elements of planes at a time: each cell row is
-    gathered to its positions' rows and the block added into the map.
+    positions, bit for bit. The cells are then spread a block of planes
+    at a time (``block_ranges``): each cell row is gathered to its
+    positions' rows and the block added into the map.
     """
     cache = _need_cache(cache, "adaptive_avg_pool")
     b_, c_, h_, w_ = cache.in_shape
@@ -458,9 +453,8 @@ def adaptive_avg_pool_backward(gy, cache: PoolCache, out=None):
             cells += t.take((hw[:, i, None] * (k + 1) + ww[:, j]).ravel(), axis=1)
     rows = cells.reshape(n, len(h_cut), len(w_cut)).take(w_cell, axis=2)  # (n, cells, W)
     planes = gx.reshape(n, h_, w_)
-    m = max(1, _POOL_BLOCK // (h_ * w_))
-    for lo in range(0, n, m):
-        planes[lo:lo + m] += rows[lo:lo + m].take(h_cell, axis=1)
+    for lo, hi in block_ranges(n, h_ * w_):
+        planes[lo:hi] += rows[lo:hi].take(h_cell, axis=1)
     return gx
 
 

@@ -80,6 +80,22 @@ def as_vector(v, n: int | None = None, name: str = "v") -> np.ndarray:
     return as_float(v, (n,), name)
 
 
+# Elements per block of a cache-blocked loop: a block's products and sums
+# stay in L2 instead of streaming whole-tensor temporaries through memory.
+BLOCK = 1 << 16
+
+
+def block_ranges(n: int, size: int, budget: int = BLOCK) -> list:
+    """(lo, hi) ranges that split n items of ``size`` elements each into
+    as few blocks as keep each within ``budget`` elements (one item at
+    least), with lengths that differ by one at most, the last the longest.
+
+    Every loop sized by it works per item or keeps a running sum in item
+    order, so where the blocks fall moves no bit."""
+    blocks = -(-n // max(1, budget // size))
+    return [(i * n // blocks, (i + 1) * n // blocks) for i in range(blocks)]
+
+
 def ensure_finite(x: np.ndarray, op: str) -> np.ndarray:
     """Raise NumericError if any element of ``x`` is NaN or infinite.
 

@@ -47,8 +47,13 @@ def _need_images(images, name: str) -> None:
 
 def evaluate(model: MicroModel, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 256) -> float:
-    """Top-1 accuracy over a non-empty dataset."""
+    """Top-1 accuracy over a non-empty dataset with one label per image,
+    taken ``batch_size`` images at a time."""
     _need_images(images, "evaluation set")
+    if batch_size < 1:
+        raise ArgumentError(f"batch_size must be positive, got {batch_size}")
+    if np.shape(labels) != (images.shape[0],):
+        raise DimensionError(f"labels must be ({images.shape[0]},), got shape {np.shape(labels)}")
     hits = 0
     for lo in range(0, images.shape[0], batch_size):
         logits = model.forward(images[lo:lo + batch_size])

@@ -14,9 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from atconv.errors import ArgumentError, DimensionError, NumericError
 from atconv.micro import (GluCache, _patchify, _unpatchify, glu_backward, glu_forward,
                           patch_embed_backward, patch_embed_forward)
-from atconv.op import (ATConvConfig, _block_rows, _padded_blocks, _tap_runs, _tap_sum,
+from atconv.op import (ATConvConfig, _padded_blocks, _tap_runs, _tap_sum,
                        atconv_backward, atconv_forward_cached)
-from atconv.primitives import (_ERF32_P, _ERF32_Q, _GW_BLOCK, Conv1x1Cache, GeluCache,
+from atconv.primitives import (_ERF32_P, _ERF32_Q, Conv1x1Cache, GeluCache,
                                LinearCache, PoolCache, _need_cache, _pool_bounds,
                                conv1x1_backward, conv1x1_forward, erf, gelu_backward,
                                gelu_forward, layer_norm_backward, layer_norm_forward,
@@ -977,7 +977,20 @@ def generate_kernels_backward_conv_first_ref(graw, cache: ConvFirstC2KCacheRef):
 # a column of alpha with the run, and ``conv1x1_backward`` as it was when
 # gw added one GEMM per sample into a scratch, copied verbatim. The
 # library versions must match them bit for bit, save the signed-zero case
-# ``_tap_sum``'s docstring names.
+# ``_tap_sum``'s docstring names. The references keep the block sizing
+# of their time, before ``tensor.block_ranges``: fixed steps of
+# ``_block_rows_ref`` planes, and of 2^16 // (C_out C_in) samples in
+# ``conv1x1_backward_whole_batch_ref`` below.
+
+_OLD_BLOCK = 1 << 16
+
+
+def _block_rows_ref(n, span):
+    """Planes per block when n planes of ``span`` elements go into as few
+    near-equal blocks as keep each within about ``_OLD_BLOCK`` elements."""
+    blocks = -(-n // max(1, _OLD_BLOCK // span))
+    return -(-n // blocks)
+
 
 def tap_sum_multiply_ref(x, alpha, dtype, flip):
     b_, c_, h, w = x.shape
@@ -986,10 +999,11 @@ def tap_sum_multiply_ref(x, alpha, dtype, flip):
     span = h * (w + k - 1)
     a2 = alpha.reshape(n, k * k)
     out = np.empty((n, h, w), dtype=dtype)
-    rows = _block_rows(n, span)
+    rows = _block_rows_ref(n, span)
     acc = np.empty((rows, span), dtype=dtype)
     prod = np.empty((rows, span), dtype=np.result_type(x, alpha))
-    for lo, xpad in _padded_blocks(x.reshape(n, h, w), k // 2, rows):
+    steps = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    for lo, xpad in _padded_blocks(x.reshape(n, h, w), k // 2, steps):
         m = len(xpad)
         sums, pb = acc[:m], prod[:m]
         sums.fill(0)
@@ -1057,7 +1071,7 @@ def conv1x1_backward_whole_batch_ref(gy, cache: Conv1x1Cache):
     gyr = gy.reshape(b_, c_out, n)
     xr = x.reshape(b_, c_in, n)
     gw = np.zeros((c_out, c_in), dtype=np.result_type(gyr, xr))
-    m = min(b_, max(1, _GW_BLOCK // (c_out * c_in)))
+    m = min(b_, max(1, _OLD_BLOCK // (c_out * c_in)))
     buf = np.empty((m + 1, c_out, c_in), dtype=gw.dtype)
     for lo in range(0, b_, m):
         j = min(m, b_ - lo)

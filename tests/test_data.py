@@ -152,6 +152,13 @@ def test_dataset_label_out_of_range():
         IdxDataset.from_arrays(imgs, labels)
 
 
+def test_dataset_negative_label():
+    # loaded without error once, and training then failed in cross_entropy
+    imgs = np.zeros((2, 4, 4), dtype=np.uint8)
+    with pytest.raises(DataConsistencyError, match="label -1 is negative"):
+        IdxDataset.from_arrays(imgs, np.array([-1, 3]))
+
+
 def test_dataset_from_files(tmp_path):
     imgs = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
     labels = np.array([7, 2], dtype=np.uint8)

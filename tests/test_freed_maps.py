@@ -30,11 +30,12 @@ from atconv.errors import NumericError
 from atconv.baselines import StaticDepthwise
 from atconv.micro import (AdamHyper, GluParams, MicroConfig, MicroModel, adam_init,
                           cross_entropy, glu_backward, glu_forward)
-from atconv.op import (ATConv, ATConvParams, _block_rows, atconv_backward,
-                       dyn_depthwise_backward, dyn_depthwise_forward)
+from atconv.op import (ATConv, ATConvParams, atconv_backward, dyn_depthwise_backward,
+                       dyn_depthwise_forward)
 from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, conv1x1_forward, erf, gelu_backward,
                                gelu_forward)
 from atconv.rng import Rng
+from atconv.tensor import block_ranges
 from atconv.train import evaluate, step
 from oracles import (dyn_depthwise_backward_padded_v_ref, gaussian_blur_gather_ref,
                      gelu_backward_fresh_ref, gelu_forward_scaled_map_ref,
@@ -57,16 +58,16 @@ def same(got, ref):
 # dynamic depthwise backward: galpha from v padded block by block
 # ----------------------------------------------------------------------
 
-# one block; H != W; several tap-sum blocks with a partial last one (k > 1)
+# one block; H != W; several tap-sum blocks, not all of one length (k > 1)
 DD_SHAPES = ((2, 3, 6, 5), (3, 10, 9, 13), (3, 101, 20, 31))
 
 
 def test_the_large_shape_spans_blocks_with_a_partial_last_one():
+    # 303 planes in four blocks of 75, 76, 76 and 76 at k = 3 and at k = 5
     b_, c_, h_, w_ = DD_SHAPES[-1]
-    n = b_ * c_
     for k in (3, 5):
-        rows = _block_rows(n, h_ * (w_ + k - 1))
-        assert n > rows and n % rows
+        ranges = block_ranges(b_ * c_, h_ * (w_ + k - 1))
+        assert [hi - lo for lo, hi in ranges] == [75, 76, 76, 76]
 
 
 @pytest.mark.parametrize("dtypes", DTYPES)
@@ -264,14 +265,15 @@ def test_model_forward_matches_the_cached_forward(dtype):
 # gaussian blur from edge-padded blocks
 # ----------------------------------------------------------------------
 
-# analyze's shape; H != W; several blur blocks with a partial last one
+# analyze's shape; H != W; several blur blocks, not all of one length
 BLUR_SHAPES = ((1, 64, 32, 32), (2, 3, 9, 14), (5, 11, 30, 20))
 
 
 def test_the_last_blur_shape_spans_blocks_with_a_partial_last_one():
+    # 55 planes in blocks of 18, 18 and 19
     b_, c_, h_, w_ = BLUR_SHAPES[-1]
-    step = _BLUR_BLOCK // (h_ * w_)
-    assert b_ * c_ > step and (b_ * c_) % step
+    ranges = block_ranges(b_ * c_, h_ * w_, _BLUR_BLOCK)
+    assert [hi - lo for lo, hi in ranges] == [18, 18, 19]
 
 
 @pytest.mark.parametrize("sigma", (0.7, 1.0, 2.5))

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from atconv import micro
-from atconv.micro import _GLU_BLOCK, GluParams, _glu_chunks, glu_backward, glu_forward
+from atconv.micro import GluParams, glu_backward, glu_forward
 from atconv.primitives import conv1x1_backward, conv1x1_forward
 from atconv.rng import Rng
+from atconv.tensor import BLOCK
 from oracles import (conv1x1_backward_whole_batch_ref, conv1x1_forward_broadcast_bias_ref,
                      glu_backward_whole_batch_ref, glu_forward_whole_batch_ref)
 
@@ -26,7 +27,7 @@ F32, F64 = np.float32, np.float64
 DTYPES = ((F32, F32), (F64, F64), (F32, F64))
 C, E, HW = 32, 128, (7, 7)
 # samples per chunk at the acceptance config's GLU: 2^16 // (128 * 49)
-CHUNK = _GLU_BLOCK // (E * HW[0] * HW[1])
+CHUNK = BLOCK // (E * HW[0] * HW[1])
 
 
 def same(got, ref):
@@ -44,18 +45,34 @@ def test_the_acceptance_chunk_is_ten_samples():
     assert CHUNK == 10
 
 
+def _chunk_sizes(monkeypatch, shape, e):
+    """The sample counts of the chunks ``glu_forward`` runs over, read
+    from its pointwise convs, three to a chunk."""
+    seen = []
+
+    def spy(xs, w, bias=None, out=None):
+        seen.append(xs.shape[0])
+        return conv1x1_forward(xs, w, bias, out)
+
+    monkeypatch.setattr(micro, "conv1x1_forward", spy)
+    rng = Rng(sum(shape))
+    glu_forward(rng.normal(0, 1, shape, F32), GluParams.init(rng, shape[1], e // shape[1], F32))
+    assert seen[0::3] == seen[1::3] == seen[2::3]
+    return seen[0::3]
+
+
 @pytest.mark.parametrize("b_", (1, 9, 10, 11, 32, 45, 64, 256))
-def test_chunks_cover_the_batch_in_near_equal_runs(b_):
-    chunks = _glu_chunks(b_, E * 49)
-    assert chunks[0][0] == 0 and chunks[-1][1] == b_
-    assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
-    sizes = [hi - lo for lo, hi in chunks]
+def test_chunks_cover_the_batch_in_near_equal_runs(b_, monkeypatch):
+    sizes = _chunk_sizes(monkeypatch, (b_, C) + HW, E)
+    assert sum(sizes) == b_
     assert max(sizes) <= CHUNK and max(sizes) - min(sizes) <= 1
-    assert len(chunks) == -(-b_ // CHUNK)
+    assert len(sizes) == -(-b_ // CHUNK)
 
 
-def test_a_sample_wider_than_the_block_is_a_chunk_of_its_own():
-    assert _glu_chunks(3, _GLU_BLOCK + 1) == [(0, 1), (1, 2), (2, 3)]
+def test_a_sample_wider_than_the_block_is_a_chunk_of_its_own(monkeypatch):
+    # E=32 at 46x46: one sample's hidden map is 67712 elements
+    assert 32 * 46 * 46 > BLOCK
+    assert _chunk_sizes(monkeypatch, (3, 8, 46, 46), 32) == [1, 1, 1]
 
 
 def _glu_pair(shape, dtypes, seed):
@@ -137,7 +154,7 @@ def test_no_pointwise_conv_in_the_glu_sees_more_than_one_chunk(monkeypatch):
     forward = list(seen)
     glu_backward(gy, cache)
     backward = seen[len(forward):]
-    chunks = len(_glu_chunks(64, E * 49))
+    chunks = -(-64 // CHUNK)
     assert chunks == 7
     assert [name for name, _ in forward] == ["conv1x1_forward"] * 3 * chunks
     assert [name for name, _ in backward].count("conv1x1_forward") == 2 * chunks

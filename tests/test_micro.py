@@ -345,6 +345,12 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy(np.zeros((2, 3)), np.array([0]))
 
 
+def test_cross_entropy_rejects_an_empty_batch():
+    # raised numpy's zero-size reduction ValueError
+    with pytest.raises(DimensionError, match="empty batch"):
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
 # ----------------------------------------------------------------------
 # optimizer
 # ----------------------------------------------------------------------

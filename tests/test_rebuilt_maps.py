@@ -114,7 +114,6 @@ def test_glu_forward_leaves_no_chunk_h_alive(monkeypatch):
     rng = Rng(2904)
     p = GluParams.init(rng, 8, 4, F32)
     x = rng.normal(0, 1, (100, 8, 7, 7), F32)
-    assert len(micro._glu_chunks(100, 32 * 49)) == 3
     hs, alive_at_gelu = [], []
     conv, gelu = micro.conv1x1_forward, micro.gelu_forward
 

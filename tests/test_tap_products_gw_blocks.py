@@ -16,9 +16,10 @@ calls ``np.matmul`` once per block of samples, not once per sample.
 import numpy as np
 import pytest
 
-from atconv.op import _block_rows, _tap_sum
-from atconv.primitives import _GW_BLOCK, conv1x1_backward, conv1x1_forward
+from atconv.op import _tap_sum
+from atconv.primitives import conv1x1_backward, conv1x1_forward
 from atconv.rng import Rng
+from atconv.tensor import BLOCK, block_ranges
 from oracles import conv1x1_backward_sample_loop_ref, tap_sum_multiply_ref
 from test_tap_sum_bitwise import DTYPES, assert_bitwise, draw
 
@@ -53,10 +54,11 @@ def test_tap_sum_with_a_batch_broadcast_kernel(dtypes):
 
 @pytest.mark.parametrize("dtypes", DTYPES)
 def test_tap_sum_with_a_partial_last_block(dtypes):
+    # 123 planes: the reference's fixed step runs blocks of 62 and 61, the
+    # library's near-equal ranges 61 and 62
     shape = (3, 41, 24, 24)
     n = shape[0] * shape[1]
-    rows = _block_rows(n, 24 * (24 + 2))  # k=3
-    assert n > rows and n % rows != 0
+    assert block_ranges(n, 24 * (24 + 2)) == [(0, 61), (61, 123)]  # k=3
     check_tap_sum(*draw(82, shape, 3, dtypes))
 
 
@@ -107,7 +109,7 @@ def test_tap_sum_makes_no_multiply_call(monkeypatch):
 # ----------------------------------------------------------------------
 
 C_OUT, C_IN = 40, 24
-M = _GW_BLOCK // (C_OUT * C_IN)  # 68 samples per gw block
+M = BLOCK // (C_OUT * C_IN)  # 68 samples per gw block
 # (x dtype, gy dtype)
 GW_DTYPES = ((F32, F32), (F64, F64), (F32, F64))
 
@@ -131,14 +133,16 @@ def check_conv1x1(gy, cache):
 @pytest.mark.parametrize("dtypes", GW_DTYPES)
 @pytest.mark.parametrize("b_", (1, M - 1, M, M + 1, 3 * M + 2))
 def test_blocked_gw_is_bitwise_the_sample_loop(b_, dtypes):
-    assert M > 1
+    # M samples are the most one gw block holds
+    assert M > 1 and block_ranges(M, C_OUT * C_IN) == [(0, M)]
+    assert len(block_ranges(M + 1, C_OUT * C_IN)) == 2
     check_conv1x1(*conv1x1_case(90 + b_, b_, C_OUT, C_IN, dtypes))
 
 
 @pytest.mark.parametrize("dtypes", GW_DTYPES)
 def test_blocked_gw_with_one_sample_per_block(dtypes):
     c_out, c_in = 330, 200
-    assert c_out * c_in > _GW_BLOCK  # m = 1
+    assert block_ranges(3, c_out * c_in) == [(0, 1), (1, 2), (2, 3)]  # m = 1
     check_conv1x1(*conv1x1_case(91, 3, c_out, c_in, dtypes, hw=(2, 3)))
 
 
@@ -154,4 +158,4 @@ def test_conv1x1_backward_calls_matmul_once_per_block(b_, monkeypatch):
     gy, cache = conv1x1_case(92, b_, C_OUT, C_IN, (F32, F32))
     monkeypatch.setattr(np, "matmul", counted)
     conv1x1_backward(gy, cache)
-    assert len(calls) <= -(-b_ // M) + 1  # the gw blocks and gx
+    assert len(calls) <= len(block_ranges(b_, C_OUT * C_IN)) + 1  # the gw blocks and gx

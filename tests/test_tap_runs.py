@@ -98,7 +98,7 @@ def test_runs_are_the_padded_windows_in_tap_order(k):
     rng = Rng(99)
     x3 = rng.normal(0, 1, (4, 5, 7), F64)
     p = k // 2
-    (_, xpad), = atconv_op._padded_blocks(x3, p, 4)
+    (_, xpad), = atconv_op._padded_blocks(x3, p, [(0, 4)])
     ref = np.pad(x3, ((0, 0), (p, p), (p, p)))
     taps = [(u, t) for u in range(k) for t in range(k)]
     for flip, order in ((False, taps), (True, taps[::-1])):
@@ -107,3 +107,16 @@ def test_runs_are_the_padded_windows_in_tap_order(k):
         for run, (u, t) in zip(runs, order):
             window = run.reshape(4, 5, 7 + 2 * p)[:, :, :7]
             assert_bitwise(window, ref[:, u:u + 5, t:t + 7])
+
+
+# fixed steps, as the oracles pass them, put the longest range first;
+# ``block_ranges`` puts it last
+@pytest.mark.parametrize("ranges", ([(0, 3), (3, 6), (6, 7)], [(0, 2), (2, 4), (4, 7)]))
+def test_padded_blocks_size_their_buffer_by_the_longest_range(ranges):
+    x3 = Rng(98).normal(0, 1, (7, 5, 6), F32)
+    ref = np.pad(x3, ((0, 0), (1, 1), (1, 1))).astype(F64)
+    blocks = atconv_op._padded_blocks(x3, 1, ranges, F64)
+    for (lo, hi), (got_lo, xpad) in zip(ranges, blocks, strict=True):
+        assert got_lo == lo and xpad.shape == (hi - lo, 5 + 3, 6 + 2)
+        assert_bitwise(xpad[:, :-1], ref[lo:hi])
+        assert not xpad[:, -1].any()  # the spare bottom row

@@ -11,8 +11,9 @@ dtype, not within a tolerance.
 import numpy as np
 import pytest
 
-from atconv.op import _TAP_BLOCK, _block_rows, dyn_depthwise_backward, dyn_depthwise_forward
+from atconv.op import dyn_depthwise_backward, dyn_depthwise_forward
 from atconv.rng import Rng
+from atconv.tensor import BLOCK, block_ranges
 from oracles import dyn_depthwise_backward_scatter_ref, dyn_depthwise_forward_unblocked_ref
 
 F32, F64 = np.float32, np.float64
@@ -71,23 +72,23 @@ def test_batch_broadcast_kernel(dtypes):
 
 
 def test_last_block_is_a_partial_one():
+    # 303 planes in blocks of 151 and 152: the first is one plane short
     shape = (3, 101, 16, 16)
     n = shape[0] * shape[1]
-    rows = _block_rows(n, 16 * (16 + 2))  # k=3
-    assert n > rows and n % rows != 0
+    assert block_ranges(n, 16 * (16 + 2)) == [(0, 151), (151, 303)]  # k=3
     check(*draw(73, shape, 3, (F32, F32, F32)))
 
 
 def test_analyze_shape_in_two_equal_blocks():
     # one f64 sample of 64 channels at 32 x 32 once split into 60 + 4 planes
     shape = (1, 64, 32, 32)
-    assert _block_rows(64, 32 * (32 + 2)) == 32
+    assert block_ranges(64, 32 * (32 + 2)) == [(0, 32), (32, 64)]
     check(*draw(76, shape, 3, (F64, F64, F64)))
 
 
 def test_plane_larger_than_a_block():
     shape = (1, 2, 260, 260)
-    assert shape[2] * shape[3] > _TAP_BLOCK
+    assert shape[2] * shape[3] > BLOCK
     check(*draw(74, shape, 3, (F32, F64, F32)))
 
 

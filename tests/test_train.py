@@ -298,6 +298,28 @@ def test_evaluate_on_known_predictions():
     assert evaluate(Fixed(), images, labels) == 6 / 8
 
 
+class _NoForward:
+    def forward(self, x):
+        raise AssertionError("evaluate ran the model on bad arguments")
+
+
+@pytest.mark.parametrize("batch_size", (0, -1))
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    # 0 raised range()'s bare ValueError and -1 returned accuracy 0.0
+    images = np.zeros((6, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(ArgumentError, match="batch_size must be positive"):
+        evaluate(_NoForward(), images, np.zeros(6, dtype=np.int64), batch_size)
+
+
+@pytest.mark.parametrize("count", (1, 3, 7))
+def test_evaluate_rejects_a_label_count_other_than_the_image_count(count):
+    # one label broadcast over six images and read accuracy 1.0; three
+    # raised numpy's broadcast error
+    images = np.zeros((6, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(DimensionError, match=r"labels must be \(6,\)"):
+        evaluate(_NoForward(), images, np.zeros(count, dtype=np.int64))
+
+
 def test_overfit_single_sample_converges():
     train_set, _ = synth_dataset(11, 10, 10)
     losses, hit = overfit_single_sample(

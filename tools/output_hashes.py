@@ -39,8 +39,9 @@ and comparing the objects. It covers:
   at 256 and 45 samples of it (several chunks, not all of one size), and
   one odd shape;
 - a seeded pointwise-conv sweep, ``conv1x1_backward`` gx/gw/gb in f32 and
-  f64 at batch sizes of one sample, one gw block and one more sample, and
-  three blocks and a partial one; and ``conv1x1_forward`` y with a bias in
+  f64 at batch sizes of one sample, one gw block and one more sample (two
+  blocks), and 205 samples (four near-equal blocks, not all of one
+  length); and ``conv1x1_forward`` y with a bias in
   f32 and f64 at the GLU's hidden map (B=64 and 256) and the operator's
   B8 C64 32x32 map;
 - ``gelu_forward`` y and CDF over erf's region edges scaled by sqrt(2),
