@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
+from .baselines import IdentityOp, StaticConv, StaticDepthwise, ToySAParams, ToySelfAttention
 from .complexity import ShapeSpec, memory
 from .errors import ArgumentError, NumericError
 from .gradcheck import DEFAULT_TOL, atconv_check, check_pair
@@ -77,6 +77,8 @@ class BenchSettings:
 
 
 def make_operator(name: str, channels: int, kernel: int, rng: Rng, dtype):
+    if name == "identity":
+        return IdentityOp()
     if name == "atconv":
         return ATConv(ATConvParams.init(rng, channels, kernel, dtype))
     if name == "toy_sa":

@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import IdentityOp
 from .bench import (BenchSettings, ablation_to_csv, make_operator, run_ablation,
                     run_bench, rows_to_csv, stage_param_count)
 from .complexity import ShapeSpec, report
@@ -135,8 +134,6 @@ def _build_analyze_operator(args):
                       ATConvConfig(kernel_mod=args.kernel_mod))
     if args.load is not None:
         raise ArgumentError("--load only applies to the atconv operator")
-    if args.operator == "identity":
-        return IdentityOp()
     return make_operator(args.operator, args.channels, args.kernel, rng, np.float64)
 
 

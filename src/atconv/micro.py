@@ -266,7 +266,8 @@ def block_forward(x, p: BlockParams, config: Optional[ATConvConfig] = None):
     backward rebuilds from n1 too. Without a value projection v is n1
     itself, so the depthwise stage keeps it. mix, n1 and n2 are dropped
     at their last use here, and the second residual is added into x1 in
-    place when that keeps the sum's dtype.
+    place: every stage of the GLU path keeps its input's dtype, so g has
+    x1's.
     """
     config = config if config is not None else ATConvConfig()
     n1, c_n1 = layer_norm_forward(x, p.norm1_gain, p.norm1_offset)
@@ -281,10 +282,7 @@ def block_forward(x, p: BlockParams, config: Optional[ATConvConfig] = None):
     g, c_glu = glu_forward(n2, p.glu)
     del n2
     c_glu = c_glu._replace(ca=c_glu.ca._replace(x=None), cb=c_glu.cb._replace(x=None))
-    if np.result_type(x1, g) == x1.dtype:
-        x1 += g
-    else:
-        x1 = x1 + g
+    x1 += g
     return x1, StageCaches("block", x1.shape, [c_n1, c_mix, c_n2, c_glu])
 
 
@@ -551,10 +549,13 @@ class AdamHyper:
 
 
 def adam_init(params: dict) -> dict:
+    """Adam's state: the step count, both moments, and ``"start"``, a copy
+    of ``params`` that ``adam_step`` refills before each update."""
     return {
         "t": 0,
         "m": {k: np.zeros_like(v) for k, v in params.items()},
         "v": {k: np.zeros_like(v) for k, v in params.items()},
+        "start": {k: v.copy() for k, v in params.items()},
     }
 
 
@@ -565,7 +566,8 @@ def adam_step(params: dict, grads: dict, state: dict, hyper: AdamHyper) -> dict:
     updated in place, so arrays that alias them (a model's
     ``named_parameters()``) see the step. Weight decay is applied directly
     to the parameter, outside the moment estimates. Parameters without a
-    gradient entry are left untouched.
+    gradient entry are left untouched. Each parameter is first copied into
+    ``state["start"]``, so it holds what the last update started from.
     """
     state["t"] += 1
     t = state["t"]
@@ -573,6 +575,7 @@ def adam_step(params: dict, grads: dict, state: dict, hyper: AdamHyper) -> dict:
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, p in params.items():
+        np.copyto(state["start"][name], p)
         g = grads.get(name)
         if g is None:
             continue

@@ -100,7 +100,9 @@ def train(model_config: MicroConfig, train_set, test_set,
     checkpointed (when a path is given) and TrainingDiverged is raised from
     the error, naming the op that went non-finite. Those are the parameters
     that entered the failing step when only Adam's output is non-finite,
-    and those that entered the step before it otherwise.
+    and those that entered the step before it otherwise: Adam's
+    ``state["start"]``, which ``adam_step`` fills after a clean forward and
+    backward and ``adam_init`` with the initial parameters.
     """
     settings.validate()
     _need_images(train_set.images, "training set")
@@ -119,13 +121,6 @@ def train(model_config: MicroConfig, train_set, test_set,
 
     records = []
     metrics_file = open(metrics_path, "w") if metrics_path is not None else None
-    last_good = params  # adam_step only runs after a clean forward and backward
-
-    def diverged(err, where):
-        if checkpoint_path is not None:
-            atck.save_atck(checkpoint_path, last_good)
-        return TrainingDiverged(f"{err} at {where}")
-
     try:
         for epoch in range(settings.epochs):
             t0 = time.perf_counter()
@@ -136,25 +131,16 @@ def train(model_config: MicroConfig, train_set, test_set,
             for lo in range(0, len(y_train), settings.batch_size):
                 idx = order[lo:lo + settings.batch_size]
                 xb, yb = x_train[idx], y_train[idx]
-                entering = {name: value.copy() for name, value in params.items()}
-                try:
-                    loss, logits = step(model, xb, yb, cross_entropy, params, state,
-                                        settings.hyper)
-                    # the step ran forward and backward cleanly on the entering
-                    # parameters, so they are the newest clean ones even when
-                    # Adam's output is not
-                    last_good = entering
-                    for name, value in params.items():
-                        ensure_finite(value, f"adam_step({name})")
-                except NumericError as err:
-                    raise diverged(err, f"epoch {epoch}, sample {lo}") from err
+                where = f"epoch {epoch}, sample {lo}"
+                loss, logits = step(model, xb, yb, cross_entropy, params, state,
+                                    settings.hyper)
+                for name, value in params.items():
+                    ensure_finite(value, f"adam_step({name})")
                 loss_sum += loss * len(yb)
                 hit_sum += int((logits.argmax(axis=1) == yb).sum())
                 seen += len(yb)
-            try:
-                test_acc = evaluate(model, x_test, y_test)
-            except NumericError as err:
-                raise diverged(err, f"epoch {epoch}, evaluation") from err
+            where = f"epoch {epoch}, evaluation"
+            test_acc = evaluate(model, x_test, y_test)
             record = {
                 "epoch": epoch,
                 "train_loss": loss_sum / seen,
@@ -169,6 +155,12 @@ def train(model_config: MicroConfig, train_set, test_set,
             if (settings.target_test_acc is not None
                     and test_acc >= settings.target_test_acc):
                 break
+    except NumericError as err:
+        # whichever stage failed, the newest parameters whose forward and
+        # backward ran cleanly are the ones Adam's last update started from
+        if checkpoint_path is not None:
+            atck.save_atck(checkpoint_path, state["start"])
+        raise TrainingDiverged(f"{err} at {where}") from err
     finally:
         if metrics_file is not None:
             metrics_file.close()

@@ -28,6 +28,7 @@ import pytest
 from atconv.analysis import _BLUR_BLOCK, analyze_operator, gaussian_blur
 from atconv.errors import NumericError
 from atconv.baselines import StaticDepthwise
+from atconv.data import synth_dataset
 from atconv.micro import (AdamHyper, GluParams, MicroConfig, MicroModel, adam_init,
                           cross_entropy, glu_backward, glu_forward)
 from atconv.op import (ATConv, ATConvParams, atconv_backward, dyn_depthwise_backward,
@@ -36,7 +37,7 @@ from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, conv1x1_forward, erf, gelu
                                gelu_forward)
 from atconv.rng import Rng
 from atconv.tensor import block_ranges
-from atconv.train import evaluate, step
+from atconv.train import TrainSettings, evaluate, step, train
 from oracles import (dyn_depthwise_backward_padded_v_ref, gaussian_blur_gather_ref,
                      gelu_backward_fresh_ref, gelu_forward_scaled_map_ref,
                      glu_backward_fresh_ref, glu_backward_six_tuple_ref,
@@ -474,6 +475,19 @@ def test_training_step_peak_in_float64(traced_peak):
     # 16.90 MiB; 19.37 MiB while the block cache kept v and the patch
     # embedding its columns
     assert _training_step_peak(traced_peak, F64) <= 17.8 * MIB
+
+
+def test_training_run_peak(traced_peak, tmp_path):
+    # one train() as perfbench's train unit runs it: 64 samples, 4 epochs,
+    # a 32-image test set, a checkpoint. 9.22 MiB: Adam's state keeps one
+    # copy of the parameters for the rescue; 9.34 MiB while train() copied
+    # them before every step and held the step before's copy too
+    train_set, held = synth_dataset(1, 64, 32)
+    config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
+    settings = TrainSettings(epochs=4, batch_size=64, seed=1, dtype="f32")
+    peak = traced_peak(train, config, train_set, held, settings, None,
+                       str(tmp_path / "model.atck"))
+    assert peak <= 9.30 * MIB
 
 
 def _evaluate_peak(traced_peak):

@@ -163,6 +163,40 @@ def test_divergence_saves_last_good_params(tiny_data, tmp_path, monkeypatch):
         assert np.isfinite(value).all()
 
 
+@pytest.mark.parametrize("failing, where", ((1, "epoch 0, sample 0"), (7, "epoch 1, sample 16")))
+def test_a_forward_failure_rescues_the_parameters_that_entered_the_step_before(
+        tiny_data, tmp_path, monkeypatch, failing, where):
+    # the loss of step n goes NaN: steps 1..n-1 ran cleanly, so the rescue
+    # is the parameters that entered step n-1, or the initial ones at n = 1
+    train_set, test_set = tiny_data
+    ckpt = tmp_path / "rescue.atck"
+    real_ce, real_step = train_mod.cross_entropy, train_mod.adam_step
+    entered = []
+
+    def sabotaged(logits, labels):
+        loss, dlogits = real_ce(logits, labels)
+        return (float("nan") if len(entered) + 1 == failing else loss), dlogits
+
+    def recorded(params, grads, state, hyper):
+        entered.append({name: value.copy() for name, value in params.items()})
+        return real_step(params, grads, state, hyper)
+
+    monkeypatch.setattr(train_mod, "cross_entropy", sabotaged)
+    monkeypatch.setattr(train_mod, "adam_step", recorded)
+    settings = TrainSettings(epochs=3, batch_size=16, seed=10, dtype="f64")
+    with pytest.raises(TrainingDiverged) as info:
+        train(TINY, train_set, test_set, settings, checkpoint_path=str(ckpt))
+    assert str(info.value) == f"loss became non-finite at {where}"
+    assert len(entered) == failing - 1
+    expected = (entered[-1] if entered
+                else MicroModel.init(Rng(10), TINY, dtype=np.float64).named_parameters())
+    entries = load_atck(str(ckpt))
+    assert list(entries) == list(expected)
+    for name, value in entries.items():
+        assert value.dtype == expected[name].dtype, name
+        assert value.tobytes() == expected[name].tobytes(), name
+
+
 def test_real_divergence_ends_in_training_diverged(tiny_data, tmp_path):
     # lr=1e12 overflows the f32 activations a few steps in: the op that
     # goes non-finite raises NumericError inside the step, not the loss

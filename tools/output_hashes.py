@@ -77,7 +77,7 @@ import numpy as np  # noqa: E402
 
 from atconv import op as atconv_op  # noqa: E402
 from atconv.analysis import influence_map  # noqa: E402
-from atconv.baselines import IdentityOp, StaticDepthwise  # noqa: E402
+from atconv.baselines import StaticDepthwise  # noqa: E402
 from atconv.bench import make_operator  # noqa: E402
 from atconv.data import synth_dataset  # noqa: E402
 from atconv.errors import NumericError  # noqa: E402
@@ -176,8 +176,7 @@ def influence_sweep(out: dict) -> None:
         for name in ANALYZE_OPERATORS:
             for k in (3, 5) if name == "atconv" else (3,):
                 rng = Rng(4000 + k)
-                op = (IdentityOp() if name == "identity"
-                      else make_operator(name, INFLUENCE_SHAPE[1], k, rng, dtype))
+                op = make_operator(name, INFLUENCE_SHAPE[1], k, rng, dtype)
                 x = rng.normal(0, 1, INFLUENCE_SHAPE, dtype)
                 tag = f"influence.{name}.{np.dtype(dtype).name}.k{k}"
                 out[tag] = array_sha(influence_map(op, x, INFLUENCE_ANCHOR))
