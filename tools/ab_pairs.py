@@ -4,13 +4,12 @@ BENCH summary.
 Run from the repository root:
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs 10 --out BENCH_n.json
-    python3 tools/ab_pairs.py --summarize BENCH_n.json
 
 PARENT and CHANGE are each a commit or a directory holding a checkout. A
 commit is exported with ``git archive`` into a fresh directory, so neither
 side runs from this working tree. Each pair runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
 
 once in each side's directory, the parent first in even pairs and the
 change first in odd ones, with seed S = first seed + pair index. A run's
@@ -25,8 +24,9 @@ each side's median and inclusive quartiles
 wins (ties count for neither side), the ratio of the medians (change over
 parent), whether that ratio is within the metric's bound in its worse
 direction, and the spread of the parent's runs (q3 - q1); and whether
-every run of each side passed its output checks. ``--summarize`` prints
-the summary of a file's raw runs without running anything.
+every run of each side passed its output checks. It counts whole pairs
+only, those with both sides run, and leaves out a workload with fewer
+than two.
 
 The script only reads perfbench's output; it changes nothing under
 ``perfbench/``.
@@ -44,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SECONDS = 30  # every run's length, the same on both sides and in every BENCH file
 
 
 def side_summary(values: list) -> dict:
@@ -68,14 +69,20 @@ def metric_summary(pairs: list, metric: dict) -> dict:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """The summary of one workload's pairs, in ``BENCHMARK.json`` order."""
+    """The summary of one workload's whole pairs, in ``BENCHMARK.json``
+    order; empty under two whole pairs."""
+    pairs = [p for p in pairs if all(side in p for side in SIDES)]
+    if len(pairs) < 2:
+        return {}
     out = {m["name"]: metric_summary(pairs, m) for m in end_to_end}
     out["correct"] = {side: all(p[side]["correct"] for p in pairs) for side in SIDES}
     return out
 
 
 def summarize_all(bench: dict, end_to_end: list) -> dict:
-    return {w: summarize(pairs, end_to_end) for w, pairs in bench["workloads"].items()}
+    """The summary of every workload that has two whole pairs."""
+    out = {w: summarize(pairs, end_to_end) for w, pairs in bench["workloads"].items()}
+    return {w: s for w, s in out.items() if s}
 
 
 def export(side: str, workdir: Path, label: str) -> tuple:
@@ -93,17 +100,17 @@ def export(side: str, workdir: Path, label: str) -> tuple:
     return target, commit
 
 
-def run_once(directory: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(directory: Path, workload: str, seed: int) -> dict:
     """One perfbench run; returns the JSON object on its last output line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=directory, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_pairs(dirs: dict, workload: str, pairs: int, first_seed: int, seconds: float,
-              out: list, done, runner=run_once) -> list:
+def run_pairs(dirs: dict, workload: str, pairs: int, first_seed: int, out: list, done,
+              runner=run_once) -> list:
     """Append ``pairs`` alternating pairs to ``out``, calling ``done`` after
     every run; returns ``out``."""
     for i in range(pairs):
@@ -113,7 +120,7 @@ def run_pairs(dirs: dict, workload: str, pairs: int, first_seed: int, seconds: f
         for side in order:
             print(f"ab_pairs: {workload} pair {i + 1}/{pairs} seed {pair['seed']} {side}",
                   file=sys.stderr, flush=True)
-            pair[side] = runner(dirs[side], workload, pair["seed"], seconds)
+            pair[side] = runner(dirs[side], workload, pair["seed"])
             done()
     return out
 
@@ -125,25 +132,16 @@ def write(path: Path, bench: dict) -> None:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("parent", nargs="?")
-    p.add_argument("change", nargs="?")
-    p.add_argument("--workload", action="append")
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0].replace("\n", " "))
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", action="append", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--first-seed", type=int,
                    help="seed of the first pair (default: drawn from the clock)")
-    p.add_argument("--out", type=Path)
-    p.add_argument("--summarize", type=Path, metavar="BENCH_JSON")
+    p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-
-    if args.summarize is not None:
-        bench = json.loads(args.summarize.read_text())
-        print(json.dumps(summarize_all(bench, end_to_end), indent=1))
-        return 0
-    if not (args.parent and args.change and args.workload and args.out):
-        p.error("PARENT, CHANGE, --workload and --out are required unless --summarize")
     if args.pairs < 2:
         p.error("--pairs must be at least 2, for quartiles")
     first_seed = args.first_seed if args.first_seed is not None else int(time.time()) % 100000
@@ -156,7 +154,7 @@ def main(argv=None) -> int:
             "description": (
                 "perfbench reports, parent and change, run alternately with the first "
                 "side swapped each pair: python3 perfbench/run.py --workload W --seed N "
-                f"--seconds {args.seconds:g} --trace 0, by tools/ab_pairs.py. Each side's "
+                f"--seconds {SECONDS} --trace 0, by tools/ab_pairs.py. Each side's "
                 "entry is the JSON object on the last line of its run's output. Quartiles: "
                 "statistics.quantiles(n=4, method='inclusive'); within_bound compares the "
                 "ratio of medians with the metric's BENCHMARK.json bound in its worse "
@@ -168,16 +166,12 @@ def main(argv=None) -> int:
         }
 
         def done():
-            for workload, runs in bench["workloads"].items():
-                whole = [pair for pair in runs if all(side in pair for side in SIDES)]
-                if len(whole) >= 2:
-                    bench["summary"][workload] = summarize(whole, end_to_end)
+            bench["summary"] = summarize_all(bench, end_to_end)
             write(args.out, bench)
 
         for n, workload in enumerate(args.workload):
             runs = bench["workloads"][workload] = []
-            run_pairs(dirs, workload, args.pairs, first_seed + n * args.pairs, args.seconds,
-                      runs, done)
+            run_pairs(dirs, workload, args.pairs, first_seed + n * args.pairs, runs, done)
     return 0
 
 
