@@ -125,7 +125,7 @@ def _inhibition(op, x, base, anchor, eps):
     the operator's output on ``x``."""
     ah, aw = anchor
     if eps is None:
-        rms = float(np.sqrt(np.mean(x.astype(np.float64) ** 2)))
+        rms = float(np.sqrt(np.mean(x.astype(np.float64, copy=False) ** 2)))
         if rms == 0.0:
             raise UndefinedMetricError("cannot scale the probe: input is all zeros")
         eps = 0.01 * rms
@@ -194,11 +194,12 @@ def gaussian_blur(x, sigma: float = 1.0) -> np.ndarray:
 def csc(x, sigma: float = 1.0) -> float:
     """Share of signal energy not captured by a Gaussian-smoothed copy."""
     x = as_tensor4(x)
-    denom = float(np.abs(x.astype(np.float64)).mean())
+    denom = float(np.abs(x.astype(np.float64, copy=False)).mean())
     if denom == 0.0:
         raise UndefinedMetricError("metric undefined for an all-zero input")
     smooth = gaussian_blur(x, sigma)
-    num = float(np.abs(x.astype(np.float64) - smooth.astype(np.float64)).mean())
+    num = float(np.abs(x.astype(np.float64, copy=False)
+                       - smooth.astype(np.float64, copy=False)).mean())
     return num / denom
 
 
@@ -228,7 +229,7 @@ def cer(x) -> float:
     n = b_ * h_ * w_
     if n < 2:
         raise UndefinedMetricError("need at least two samples for a covariance")
-    samples = x.astype(np.float64).transpose(0, 2, 3, 1).reshape(n, c_)
+    samples = x.astype(np.float64, copy=False).transpose(0, 2, 3, 1).reshape(n, c_)
     centered = samples - samples.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (n - 1)
     if not np.any(cov):

@@ -21,7 +21,7 @@ from atconv.primitives import (_ERF32_P, _ERF32_Q, Conv1x1Cache, GeluCache,
                                conv1x1_backward, conv1x1_forward, erf, gelu_backward,
                                gelu_forward, layer_norm_backward, layer_norm_forward,
                                linear_backward, linear_forward)
-from atconv.rng import _LANES
+from atconv.rng import _LANES, _TWO_NEG53
 from atconv.tensor import (FLOAT_DTYPES, as_float, as_shaped, as_tensor4, as_vector,
                            ensure_finite, flop_counter)
 
@@ -1276,3 +1276,53 @@ def rng_u64_ref(self, n: int) -> np.ndarray:
         self._buf = np.concatenate([self._buf] + fresh)
     out, self._buf = self._buf[:n].copy(), self._buf[n:]
     return out
+
+
+# ``Rng.uniform``, ``normal``, ``integers``, ``permutation`` and ``_as_shape`` as they were
+# when every draw took the whole u64 draw in one array and Box-Muller ran
+# over all of it, copied verbatim as functions of the generator that read
+# the stream through ``rng_u64_ref``.
+
+def _rng_as_shape_ref(shape) -> tuple:
+    if isinstance(shape, (int, np.integer)):
+        return (int(shape),)
+    return tuple(int(s) for s in shape)
+
+
+def rng_uniform_ref(self, low: float, high: float, shape, dtype=np.float64) -> np.ndarray:
+    """Uniform draws on [low, high) with 53-bit resolution."""
+    shape = _rng_as_shape_ref(shape)
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    u = (rng_u64_ref(self, n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+    out = low + (high - low) * u
+    return out.reshape(shape).astype(dtype, copy=False)
+
+
+def rng_normal_ref(self, mean: float, std: float, shape, dtype=np.float64) -> np.ndarray:
+    """Gaussian draws via Box-Muller on consecutive uniform pairs."""
+    shape = _rng_as_shape_ref(shape)
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    pairs = -(-n // 2)
+    raw = rng_u64_ref(self, 2 * pairs)
+    # +1 keeps u1 in (0, 1] so the log is finite.
+    u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _TWO_NEG53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return (mean + std * z).reshape(shape).astype(dtype, copy=False)
+
+
+def rng_integers_ref(self, bound: int, shape) -> np.ndarray:
+    """Draws from {0, ..., bound-1}. Modulo reduction; the bias is
+    below 2**-40 for any desk-scale bound."""
+    if bound <= 0:
+        raise ArgumentError(f"bound must be positive, got {bound}")
+    shape = _rng_as_shape_ref(shape)
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    return (rng_u64_ref(self, n) % np.uint64(bound)).astype(np.int64).reshape(shape)
+
+
+def rng_permutation_ref(self, n: int) -> np.ndarray:
+    """A uniform permutation of range(n) (argsort of raw draws)."""
+    return np.argsort(rng_u64_ref(self, n), kind="stable")

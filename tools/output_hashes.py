@@ -49,7 +49,11 @@ and comparing the objects. It covers:
 - ``erf`` over a seeded sweep in f32 and f64, unscaled and scaled by
   1/sqrt(2), and at the f32 path's edges: ±4 with its neighbours, every
   f32 in the band [3.57, 4] that the final clip holds to 1, and a strided
-  set of subnormals, each with both signs.
+  set of subnormals, each with both signs;
+- the random stream at two seeds: ``Rng.u64``, ``uniform``, ``normal`` in
+  f32 and f64, ``integers`` and ``permutation``, called in turn over one
+  sequence of draw sizes that splits rounds and blocks, one hash per call
+  kind over all its draws.
 
 The package is imported from ``src`` and the CLI runs as a subprocess of
 the same interpreter, with ``ATCONV_THREADS=1``.
@@ -114,6 +118,11 @@ GLU_DTYPES = ((np.float32, np.float32), (np.float64, np.float64),
               (np.float32, np.float64))
 # elements of the erf sweep: more than one erf block, with a ragged tail
 ERF_SWEEP = 70001
+# seeds and draw sizes of the stream sweep: within a round, a round's
+# remainder, whole rounds, and more than two of ``uniform``'s and
+# ``normal``'s blocks, each call starting where the last one stopped
+RNG_SEEDS = (0, 2903)
+RNG_DRAWS = (1, 255, 3, 512, 1001, 30001)
 
 
 def sha(data: bytes) -> str:
@@ -355,6 +364,24 @@ def erf_sweep(out: dict) -> None:
         out[f"erf.float32.{tag}"] = array_sha(erf(np.concatenate([x, -x])))
 
 
+def rng_sweep(out: dict) -> None:
+    for seed in RNG_SEEDS:
+        rng = Rng(seed)
+        kinds = {"u64": rng.u64,
+                 "uniform.float32": lambda n: rng.uniform(-2.5, 3.25, n, np.float32),
+                 "uniform.float64": lambda n: rng.uniform(-2.5, 3.25, n),
+                 "normal.float32": lambda n: rng.normal(0.3, 1.7, n, np.float32),
+                 "normal.float64": lambda n: rng.normal(0.3, 1.7, n),
+                 "integers": lambda n: rng.integers(1000, n),
+                 "permutation": rng.permutation}
+        hashes = {name: hashlib.sha256() for name in kinds}
+        for n in RNG_DRAWS:
+            for name, draw in kinds.items():
+                hashes[name].update(array_sha(draw(n)).encode())
+        for name, h in hashes.items():
+            out[f"rng.seed{seed}.{name}"] = h.hexdigest()
+
+
 def main() -> int:
     out = {"blas.core": blas_core()}
     trained_models(out)
@@ -368,6 +395,7 @@ def main() -> int:
     conv1x1_sweep(out)
     gelu_sweep(out)
     erf_sweep(out)
+    rng_sweep(out)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
