@@ -1278,10 +1278,10 @@ def rng_u64_ref(self, n: int) -> np.ndarray:
     return out
 
 
-# ``Rng.uniform``, ``normal``, ``integers``, ``permutation`` and ``_as_shape`` as they were
-# when every draw took the whole u64 draw in one array and Box-Muller ran
-# over all of it, copied verbatim as functions of the generator that read
-# the stream through ``rng_u64_ref``.
+# ``Rng.uniform``, ``normal``, ``integers`` and ``permutation``, and
+# ``rng._as_shape``, as they were when every draw took the whole u64 draw
+# in one array and Box-Muller ran over all of it, copied verbatim as
+# functions of the generator that read the stream through ``rng_u64_ref``.
 
 def _rng_as_shape_ref(shape) -> tuple:
     if isinstance(shape, (int, np.integer)):

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from atconv.errors import ArgumentError
 from atconv.rng import _BLOCK, Rng
 from oracles import (rng_integers_ref, rng_normal_ref, rng_permutation_ref, rng_u64_ref,
                      rng_uniform_ref)
@@ -37,6 +38,7 @@ KINDS = (
     ("permutation", lambda g, s: g.permutation(int(np.prod(s))),
      lambda g, s: rng_permutation_ref(g, int(np.prod(s)))),
 )
+DRAW = {name: draw for name, draw, _ in KINDS}
 
 # every DRAWS size as a flat draw, then 0-d and 4-d shapes (105 values, odd),
 # a draw of one block exactly and one just past two blocks
@@ -60,13 +62,12 @@ def test_interleaved_draws_match_the_whole_draw_oracles(seed):
             assert _state(rng) == _state(ref), where
 
 
-@pytest.mark.parametrize("name", [k[0] for k in KINDS])
+@pytest.mark.parametrize("name", DRAW)
 def test_the_leftover_owns_its_draws(name):
     # the leftover used to be a view of the whole u64 draw it came from
-    draw = dict((k[0], k[1]) for k in KINDS)[name]
     rng = Rng(1)
     for shape in SHAPES:
-        draw(rng, shape)
+        DRAW[name](rng, shape)
         assert rng._buf.base is None and rng._buf.size < 256, f"after {shape}"
 
 
@@ -81,3 +82,10 @@ def test_a_normal_draw_peaks_below_twice_its_result():
         tracemalloc.stop()
     assert z.nbytes == 2 << 20
     assert peak <= 2 * z.nbytes
+
+
+@pytest.mark.parametrize("name", [name for name in DRAW if name not in ("u64", "permutation")])
+@pytest.mark.parametrize("shape", ((-3,), (4, -1)))
+def test_a_negative_dimension_is_an_argument_error(name, shape):
+    with pytest.raises(ArgumentError):
+        DRAW[name](Rng(0), shape)
