@@ -76,12 +76,10 @@ _ERF32_Q = tuple(np.float32(v) for v in (
     -2.13374055278905e-04, -1.45660718464996e-05))
 
 
-# Bytes of one temporary of a pass. Whole-array temporaries at the GLU's
-# size page-fault afresh on every call; block-sized ones stay in cache and
-# are reused by the allocator, as long as each stays below glibc's 128 KiB
-# mmap and trim thresholds, which a request of 128 KiB itself may cross.
-# So erf keeps this fixed step, not ``block_ranges``; its edge tests place
-# values at the block edge.
+# Bytes of one temporary of a pass: small enough that a pass's temporaries
+# stay in cache, as whole-array ones at the GLU's size do not. So erf keeps
+# this fixed step, not ``block_ranges``; its edge tests place values at the
+# block edge.
 _ERF_BLOCK_BYTES = 96 << 10
 # Elements per float32 pass. The float64 path computes in float64, so a
 # pass takes half as many, and every float32 block edge is a float64 one.

@@ -53,9 +53,9 @@ _U1, _U5, _U9, _U7, _U57, _U19, _U11 = (np.array(k, dtype=np.uint64)
 _LEFT_SHIFTS = np.array([[17], [45]], dtype=np.uint64)
 
 # Rounds per block: the scrambler, and ``uniform``'s and ``normal``'s reads
-# of the stream, run over this many rounds at a time, 96 KiB of u64. So no
-# temporary is the size of a whole draw, and each stays below glibc's
-# 128 KiB mmap threshold, as erf's do.
+# of the stream, run over this many rounds at a time, 96 KiB of u64, erf's
+# byte step. So no temporary is the size of a whole draw, and each stays in
+# cache.
 _BLOCK_ROUNDS = 48
 _BLOCK = _BLOCK_ROUNDS * _LANES
 
