@@ -71,15 +71,22 @@ def influence_map(op, x, anchor) -> np.ndarray:
     return op.influence(op.forward_cached(x)[1], anchor)
 
 
-def far(g: np.ndarray, r0: float, anchor) -> float:
-    """Fraction of map mass strictly farther than ``r0`` from ``anchor``."""
+def _as_map(g) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise DimensionError(f"map must be 2-D, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ArgumentError("map must be finite, got NaN or inf")
+    return g
+
+
+def far(g: np.ndarray, r0: float, anchor) -> float:
+    """Fraction of map mass strictly farther than ``r0`` from ``anchor``."""
+    g = _as_map(g)
     if np.any(g < 0):
         raise ArgumentError("map must be nonnegative")
-    if r0 < 0:
-        raise ArgumentError(f"radius must be >= 0, got {r0}")
+    if not (math.isfinite(r0) and r0 >= 0):
+        raise ArgumentError(f"radius must be finite and >= 0, got {r0}")
     h_, w_ = g.shape
     ah, aw = _check_anchor(anchor, h_, w_)
     total = g.sum()
@@ -92,9 +99,7 @@ def far(g: np.ndarray, r0: float, anchor) -> float:
 
 def routing_centroid(g: np.ndarray, quantile: float = 0.9) -> tuple:
     """(h, w) centroid of the above-quantile portion of the map."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2:
-        raise DimensionError(f"map must be 2-D, got shape {g.shape}")
+    g = _as_map(g)
     if not (0.0 <= quantile < 1.0):
         raise ArgumentError(f"quantile must lie in [0, 1), got {quantile}")
     if g.sum() <= 0.0:

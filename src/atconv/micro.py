@@ -28,7 +28,7 @@ from .op import ATConvConfig, ATConvParams, atconv_backward, atconv_forward_cach
 from .primitives import (
     Conv1x1Cache, GeluCache, _need_cache,
     conv1x1_backward, conv1x1_forward,
-    gelu_backward, gelu_forward,
+    gelu_backward, gelu_forward, gelu_output,
     layer_norm_backward, layer_norm_forward, layer_norm_output,
     linear_backward, linear_forward,
 )
@@ -129,26 +129,20 @@ def glu_forward(x, p: GluParams):
     return y, GluCache(ca._replace(x=x), cb._replace(x=x), cdf, cc)
 
 
-def _gate(cg: GeluCache):
-    """The GELU output, rebuilt bit for bit: the forward's (0.5 x)(1 + erf)
-    equals x * cdf, since cdf = (1 + erf) / 2 exactly and 0.5 x is exact
-    wherever 1 + erf != 1 (where it is 1, both round 0.5 x once)."""
-    return np.multiply(cg.x, cg.cdf)
-
-
 def glu_backward(gy, cache: GluCache):
     """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
 
     Runs over the forward's chunks of samples. Per chunk, a and b are
     rebuilt once, each by ``conv1x1_forward`` on the arguments the
     forward used (the chunk of x, and the cast weight and bias), so they
-    are the forward's bits, and a is kept for the chunk. h = gate * a is
-    rebuilt for W_c's backward and dropped. The gate is rebuilt again and
-    gh multiplied into it in place (a fresh product when gy is wider than
-    the GLU, to keep ``result_type``), for W_a's backward; then gh * a is
-    written over gh for the GELU gradient, which runs alone. The chunk's
-    two input gradients are summed in place and written into the
-    whole-batch gx.
+    are the forward's bits, and a is kept for the chunk. The gate is
+    rebuilt once (``gelu_output``); h = gate * a goes straight into W_c's
+    backward, which frees it before its gx, and gh is multiplied into the
+    gate in place (a fresh product when gy is wider than the GLU, to keep
+    ``result_type``) for W_a's backward. Then gh * a is written over gh
+    for the GELU gradient. The chunk's two input gradients are summed
+    into the whole-batch gx. W_c's backward copies its chunk of gy,
+    which may be a view (the head's cotangent is a broadcast one).
 
     The three weight gradients continue their running sums from chunk to
     chunk through ``conv1x1_backward``'s gw and gb, which add sample after
@@ -157,18 +151,15 @@ def glu_backward(gy, cache: GluCache):
     ca, cb, cdf, cc = _need_cache(cache, "glu")
     x = ca.x
     b_, _, h_, w_ = x.shape
-    gy = as_float(gy, (b_, cc.w.shape[0], h_, w_), "gy")
+    gy = as_shaped(gy, (b_, cc.w.shape[0], h_, w_), "gy")
     gx = np.empty(x.shape, dtype=np.result_type(x, gy))
     gw_a = gb_a = gw_b = gb_b = gw_c = gb_c = None
     for lo, hi in block_ranges(b_, cdf[0].size):
         cas, cbs = ca._replace(x=x[lo:hi]), cb._replace(x=x[lo:hi])
         a = conv1x1_forward(*cas)[0]
         cg = GeluCache(conv1x1_forward(*cbs)[0], cdf[lo:hi])
-        h = _gate(cg)
-        h *= a
-        gh, gw_c, gb_c = conv1x1_backward(gy[lo:hi], cc._replace(x=h), gw_c, gb_c)
-        del h
-        ga = _gate(cg)
+        ga = gelu_output(cg)  # the gate, then W_a's cotangent gh * gate
+        gh, gw_c, gb_c = conv1x1_backward(gy[lo:hi], cc._replace(x=ga * a), gw_c, gb_c)
         if np.result_type(gh, ga) == ga.dtype:
             ga *= gh
         else:
@@ -181,8 +172,7 @@ def glu_backward(gy, cache: GluCache):
         del gh, cg
         gx_b, gw_b, gb_b = conv1x1_backward(gbraw, cbs, gw_b, gb_b)
         del gbraw
-        gxs += gx_b
-        gx[lo:hi] = gxs
+        np.add(gxs, gx_b, out=gx[lo:hi])
     grads = {"w_a": gw_a, "b_a": gb_a, "w_b": gw_b, "b_b": gb_b,
              "w_c": gw_c, "b_c": gb_c}
     return gx, grads
@@ -376,12 +366,17 @@ class MicroConfig:
     num_classes: int = 10
 
     def validate(self) -> None:
-        for name in ("in_channels", "channels", "blocks", "patch", "num_classes"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ArgumentError(f"{name} must be a positive int, got {v!r}")
-        if self.expansion < 1:
-            raise ArgumentError(f"expansion must be >= 1, got {self.expansion}")
+        for name in ("in_channels", "channels", "blocks", "patch", "expansion",
+                     "num_classes"):
+            _need_count(getattr(self, name), name)
+
+
+def _need_count(value, name: str) -> None:
+    """Raise ArgumentError unless ``value`` is an int or numpy integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ArgumentError(f"{name} must be positive, got {value}")
 
 
 def _parameter_slots(node, prefix: str = ""):
@@ -481,8 +476,7 @@ class MicroModel:
             cache, "micro_model").spend(dlogits, "dlogits")
         gfeats, gw_head, gb_head = linear_backward(dlogits, c_head)
         area = h_shape[2] * h_shape[3]
-        gh = np.broadcast_to(
-            (gfeats / area)[:, :, None, None], h_shape).astype(gfeats.dtype)
+        gh = np.broadcast_to((gfeats / area)[:, :, None, None], h_shape)
         grads = {"head_w": gw_head, "head_b": gb_head}
         for i in reversed(range(len(self.blocks))):
             gh, bgrads = block_backward(gh, block_caches.pop())

@@ -296,8 +296,8 @@ def conv1x1_backward(gy, cache: Conv1x1Cache, gw=None, gb=None):
     gw one slot after the other, as a loop of ``gw += gy[b] x[b]^T``
     would. So gw keeps that loop's bits, with one
     GEMM call per block. The buffer holds at most max(BLOCK, C_out C_in) +
-    C_out C_in elements and is freed before gx, so the peak stays that of
-    gx and gw.
+    C_out C_in elements and is freed before gx, as is x when only the
+    cache held it, so the peak stays that of gx and gw.
 
     gb is each sample's sum of gy over the pixels (``np.add.reduce`` over
     the contiguous pixel axis), added into the running gb in sample order
@@ -310,8 +310,8 @@ def conv1x1_backward(gy, cache: Conv1x1Cache, gw=None, gb=None):
     calls over consecutive chunks of a batch, each continuing the last
     one's gw and gb, give one whole-batch call's bits.
     """
-    cache = _need_cache(cache, "conv1x1")
-    x, w = cache.x, cache.w
+    x, w, bias = _need_cache(cache, "conv1x1")
+    del cache
     b_, c_in, h_, w_ = x.shape
     c_out = w.shape[0]
     gy = as_float(gy, (b_, c_out, h_, w_), "gy")
@@ -328,8 +328,8 @@ def conv1x1_backward(gy, cache: Conv1x1Cache, gw=None, gb=None):
         buf[0] = gw
         np.matmul(gyr[lo:hi], xr[lo:hi].transpose(0, 2, 1), out=buf[1:j + 1])
         np.add.reduce(buf[:j + 1], axis=0, out=gw)
-    del buf
-    if cache.bias is not None:
+    del buf, x, xr
+    if bias is not None:
         if gb is None:
             gb = np.zeros(c_out, dtype=gy.dtype)
         sums = np.empty((b_ + 1, c_out), dtype=gb.dtype)
@@ -510,21 +510,25 @@ class GeluCache(NamedTuple):
     cdf: np.ndarray
 
 
+def gelu_output(cache: GeluCache) -> np.ndarray:
+    """x * cdf as a fresh map: ``gelu_forward``'s output, with its bits."""
+    return cache.x * cache.cdf
+
+
 def gelu_forward(x, cdf_out=None):
-    """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate.
+    """y = x * cdf, the Gaussian-CDF gate, cdf = 0.5 * (1 + erf(x / sqrt(2))).
 
     x / sqrt(2) is formed one ``erf`` block at a time, never as a whole
     map, so the peak is the CDF and y plus erf's block temporaries. The
     CDF is built in ``cdf_out`` when one is given (erf's ``out``).
     """
     x = np.asarray(x)
-    e1 = erf(x, INV_SQRT2, cdf_out)
-    e1 += 1.0
-    y = 0.5 * x
-    y *= e1
+    cdf = erf(x, INV_SQRT2, cdf_out)
+    cdf += 1.0
+    cdf *= 0.5
+    y = gelu_output(GeluCache(x, cdf))
     ensure_finite(y, "gelu")
-    e1 *= 0.5
-    return y, GeluCache(x, e1)
+    return y, GeluCache(x, cdf)
 
 
 def gelu_backward(gy, cache: GeluCache):

@@ -743,6 +743,28 @@ def gelu_forward_scaled_map_ref(x):
     return y, GeluCache(x, e1)
 
 
+# ``gelu_forward`` as it was while y was formed as (0.5 x)(1 + erf) and the
+# CDF halved after it, copied verbatim (its ``INV_SQRT2`` is
+# ``_REF_INV_SQRT2``, the same float). The library forms the CDF first and
+# returns x * cdf, ``gelu_output``, and must match it bit for bit.
+
+def gelu_forward_half_x_ref(x, cdf_out=None):
+    """y = 0.5 * x * (1 + erf(x / sqrt(2))), the Gaussian-CDF gate.
+
+    x / sqrt(2) is formed one ``erf`` block at a time, never as a whole
+    map, so the peak is the CDF and y plus erf's block temporaries. The
+    CDF is built in ``cdf_out`` when one is given (erf's ``out``).
+    """
+    x = np.asarray(x)
+    e1 = erf(x, _REF_INV_SQRT2, cdf_out)
+    e1 += 1.0
+    y = 0.5 * x
+    y *= e1
+    ensure_finite(y, "gelu")
+    e1 *= 0.5
+    return y, GeluCache(x, e1)
+
+
 class GluThreeMapCacheRef(NamedTuple):
     """What ``glu_backward`` reads. Of the hidden-width maps it keeps only
     a and the GELU's input and CDF; W_c's cache comes without its input h,

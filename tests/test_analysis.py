@@ -115,6 +115,25 @@ def test_far_rejects_degenerate_and_bad_args():
         far(np.ones((4, 4, 4)), 1.0, (2, 2))
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_far_and_centroid_reject_a_non_finite_map(bad):
+    # far read nan (with a RuntimeWarning), and the centroid of a map
+    # holding NaN reported no mass at or above its threshold
+    g = np.ones((4, 4))
+    g[1, 2] = bad
+    with pytest.raises(ArgumentError, match="map must be finite"):
+        far(g, 1.0, (2, 2))
+    with pytest.raises(ArgumentError, match="map must be finite"):
+        routing_centroid(g)
+
+
+@pytest.mark.parametrize("r0", (np.nan, np.inf, -np.inf))
+def test_far_rejects_a_non_finite_radius(r0):
+    # r0 = nan read 0.0: no distance compares greater than NaN
+    with pytest.raises(ArgumentError, match="radius must be finite"):
+        far(np.ones((4, 4)), r0, (2, 2))
+
+
 # ----------------------------------------------------------------------
 # routing centroid
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@
 it was when every region of the float64 path ran over the whole array, and
 ``erf32_ref``, the float32 rational with no blocks.
 ``oracles.gelu_backward_recompute_ref`` is the GELU backward that
-recomputed the CDF through it. The blocked, gathered erf and the cached CDF
+recomputed the CDF through it, and ``oracles.gelu_forward_half_x_ref`` the
+GELU forward that formed y as (0.5 x)(1 + erf) before halving the CDF. The blocked, gathered erf and the cached CDF
 keep every elementwise operation in the same order, so the comparisons here
 are on raw bytes and dtype, not within a tolerance, for both dtypes.
 """
@@ -12,9 +13,12 @@ are on raw bytes and dtype, not within a tolerance, for both dtypes.
 import numpy as np
 import pytest
 
-from atconv.primitives import _ERF_BLOCK, INV_SQRT2, erf, gelu_backward, gelu_forward
+import oracles
+from atconv import primitives
+from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, erf, gelu_backward, gelu_forward,
+                               gelu_output)
 from atconv.rng import Rng
-from oracles import erf_ref, gelu_backward_recompute_ref
+from oracles import erf_ref, gelu_backward_recompute_ref, gelu_forward_half_x_ref
 
 DTYPES = (np.float32, np.float64)
 SCALES = (0.3, 1.0, 3.0, 10.0)
@@ -109,3 +113,35 @@ def test_gelu_forward_backward_bitwise(dtype, scale):
     gy4 = gy[:1400].reshape(x4.shape).astype(np.float64)
     _, cache4 = gelu_forward(x4)
     assert_bitwise(gelu_backward(gy4, cache4), gelu_backward_recompute_ref(gy4, x4))
+
+
+def gelu_inputs(dtype):
+    """The inputs above in one map: the seeded sweeps at every scale, the
+    region edges (with ±0 and the smallest subnormals), more subnormals,
+    ±inf and NaN."""
+    sub = np.finfo(dtype).smallest_subnormal
+    tail = np.array([3 * sub, -1000 * sub, np.inf, -np.inf, np.nan], dtype=dtype)
+    return np.concatenate([sweep(dtype, scale, (2, 16, 7, 7)).ravel() for scale in SCALES]
+                          + [region_edges(dtype), tail])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_forward_matches_the_half_x_product(dtype, monkeypatch):
+    # cdf = (1 + erf) / 2 exactly, and 0.5 x is exact wherever 1 + erf != 1
+    # (where it is 1, both forms round 0.5 x once), so x * cdf has the bits
+    # of (0.5 x)(1 + erf). The finiteness check is off in both versions, so
+    # the outputs of ±inf and NaN are compared too
+    monkeypatch.setattr(primitives, "ensure_finite", lambda *args: None)
+    monkeypatch.setattr(oracles, "ensure_finite", lambda *args: None)
+    x = gelu_inputs(dtype)
+    with np.errstate(invalid="ignore"):
+        ref_y, ref_cache = gelu_forward_half_x_ref(x)
+        for arg, out in ((x, None), (x, np.empty_like(x)), (x[:1400].reshape(2, 7, 10, 10), None)):
+            y, cache = gelu_forward(arg, out)
+            n = arg.size
+            assert_bitwise(y.reshape(-1), ref_y[:n])
+            assert_bitwise(cache.cdf.reshape(-1), ref_cache.cdf[:n])
+            assert out is None or cache.cdf is out
+            assert_bitwise(gelu_output(cache), y)
+    # gelu(inf) = inf; gelu(-inf) and gelu(NaN) are NaN
+    assert ref_y[-3] == np.inf and np.isnan(ref_y[-2:]).all()

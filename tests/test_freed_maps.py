@@ -33,8 +33,8 @@ from atconv.micro import (AdamHyper, GluParams, MicroConfig, MicroModel, adam_in
                           cross_entropy, glu_backward, glu_forward)
 from atconv.op import (ATConv, ATConvParams, atconv_backward, dyn_depthwise_backward,
                        dyn_depthwise_forward)
-from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, conv1x1_forward, erf, gelu_backward,
-                               gelu_forward)
+from atconv.primitives import (_ERF_BLOCK, INV_SQRT2, Conv1x1Cache, conv1x1_backward,
+                               conv1x1_forward, erf, gelu_backward, gelu_forward)
 from atconv.rng import Rng
 from atconv.tensor import block_ranges
 from atconv.train import TrainSettings, evaluate, step, train
@@ -488,6 +488,34 @@ def test_training_run_peak(traced_peak, tmp_path):
     peak = traced_peak(train, config, train_set, held, settings, None,
                        str(tmp_path / "model.atck"))
     assert peak <= 9.30 * MIB
+
+
+def test_training_run_peak_with_one_gate_per_chunk(traced_peak, tmp_path):
+    # 8.90 MiB: the head's cotangent reaches the blocks as a broadcast view,
+    # not a copied map, and each GLU chunk builds its gate once, hands h =
+    # gate * a to W_c's backward, which frees it before its gx, and turns
+    # the gate into W_a's cotangent in place; 9.22 MiB before
+    train_set, held = synth_dataset(1, 64, 32)
+    config = MicroConfig(channels=32, blocks=2, patch=4, kernel=3, expansion=4)
+    settings = TrainSettings(epochs=4, batch_size=64, seed=1, dtype="f32")
+    peak = traced_peak(train, config, train_set, held, settings, None,
+                       str(tmp_path / "model.atck"))
+    assert peak <= 9.0 * MIB
+
+
+def test_conv1x1_backward_frees_an_input_held_by_its_cache_alone(traced_peak):
+    # W_c's backward in the GLU: x, the hidden map, is built for the call
+    # and dropped before gx, a map of x's size, is allocated. So the peak is
+    # one map and the gw block buffer (1.18 maps), not two maps (2.01)
+    rng = Rng(918)
+    w = rng.normal(0, 1, (32, 128), F32)
+    gy = rng.normal(0, 1, (64, 32, 7, 7), F32)
+    hidden = 64 * 128 * 49 * 4
+
+    def backward():
+        return conv1x1_backward(gy, Conv1x1Cache(np.ones((64, 128, 7, 7), F32), w, None))
+
+    assert traced_peak(backward) <= 1.3 * hidden
 
 
 def _evaluate_peak(traced_peak):

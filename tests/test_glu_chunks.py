@@ -16,9 +16,9 @@ import pytest
 
 from atconv import micro
 from atconv.micro import GluParams, glu_backward, glu_forward
-from atconv.primitives import conv1x1_backward, conv1x1_forward
+from atconv.primitives import conv1x1_backward, conv1x1_forward, gelu_output
 from atconv.rng import Rng
-from atconv.tensor import BLOCK
+from atconv.tensor import BLOCK, block_ranges
 from oracles import (conv1x1_backward_whole_batch_ref, conv1x1_forward_broadcast_bias_ref,
                      glu_backward_whole_batch_ref, glu_forward_whole_batch_ref)
 
@@ -133,6 +133,41 @@ def test_glu_backward_on_a_non_contiguous_gradient():
     ref_gx, ref_grads = glu_backward_whole_batch_ref(gy, glu_forward_whole_batch_ref(x, p)[1])
     same(gx, ref_gx)
     same_grads(grads, ref_grads)
+
+
+@pytest.mark.parametrize("dtypes", DTYPES)
+def test_glu_backward_on_a_broadcast_gradient(dtypes):
+    # the head's cotangent reaches the last block's GLU as a read-only view
+    # that repeats each sample's per-channel value over the pixels; each
+    # chunk copies its own slice of it
+    p, x, _ = _glu_pair((3 * CHUNK + 2, C) + HW, dtypes, 75)
+    g = Rng(76).normal(0, 1, (3 * CHUNK + 2, C, 1, 1), dtypes[1])
+    gy = np.broadcast_to(g, x.shape)
+    assert not gy.flags.writeable
+    _, cache = glu_forward(x, p)
+    gx, grads = glu_backward(gy, cache)
+    ref_cache = glu_forward_whole_batch_ref(x, p)[1]
+    ref_gx, ref_grads = glu_backward_whole_batch_ref(np.ascontiguousarray(gy), ref_cache)
+    same(gx, ref_gx)
+    same_grads(grads, ref_grads)
+
+
+def test_glu_backward_builds_one_gate_per_chunk(monkeypatch):
+    # the gate was built twice per chunk: once for W_c's input h = gate * a
+    # and again for W_a's cotangent
+    built = []
+
+    def spy(cache):
+        built.append(cache.x.shape[0])
+        return gelu_output(cache)
+
+    monkeypatch.setattr(micro, "gelu_output", spy)
+    p, x, gy = _glu_pair((64, C) + HW, (F32, F32), 77)
+    _, cache = glu_forward(x, p)
+    assert built == []  # the forward's GELU keeps its own output
+    glu_backward(gy, cache)
+    assert built == [hi - lo for lo, hi in block_ranges(64, E * HW[0] * HW[1])]
+    assert len(built) == 7
 
 
 def test_no_pointwise_conv_in_the_glu_sees_more_than_one_chunk(monkeypatch):

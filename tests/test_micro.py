@@ -309,6 +309,18 @@ def test_config_validation():
         MicroConfig(expansion=0).validate()
 
 
+@pytest.mark.parametrize("expansion", (2.5, "4", 4.0, None, True))
+def test_config_rejects_a_non_integer_expansion(expansion):
+    # 2.5 failed inside Rng with numpy's "expected a sequence of integers",
+    # and "4" raised a bare TypeError from the comparison with 1
+    with pytest.raises(ArgumentError, match="expansion must be an integer"):
+        MicroConfig(expansion=expansion).validate()
+
+
+def test_config_takes_numpy_integers():
+    MicroConfig(channels=np.int64(8), expansion=np.int32(2)).validate()
+
+
 # ----------------------------------------------------------------------
 # loss
 # ----------------------------------------------------------------------

@@ -38,6 +38,22 @@ def test_settings_validation():
         TrainSettings(dtype="f16").validate()
 
 
+@pytest.mark.parametrize("field", ("epochs", "batch_size"))
+@pytest.mark.parametrize("value", (1.5, 2.0, "2", True, None, np.float32(2)))
+def test_settings_reject_a_non_integer_count(field, value, tiny_data):
+    # 1.5 epochs and a batch of 2.5 ran into range()'s bare TypeError
+    settings = TrainSettings(**{"epochs": 1, "batch_size": 16, field: value})
+    with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+        settings.validate()
+    with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+        train(TINY, *tiny_data, settings)
+
+
+@pytest.mark.parametrize("count", (2, np.int64(2), np.uint8(2), np.int32(2)))
+def test_settings_accept_python_and_numpy_integers(count):
+    TrainSettings(epochs=count, batch_size=count).validate()
+
+
 def _empty_set():
     return IdxDataset.from_arrays(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
 
@@ -343,6 +359,24 @@ def test_evaluate_rejects_a_batch_size_below_one(batch_size):
     images = np.zeros((6, 1, 4, 4), dtype=np.float32)
     with pytest.raises(ArgumentError, match="batch_size must be positive"):
         evaluate(_NoForward(), images, np.zeros(6, dtype=np.int64), batch_size)
+
+
+@pytest.mark.parametrize("batch_size", (2.5, 2.0, "2", False, None))
+def test_evaluate_rejects_a_non_integer_batch_size(batch_size):
+    # 2.5 ran into range()'s bare TypeError
+    images = np.zeros((6, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(ArgumentError, match="batch_size must be an integer"):
+        evaluate(_NoForward(), images, np.zeros(6, dtype=np.int64), batch_size)
+
+
+def test_evaluate_takes_a_numpy_integer_batch_size():
+    class Fixed:
+        def forward(self, x):
+            return np.eye(3)[np.zeros(x.shape[0], dtype=np.int64)]
+
+    images = np.zeros((5, 1, 4, 4), dtype=np.float32)
+    labels = np.array([0, 1, 0, 0, 2])
+    assert evaluate(Fixed(), images, labels, np.int64(2)) == 3 / 5
 
 
 @pytest.mark.parametrize("count", (1, 3, 7))

@@ -61,8 +61,15 @@ the same interpreter, with ``ATCONV_THREADS=1``.
 Many of these bits depend on the BLAS kernels that ran: the same OpenBLAS
 picks other kernels under ``OPENBLAS_CORETYPE`` and moves about half the
 entries. So the object also holds ``blas.core``, the kernel set numpy's
-bundled OpenBLAS reports (null without one); two outputs compare only at
-the same core.
+bundled OpenBLAS reports, and ``blas.version``, that library's version
+(both null without one), and ``numpy.version``; two outputs compare only
+at the same core and versions.
+
+``tools/hashes/<core>.json`` is this output under
+``OPENBLAS_CORETYPE=<core>``, and ``tests/test_bit_contract.py`` checks the
+tree against it. A deliberate bit change regenerates it:
+
+    OPENBLAS_CORETYPE=SkylakeX python3 tools/output_hashes.py > tools/hashes/SkylakeX.json
 """
 
 import ctypes
@@ -139,17 +146,23 @@ def grads_sha(grads: dict) -> str:
     return sha("".join(f"{k}:{array_sha(v)};" for k, v in sorted(grads.items())).encode())
 
 
-def blas_core():
-    """The name of the kernel set numpy's bundled OpenBLAS runs, asked of
-    the library numpy loaded; None when numpy bundles no OpenBLAS."""
+def toolchain() -> dict:
+    """``blas.core``, the name of the kernel set numpy's bundled OpenBLAS
+    runs, and ``blas.version``, its version, both asked of the library
+    numpy loaded (None when numpy bundles no OpenBLAS); and
+    ``numpy.version``."""
+    out = {"blas.core": None, "blas.version": None, "numpy.version": np.__version__}
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         lib = ctypes.CDLL(path)
         if hasattr(lib, "scipy_openblas_get_corename64_"):
-            corename = lib.scipy_openblas_get_corename64_
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return None
+            corename, config = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_
+            corename.restype = config.restype = ctypes.c_char_p
+            out["blas.core"] = corename().decode()
+            # "OpenBLAS <version> <build options> <core> ..."
+            out["blas.version"] = config().decode().split()[1]
+            break
+    return out
 
 
 def cli_stdout(*argv) -> bytes:
@@ -383,7 +396,7 @@ def rng_sweep(out: dict) -> None:
 
 
 def main() -> int:
-    out = {"blas.core": blas_core()}
+    out = toolchain()
     trained_models(out)
     cli_outputs(out)
     influence_sweep(out)
