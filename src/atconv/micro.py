@@ -33,7 +33,7 @@ from .primitives import (
     linear_backward, linear_forward,
 )
 from .rng import Rng
-from .tensor import as_float, as_shaped, as_tensor4, block_ranges
+from .tensor import as_float, as_shaped, as_tensor4, block_ranges, need_count
 
 
 # ======================================================================
@@ -133,16 +133,14 @@ def glu_backward(gy, cache: GluCache):
     """Gradients of ``glu_forward`` w.r.t. x and the GLU's weights.
 
     Runs over the forward's chunks of samples. Per chunk, a and b are
-    rebuilt once, each by ``conv1x1_forward`` on the arguments the
-    forward used (the chunk of x, and the cast weight and bias), so they
-    are the forward's bits, and a is kept for the chunk. The gate is
-    rebuilt once (``gelu_output``); h = gate * a goes straight into W_c's
-    backward, which frees it before its gx, and gh is multiplied into the
-    gate in place (a fresh product when gy is wider than the GLU, to keep
-    ``result_type``) for W_a's backward. Then gh * a is written over gh
-    for the GELU gradient. The chunk's two input gradients are summed
-    into the whole-batch gx. W_c's backward copies its chunk of gy,
-    which may be a view (the head's cotangent is a broadcast one).
+    rebuilt by ``conv1x1_forward`` on the forward's arguments (the chunk
+    of x, and the cast weight and bias), so they are the forward's bits.
+    The gate is rebuilt once (``gelu_output``); h = gate * a goes straight
+    into W_c's backward, which frees it before its gx, and gh is multiplied
+    into the gate in place (a fresh product when gy is wider than the GLU,
+    to keep ``result_type``) for W_a's backward. Then gh * a is written
+    over gh for the GELU gradient. gy may be a view (the head's cotangent
+    is a broadcast one); W_c's backward copies its chunk.
 
     The three weight gradients continue their running sums from chunk to
     chunk through ``conv1x1_backward``'s gw and gb, which add sample after
@@ -366,17 +364,8 @@ class MicroConfig:
     num_classes: int = 10
 
     def validate(self) -> None:
-        for name in ("in_channels", "channels", "blocks", "patch", "expansion",
-                     "num_classes"):
-            _need_count(getattr(self, name), name)
-
-
-def _need_count(value, name: str) -> None:
-    """Raise ArgumentError unless ``value`` is an int or numpy integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ArgumentError(f"{name} must be positive, got {value}")
+        for name in ("in_channels", "channels", "blocks", "patch", "expansion", "num_classes"):
+            need_count(getattr(self, name), name)
 
 
 def _parameter_slots(node, prefix: str = ""):

@@ -80,6 +80,14 @@ def as_vector(v, n: int | None = None, name: str = "v") -> np.ndarray:
     return as_float(v, (n,), name)
 
 
+def need_count(value, name: str) -> None:
+    """Raise ArgumentError unless ``value`` is an int or numpy integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ArgumentError(f"{name} must be positive, got {value}")
+
+
 # Elements per block of a cache-blocked loop: a block's products and sums
 # stay in L2 instead of streaming whole-tensor temporaries through memory.
 BLOCK = 1 << 16

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import atck
 from .errors import ArgumentError, DimensionError, NumericError, TrainingDiverged
-from .micro import (AdamHyper, MicroConfig, MicroModel, _need_count, adam_init, adam_step,
+from .micro import (AdamHyper, MicroConfig, MicroModel, adam_init, adam_step,
                     cross_entropy)
 from .rng import Rng
-from .tensor import ensure_finite
+from .tensor import ensure_finite, need_count
 
 
 @dataclass
@@ -34,8 +34,8 @@ class TrainSettings:
     target_test_acc: float | None = None  # stop early once reached
 
     def validate(self) -> None:
-        _need_count(self.epochs, "epochs")
-        _need_count(self.batch_size, "batch_size")
+        need_count(self.epochs, "epochs")
+        need_count(self.batch_size, "batch_size")
         if self.dtype not in ("f32", "f64"):
             raise ArgumentError(f"dtype must be f32 or f64, got {self.dtype!r}")
 
@@ -50,7 +50,7 @@ def evaluate(model: MicroModel, images: np.ndarray, labels: np.ndarray,
     """Top-1 accuracy over a non-empty dataset with one label per image,
     taken ``batch_size`` images at a time."""
     _need_images(images, "evaluation set")
-    _need_count(batch_size, "batch_size")
+    need_count(batch_size, "batch_size")
     if np.shape(labels) != (images.shape[0],):
         raise DimensionError(f"labels must be ({images.shape[0]},), got shape {np.shape(labels)}")
     hits = 0
