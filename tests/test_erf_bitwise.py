@@ -5,9 +5,10 @@ it was when every region of the float64 path ran over the whole array, and
 ``erf32_ref``, the float32 rational with no blocks.
 ``oracles.gelu_backward_recompute_ref`` is the GELU backward that
 recomputed the CDF through it, and ``oracles.gelu_forward_half_x_ref`` the
-GELU forward that formed y as (0.5 x)(1 + erf) before halving the CDF. The blocked, gathered erf and the cached CDF
-keep every elementwise operation in the same order, so the comparisons here
-are on raw bytes and dtype, not within a tolerance, for both dtypes.
+GELU forward that formed y as (0.5 x)(1 + erf) before halving the CDF.
+The blocked, gathered erf and the cached CDF keep every elementwise
+operation in the same order, so the comparisons here are on raw bytes and
+dtype, not within a tolerance, for both dtypes.
 """
 
 import numpy as np
