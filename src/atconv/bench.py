@@ -32,6 +32,7 @@ from .gradcheck import DEFAULT_TOL, atconv_check, check_pair
 from .micro import AdamHyper, adam_init
 from .op import ATConv, ATConvConfig, ATConvParams
 from .rng import Rng
+from .tensor import need_count
 from .train import step
 
 CSV_HEADER = "operator,H,lat_med_ms,lat_p10_ms,lat_p90_ms,peak_bytes_measured,peak_bytes_model"
@@ -42,6 +43,18 @@ ABLATION_CSV_HEADER = "config,param_count,forward_ms,gradcheck_pass,probe_diverg
 
 ABLATION_STAGES = ("static_depthwise", "+generator", "+out_proj", "+value_proj",
                    "mod=softmax", "mod=central_diff", "mod=dkm")
+
+
+def _need_sizes(batch, channels, reps, resolutions, kernel: int) -> None:
+    """Raise ArgumentError naming the first of batch, channels, reps and
+    the resolutions that is not a positive integer, or a resolution below
+    the kernel size."""
+    for value, name in ((batch, "batch"), (channels, "channels"), (reps, "reps")):
+        need_count(value, name)
+    for h in resolutions:
+        need_count(h, "resolution")
+        if h < kernel:
+            raise ArgumentError(f"resolution {h} smaller than kernel {kernel}")
 
 
 @dataclass
@@ -63,13 +76,11 @@ class BenchSettings:
                 raise ArgumentError(f"unknown operator {name!r}, expected one of {OPERATORS}")
         if self.dtype not in ("f32", "f64"):
             raise ArgumentError(f"dtype must be f32 or f64, got {self.dtype!r}")
+        _need_sizes(self.batch, self.channels, self.reps, self.resolutions, self.kernel)
         if self.reps < 3 or self.warmup < 0:
             raise ArgumentError("reps must be >= 3 and warmup >= 0")
         if list(self.resolutions) != sorted(self.resolutions):
             raise ArgumentError("resolutions must be ascending")
-        for h in self.resolutions:
-            if h < self.kernel:
-                raise ArgumentError(f"resolution {h} smaller than kernel {self.kernel}")
 
     @property
     def np_dtype(self):
@@ -288,6 +299,7 @@ def run_ablation(channels: int = 64, kernel: int = 3, seed: int = 0,
                  batch: int = 8, resolution: int = 16, reps: int = 5,
                  dry_run: bool = False) -> list:
     """One row per roadmap stage; see ABLATION_STAGES for the order."""
+    _need_sizes(batch, channels, reps, (resolution,), kernel)
     rows = []
     for stage in ABLATION_STAGES:
         rng = Rng(seed)

@@ -510,6 +510,8 @@ def cross_entropy(logits, labels):
         raise DimensionError(f"cross_entropy got an empty batch: logits of shape {logits.shape}")
     if labels.shape != (b_,):
         raise DimensionError(f"labels must be ({b_},), got {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ArgumentError(f"labels must have an integer dtype, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= nc:
         raise ArgumentError("labels out of range for the class count")
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -529,6 +531,26 @@ class AdamHyper:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ArgumentError naming the first field out of its range: lr
+        and weight_decay finite and >= 0, beta1 and beta2 in [0, 1), eps
+        finite and > 0. Runs once, at construction."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ArgumentError(f"{f.name} must be a real number, got {value!r}")
+        rules = (("lr", "finite and >= 0", 0.0 <= self.lr < math.inf),
+                 ("beta1", "in [0, 1)", 0.0 <= self.beta1 < 1.0),
+                 ("beta2", "in [0, 1)", 0.0 <= self.beta2 < 1.0),
+                 ("eps", "finite and > 0", 0.0 < self.eps < math.inf),
+                 ("weight_decay", "finite and >= 0", 0.0 <= self.weight_decay < math.inf))
+        for name, rule, ok in rules:
+            if not ok:
+                raise ArgumentError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def adam_init(params: dict) -> dict:

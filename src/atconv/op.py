@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .primitives import (
 )
 from .rng import Rng
 from .tensor import as_float, as_shaped, as_tensor4, block_ranges, ensure_finite, flop_counter
-
-KERNEL_MODS = ("none", "softmax", "central_diff", "dkm")
 
 # Canonical checkpoint entry names, in serialization order.
 PARAM_NAMES = ("w_f", "w_f_bias", "w_gen", "gamma",
@@ -156,7 +154,7 @@ class ATConvConfig:
     def validate(self, channels: int, kernel_size: int) -> None:
         if self.kernel_mod not in KERNEL_MODS:
             raise ArgumentError(
-                f"kernel_mod must be one of {KERNEL_MODS}, got {self.kernel_mod!r}")
+                f"kernel_mod must be one of {tuple(KERNEL_MODS)}, got {self.kernel_mod!r}")
         if self.kernel_mod == "central_diff" and kernel_size == 1:
             raise UnsupportedConfigError(
                 "central_diff needs off-center taps; a 1x1 kernel has none")
@@ -458,21 +456,42 @@ def central_diff_backward(galpha, cache: CentralDiffCache):
     return graw
 
 
+def _rows_view(a, rows: int):
+    """Batch element 0 of a cached array, broadcast over ``rows`` rows."""
+    return np.broadcast_to(a[:1], (rows,) + a.shape[1:])
+
+
+class KernelMod(NamedTuple):
+    """One kernel modulation's calls: ``forward(raw, gamma,
+    lambda_override) -> (alpha, cache)``, ``backward(galpha, cache) ->
+    (graw, ggamma or None)``, and ``rows(cache, n)``, the cache over n
+    copies of batch element 0. Each calls the stages by this module's
+    names at call time, so a patched name is the one that runs."""
+    forward: Callable
+    backward: Callable
+    rows: Callable
+
+
+# The kernel modulations by name, in the order the CLI and the sweeps list them.
+KERNEL_MODS = {
+    "none": KernelMod(lambda raw, gamma, lo: (raw, None),
+                      lambda galpha, cache: (galpha, None),
+                      lambda cache, n: None),
+    "softmax": KernelMod(lambda raw, gamma, lo: softmax_forward(raw, axis=(2, 3)),
+                         lambda galpha, cache: (softmax_backward(galpha, cache), None),
+                         lambda cache, n: cache._replace(y=_rows_view(cache.y, n))),
+    "central_diff": KernelMod(lambda raw, gamma, lo: central_diff_forward(raw),
+                              lambda galpha, cache: (central_diff_backward(galpha, cache), None),
+                              lambda cache, n: cache._replace(shape=(n,) + cache.shape[1:])),
+    "dkm": KernelMod(lambda raw, gamma, lo: dkm_forward(raw, gamma, lo),
+                     lambda galpha, cache: dkm_backward(galpha, cache),
+                     lambda cache, n: cache._replace(mean=_rows_view(cache.mean, n))),
+}
+
+
 # ======================================================================
 # the full operator
 # ======================================================================
-
-def _kernel_mod_backward(g_alpha, kind: str, mod_cache):
-    """(g_raw, ggamma) through the kernel modulation ``kind``; ggamma is
-    None unless the modulation is dkm."""
-    if kind == "dkm":
-        return dkm_backward(g_alpha, mod_cache)
-    if kind == "softmax":
-        return softmax_backward(g_alpha, mod_cache), None
-    if kind == "central_diff":
-        return central_diff_backward(g_alpha, mod_cache), None
-    return g_alpha, None
-
 
 @dataclass
 class ATConvCache:
@@ -504,14 +523,7 @@ def atconv_forward_cached(x, params: ATConvParams, config: Optional[ATConvConfig
         gen_cache = None
 
     mod = config.kernel_mod
-    if mod == "dkm":
-        alpha, mod_cache = dkm_forward(raw, params.gamma, config.lambda_override)
-    elif mod == "softmax":
-        alpha, mod_cache = softmax_forward(raw, axis=(2, 3))
-    elif mod == "central_diff":
-        alpha, mod_cache = central_diff_forward(raw)
-    else:
-        alpha, mod_cache = raw, None
+    alpha, mod_cache = KERNEL_MODS[mod].forward(raw, params.gamma, config.lambda_override)
     del raw  # no backward reads the raw kernels, so only alpha lives on
 
     if config.use_value_proj:
@@ -565,7 +577,7 @@ def atconv_backward(gy, cache: ATConvCache):
         gx_value = g_v
     del g_v
 
-    g_raw, ggamma = _kernel_mod_backward(g_alpha, cache.mod_kind, cache.mod_cache)
+    g_raw, ggamma = KERNEL_MODS[cache.mod_kind].backward(g_alpha, cache.mod_cache)
     if ggamma is not None:
         grads["gamma"] = ggamma
 
@@ -630,11 +642,6 @@ def _anchor_window(position: tuple, k: int, h: int, w: int) -> tuple:
             slice(h0 - ph + p, h1 - ph + p), slice(w0 - pw + p, w1 - pw + p))
 
 
-def _rows_view(a, rows: int):
-    """Batch element 0 of a cached array, broadcast over ``rows`` rows."""
-    return np.broadcast_to(a[:1], (rows,) + a.shape[1:])
-
-
 def _pool_spread(bounds, size: int, dtype):
     """(size, k) matrix with 1/len where a position lies in a pooling
     window and 0 elsewhere: one axis of the pooling backward."""
@@ -680,14 +687,8 @@ def _row_factors(cache: "ATConvCache", position: tuple) -> _RowFactors:
         return _RowFactors((c_, h_, w_), v.dtype, (hs, ws), g_win, None, None)
     v_win = np.zeros((c_, k, k), dtype=v.dtype)
     v_win[:, us, ts] = v[0, :, hs, ws]
-    mod_cache = cache.mod_cache
-    if cache.mod_kind == "dkm":
-        mod_cache = mod_cache._replace(mean=_rows_view(mod_cache.mean, c_))
-    elif cache.mod_kind == "softmax":
-        mod_cache = mod_cache._replace(y=_rows_view(mod_cache.y, c_))
-    elif cache.mod_kind == "central_diff":
-        mod_cache = mod_cache._replace(shape=(c_,) + mod_cache.shape[1:])
-    g_raw, _ = _kernel_mod_backward(g_y[:, :, None, None] * v_win, cache.mod_kind, mod_cache)
+    mod = KERNEL_MODS[cache.mod_kind]
+    g_raw, _ = mod.backward(g_y[:, :, None, None] * v_win, mod.rows(cache.mod_cache, c_))
     g_vec = g_raw.reshape(c_, c_, k * k) @ gen.mix.w
     act = _gelu_cache(gen)
     gf = gelu_backward(g_vec.reshape(c_, c_, k, k),

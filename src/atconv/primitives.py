@@ -374,18 +374,6 @@ def _pool_cells(bounds, size: int) -> tuple:
     return starts, np.searchsorted(starts, np.arange(size), side="right") - 1
 
 
-def _cell_windows(bounds, cell) -> np.ndarray:
-    """(cells, 2): the windows each cell of ``_pool_cells`` lies in, in
-    order, with k = len(bounds) for none. With k <= size, window i + 1
-    starts where window i - 1 ends or later, so no position lies in three."""
-    k = len(bounds)
-    win = np.full((cell[-1] + 1, 2), k)
-    for i, (lo, hi) in enumerate(bounds):
-        for c in range(cell[lo], cell[hi - 1] + 1):
-            win[c, int(win[c, 0] != k)] = i
-    return win
-
-
 def adaptive_avg_pool_forward(x, k: int):
     """Average the input over a k x k grid of (possibly overlapping) windows.
 
@@ -420,13 +408,18 @@ def adaptive_avg_pool_backward(gy, cache: PoolCache, out=None):
     map.
 
     The windows cut the map into at most (2k-1)^2 cells whose positions
-    share their windows (``_pool_cells``), at most two per axis
-    (``_cell_windows``). Each cell's value is summed once, from +0, over
-    its windows in row-major order, a missing window adding +0: the sum a
-    loop of window adds into a zero map gives each of the cell's
-    positions, bit for bit. The cells are then spread a block of planes
-    at a time (``block_ranges``): each cell row is gathered to its
-    positions' rows and the block added into the map.
+    share their windows (``_pool_cells``), and each window covers a block
+    of cells. Each window's gy / area is added over its block, windows in
+    row-major order, into cell values that start from +0 and keep the
+    cells outermost: each cell sums its windows in the order a loop of
+    window adds into a zero map gives each of its positions. A sum that
+    starts from +0 is never -0, so adding +0 for each window a cell lies
+    outside would move no bit, except where gy is wider than the map:
+    there a sum rounded to the map's dtype can be -0, and each cell
+    outside some window takes one add of +0, which makes it +0 (where a
+    loop of window adds would keep -0). The cells are then spread a block
+    of planes at a time (``block_ranges``): each cell row is gathered to
+    its positions' rows and the block added into the map.
     """
     cache = _need_cache(cache, "adaptive_avg_pool")
     b_, c_, h_, w_ = cache.in_shape
@@ -439,17 +432,19 @@ def adaptive_avg_pool_backward(gy, cache: PoolCache, out=None):
     n = b_ * c_
     h_cut, h_cell = _pool_cells(hb, h_)
     w_cut, w_cell = _pool_cells(wb, w_)
-    hw, ww = _cell_windows(hb, h_cell), _cell_windows(wb, w_cell)
-    # each window's gy / area, with a zero last row and column for no window
     area = np.outer([h1 - h0 for h0, h1 in hb], [w1 - w0 for w0, w1 in wb])
-    t = np.zeros((n, k + 1, k + 1), dtype=gy.dtype)
-    np.divide(gy.reshape(n, k, k), area.astype(gy.dtype), out=t[:, :k, :k])
-    t = t.reshape(n, -1)
-    cells = np.zeros((n, len(h_cut) * len(w_cut)), dtype=cache.dtype)
-    for i in (0, 1):
-        for j in (0, 1):
-            cells += t.take((hw[:, i, None] * (k + 1) + ww[:, j]).ravel(), axis=1)
-    rows = cells.reshape(n, len(h_cut), len(w_cut)).take(w_cell, axis=2)  # (n, cells, W)
+    t = np.empty((k, k, n), dtype=gy.dtype)
+    np.divide(gy.reshape(n, k, k).transpose(1, 2, 0), area[:, :, None].astype(gy.dtype), out=t)
+    cells = np.zeros((len(h_cut), len(w_cut), n), dtype=cache.dtype)
+    for i, (h0, h1) in enumerate(hb):
+        for j, (w0, w1) in enumerate(wb):
+            cells[h_cell[h0]:h_cell[h1 - 1] + 1, w_cell[w0]:w_cell[w1 - 1] + 1] += t[i, j]
+    if t.dtype.itemsize > cells.dtype.itemsize:
+        # the cells that lie in two windows on both axes keep their -0
+        two = [_pool_windows(b, size, int).sum(axis=1)[cut] == 2
+               for b, size, cut in ((hb, h_, h_cut), (wb, w_, w_cut))]
+        np.add(cells, 0, out=cells, where=~np.outer(*two)[:, :, None])
+    rows = cells.transpose(2, 0, 1).take(w_cell, axis=2)  # (n, cells, W)
     planes = gx.reshape(n, h_, w_)
     for lo, hi in block_ranges(n, h_ * w_):
         planes[lo:hi] += rows[lo:hi].take(h_cell, axis=1)

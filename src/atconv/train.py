@@ -178,6 +178,8 @@ def overfit_single_sample(model_config: MicroConfig, image: np.ndarray,
     hits the target stops after its forward: no backward or Adam step runs
     for it. A non-finite loss raises NumericError (see ``step``).
     """
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ArgumentError(f"label must be an integer, got {label!r}")
     rng = Rng(seed)
     model = MicroModel.init(rng, model_config, dtype=np.float64)
     params = model.named_parameters()

@@ -17,13 +17,13 @@ from atconv.micro import (GluCache, _patchify, _unpatchify, glu_backward, glu_fo
 from atconv.op import (ATConvConfig, _padded_blocks, _tap_runs, _tap_sum,
                        atconv_backward, atconv_forward_cached)
 from atconv.primitives import (_ERF32_P, _ERF32_Q, Conv1x1Cache, GeluCache,
-                               LinearCache, PoolCache, _need_cache, _pool_bounds,
+                               LinearCache, PoolCache, _need_cache, _pool_bounds, _pool_cells,
                                conv1x1_backward, conv1x1_forward, erf, gelu_backward,
                                gelu_forward, layer_norm_backward, layer_norm_forward,
                                linear_backward, linear_forward)
 from atconv.rng import _LANES, _TWO_NEG53
 from atconv.tensor import (FLOAT_DTYPES, as_float, as_shaped, as_tensor4, as_vector,
-                           ensure_finite, flop_counter)
+                           block_ranges, ensure_finite, flop_counter)
 
 
 def conv1x1_ref(x, w, bias=None):
@@ -956,6 +956,64 @@ def adaptive_avg_pool_backward_windows_ref(gy, cache: PoolCache):
         for j, (w0, w1) in enumerate(cache.w_bounds):
             area = (h1 - h0) * (w1 - w0)
             gx[:, :, h0:h1, w0:w1] += gy[:, :, i, j][:, :, None, None] / area
+    return gx
+
+
+# The pooling backward before it added each window over its cells: a
+# table of each cell's two windows per axis, with a sentinel k for none,
+# and four gathers from a zero-padded copy of gy / area.
+
+def _cell_windows_ref(bounds, cell) -> np.ndarray:
+    """(cells, 2): the windows each cell of ``_pool_cells`` lies in, in
+    order, with k = len(bounds) for none. With k <= size, window i + 1
+    starts where window i - 1 ends or later, so no position lies in three."""
+    k = len(bounds)
+    win = np.full((cell[-1] + 1, 2), k)
+    for i, (lo, hi) in enumerate(bounds):
+        for c in range(cell[lo], cell[hi - 1] + 1):
+            win[c, int(win[c, 0] != k)] = i
+    return win
+
+
+def adaptive_avg_pool_backward_cell_gather_ref(gy, cache: PoolCache, out=None):
+    """gx, each window's gy / area spread over its window, added into
+    ``out`` (C-contiguous, of the input's shape) in place, or into a zero
+    map.
+
+    The windows cut the map into at most (2k-1)^2 cells whose positions
+    share their windows (``_pool_cells``), at most two per axis
+    (``_cell_windows``). Each cell's value is summed once, from +0, over
+    its windows in row-major order, a missing window adding +0: the sum a
+    loop of window adds into a zero map gives each of the cell's
+    positions, bit for bit. The cells are then spread a block of planes
+    at a time (``block_ranges``): each cell row is gathered to its
+    positions' rows and the block added into the map.
+    """
+    cache = _need_cache(cache, "adaptive_avg_pool")
+    b_, c_, h_, w_ = cache.in_shape
+    hb, wb = cache.h_bounds, cache.w_bounds
+    k = len(hb)
+    gy = as_float(gy, (b_, c_, k, k), "gy")
+    gx = np.zeros(cache.in_shape, dtype=cache.dtype) if out is None else out
+    if gx.shape != cache.in_shape or not gx.flags.c_contiguous:
+        raise ArgumentError(f"out must be a C-contiguous {cache.in_shape} array")
+    n = b_ * c_
+    h_cut, h_cell = _pool_cells(hb, h_)
+    w_cut, w_cell = _pool_cells(wb, w_)
+    hw, ww = _cell_windows_ref(hb, h_cell), _cell_windows_ref(wb, w_cell)
+    # each window's gy / area, with a zero last row and column for no window
+    area = np.outer([h1 - h0 for h0, h1 in hb], [w1 - w0 for w0, w1 in wb])
+    t = np.zeros((n, k + 1, k + 1), dtype=gy.dtype)
+    np.divide(gy.reshape(n, k, k), area.astype(gy.dtype), out=t[:, :k, :k])
+    t = t.reshape(n, -1)
+    cells = np.zeros((n, len(h_cut) * len(w_cut)), dtype=cache.dtype)
+    for i in (0, 1):
+        for j in (0, 1):
+            cells += t.take((hw[:, i, None] * (k + 1) + ww[:, j]).ravel(), axis=1)
+    rows = cells.reshape(n, len(h_cut), len(w_cut)).take(w_cell, axis=2)  # (n, cells, W)
+    planes = gx.reshape(n, h_, w_)
+    for lo, hi in block_ranges(n, h_ * w_):
+        planes[lo:hi] += rows[lo:hi].take(h_cell, axis=1)
     return gx
 
 

@@ -277,6 +277,34 @@ def test_cli_bench_rejects_bad_settings(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["ablate", "--reps", "0"], "reps must be positive, got 0"),
+    (["ablate", "--dry-run", "--resolution", "0"], "resolution must be positive, got 0"),
+    (["ablate", "--dry-run", "--batch", "-1"], "batch must be positive, got -1"),
+    (["ablate", "--dry-run", "--channels", "0"], "channels must be positive, got 0"),
+    (["ablate", "--dry-run", "--resolution", "2"], "resolution 2 smaller than kernel 3"),
+    (["bench", "--dry-run", "--batch", "0"], "batch must be positive, got 0"),
+    (["bench", "--batch", "-3"], "batch must be positive, got -3"),
+    (["bench", "--dry-run", "--channels", "0"], "channels must be positive, got 0"),
+    (["bench", "--dry-run", "--resolutions", "0,8"], "resolution must be positive, got 0"),
+    (["bench", "--dry-run", "--reps", "-1"], "reps must be positive, got -1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_bench_and_ablate_reject_bad_counts(capsys, argv, message):
+    # ablate --reps 0 died in np.percentile with an IndexError traceback;
+    # a zero batch or resolution exited 0 with a CSV; bench --batch -3
+    # failed in the generator
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field,value", [("batch", 0), ("channels", 2.5), ("reps", True),
+                                         ("resolutions", (8, 0))])
+def test_bench_settings_name_a_bad_count(field, value):
+    name = "resolution" if field == "resolutions" else field
+    with pytest.raises(ArgumentError, match=f"^{name} must be"):
+        BenchSettings(**{field: value}).validate()
+
+
 def test_cli_ablate_dry_run(tmp_path):
     out = tmp_path / "ablation.csv"
     assert main(["ablate", "--dry-run", "--out", str(out)]) == 0

@@ -9,7 +9,7 @@ is forced with ``OPENBLAS_CORETYPE`` in the tool's own process only, so the
 host's default kernels do not matter; a CPU that cannot run the set skips
 with the reason. The file is stamped with the numpy and OpenBLAS versions
 it was made with, and other versions fail as a toolchain change, not a
-code change. One run takes about 10 s.
+code change. Each kernel set has its own file and run, about 8 s each.
 """
 
 import json
@@ -22,8 +22,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "output_hashes.py"
-# the kernel set and the CPU flag it needs
-CORE, FLAG = "SkylakeX", "avx512f"
+# each kernel set and the CPU flag it needs
+CORES = (("SkylakeX", "avx512f"), ("Haswell", "avx2"))
 VERSIONS = ("numpy.version", "blas.version")
 
 
@@ -37,27 +37,28 @@ def _cpu_flags():
             for flag in line.split(":", 1)[1].split()}
 
 
-def test_outputs_equal_the_committed_hashes():
+@pytest.mark.parametrize("core,flag", CORES, ids=[core for core, _ in CORES])
+def test_outputs_equal_the_committed_hashes(core, flag):
     flags = _cpu_flags()
     if flags is None:
-        pytest.skip(f"cannot tell whether the CPU runs {CORE} kernels: no /proc/cpuinfo")
-    if FLAG not in flags:
-        pytest.skip(f"the CPU lacks {FLAG}, which OpenBLAS's {CORE} kernels need")
-    want = json.loads((ROOT / "tools" / "hashes" / f"{CORE}.json").read_text())
-    env = dict(os.environ, OPENBLAS_CORETYPE=CORE)
+        pytest.skip(f"cannot tell whether the CPU runs {core} kernels: no /proc/cpuinfo")
+    if flag not in flags:
+        pytest.skip(f"the CPU lacks {flag}, which OpenBLAS's {core} kernels need")
+    want = json.loads((ROOT / "tools" / "hashes" / f"{core}.json").read_text())
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
     proc = subprocess.run([sys.executable, str(TOOL)], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     if got["blas.core"] is None:
         pytest.skip("numpy bundles no OpenBLAS, so the kernel set cannot be forced")
-    assert got["blas.core"] == CORE, (
-        f"OpenBLAS ran {got['blas.core']} kernels under OPENBLAS_CORETYPE={CORE}")
+    assert got["blas.core"] == core, (
+        f"OpenBLAS ran {got['blas.core']} kernels under OPENBLAS_CORETYPE={core}")
     stale = [f"{k} {got[k]} (the file has {want.get(k)})"
              for k in VERSIONS if got[k] != want.get(k)]
     if stale:
         pytest.fail("the toolchain moved, not the code: " + "; ".join(stale)
-                    + f"; tools/hashes/{CORE}.json holds for its own versions only: "
+                    + f"; tools/hashes/{core}.json holds for its own versions only: "
                     "regenerate it from a known-good commit under this toolchain")
     moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not moved, f"{len(moved)} of {len(want)} entries moved: " + ", ".join(moved)

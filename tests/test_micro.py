@@ -357,6 +357,23 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy(np.zeros((2, 3)), np.array([0]))
 
 
+@pytest.mark.parametrize("labels", [np.array([0.5, 1.0]), np.array([0.0, 1.0]),
+                                    np.array([True, False]), np.array(["0", "1"])],
+                         ids=("fractional", "whole-floats", "bool", "str"))
+def test_cross_entropy_rejects_labels_without_an_integer_dtype(labels):
+    # fractional floats raised numpy's bare IndexError, strings a UFuncTypeError
+    with pytest.raises(ArgumentError, match="labels must have an integer dtype"):
+        cross_entropy(np.zeros((2, 3)), labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+def test_cross_entropy_takes_any_integer_label_dtype(dtype):
+    logits = Rng(152).normal(0, 1, (2, 3))
+    want = cross_entropy(logits, np.array([2, 0]))
+    got = cross_entropy(logits, np.array([2, 0], dtype=dtype))
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
 def test_cross_entropy_rejects_an_empty_batch():
     # raised numpy's zero-size reduction ValueError
     with pytest.raises(DimensionError, match="empty batch"):
@@ -366,6 +383,29 @@ def test_cross_entropy_rejects_an_empty_batch():
 # ----------------------------------------------------------------------
 # optimizer
 # ----------------------------------------------------------------------
+
+BAD_HYPER = [("lr", math.nan), ("lr", -1.0), ("lr", math.inf), ("beta1", 1.0),
+             ("beta1", -0.1), ("beta1", math.nan), ("beta2", 1.0), ("beta2", -1e-9),
+             ("eps", 0.0), ("eps", -1e-8), ("eps", math.inf), ("eps", math.nan),
+             ("weight_decay", -0.1), ("weight_decay", math.inf), ("lr", "0.1"),
+             ("beta1", True)]
+
+
+@pytest.mark.parametrize("name,value", BAD_HYPER)
+def test_adam_hyper_rejects_a_bad_field_at_construction(name, value):
+    # nan, beta1 = 1 and eps = 0 ran and were reported as divergence;
+    # lr = -1 trained uphill without a word
+    with pytest.raises(ArgumentError, match=f"^{name} must be"):
+        AdamHyper(**{name: value})
+
+
+@pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": 1e12}, {"beta1": 0.0, "beta2": 0.0},
+                                    {"eps": 5e-324}, {"weight_decay": 0.0}, {"lr": 1},
+                                    {"lr": np.float32(0.5)}])
+def test_adam_hyper_keeps_the_edges_of_its_ranges(kwargs):
+    hyper = AdamHyper(**kwargs)
+    assert all(getattr(hyper, k) == v for k, v in kwargs.items())
+
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = {"a": np.array([1.0, -2.0])}

@@ -336,6 +336,13 @@ def test_config_rejects_unknown_mod():
         ATConvConfig(kernel_mod="mystery").validate(3, 3)
 
 
+def test_config_names_the_kernel_modulations_in_its_message():
+    with pytest.raises(ArgumentError) as info:
+        ATConvConfig(kernel_mod="x").validate(3, 3)
+    assert str(info.value) == ("kernel_mod must be one of "
+                               "('none', 'softmax', 'central_diff', 'dkm'), got 'x'")
+
+
 def test_config_rejects_static_kernel_with_generator_on():
     cfg = ATConvConfig(static_kernel=np.ones((3, 9)))
     with pytest.raises(ArgumentError):
@@ -414,6 +421,34 @@ def test_forward_reads_the_named_parameter_arrays(monkeypatch):
     assert sorted(id(a) for a in op.named_parameters().values()) == ids
     assert np.array_equal(outputs[0], outputs[1])
     assert not np.array_equal(outputs[1], outputs[2])
+
+
+@pytest.mark.parametrize("mod", ["dkm", "softmax", "central_diff"])
+def test_modulation_stages_run_by_module_name(monkeypatch, mod):
+    """The forward, the backward and ``ATConv.influence`` reach each
+    modulation's stages through this module's names at call time, so a
+    patched name (as the tracer patches them) is the one that runs."""
+    calls = []
+
+    def counted(name):
+        real = getattr(atconv_op, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    fwd, bwd = f"{mod}_forward", f"{mod}_backward"
+    for name in (fwd, bwd):
+        monkeypatch.setattr(atconv_op, name, counted(name))
+    rng = Rng(71)
+    op = ATConv(ATConvParams.init(rng, 3, 3), ATConvConfig(kernel_mod=mod))
+    y, cache = op.forward_cached(rng.normal(0, 1, (2, 3, 6, 5)))
+    assert calls == [fwd]
+    atconv_backward(np.ones_like(y), cache)
+    assert calls == [fwd, bwd]
+    op.influence(cache, (0, 4))
+    assert calls == [fwd, bwd, bwd]
 
 
 def test_forward_rejects_channel_mismatch():

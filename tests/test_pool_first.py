@@ -7,7 +7,8 @@ the same kernels and gradients up to rounding: within 1e-12 of the
 largest entry in float64 and 1e-5 in float32, for the generator alone and
 for the whole operator under every kernel modulation. The pooling
 backward spreads each pooling cell once; that must match the former loop
-of one strided add per window bit for bit.
+of one strided add per window bit for bit, and the former cell gathers
+(``oracles.adaptive_avg_pool_backward_cell_gather_ref``) byte for byte.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from atconv.op import (KERNEL_MODS, ATConvConfig, ATConvParams, atconv_backward,
                        generate_kernels_forward)
 from atconv.primitives import adaptive_avg_pool_backward, adaptive_avg_pool_forward
 from atconv.rng import Rng
-from oracles import (adaptive_avg_pool_backward_windows_ref,
+from oracles import (adaptive_avg_pool_backward_cell_gather_ref,
+                     adaptive_avg_pool_backward_windows_ref,
                      generate_kernels_backward_conv_first_ref,
                      generate_kernels_forward_conv_first_ref)
 
@@ -158,6 +160,43 @@ def test_cell_spread_keeps_signed_zeros_as_the_loop_does():
     gy = np.full((1, 1, 3, 3), -0.0)
     got = adaptive_avg_pool_backward(gy, cache)
     assert got.tobytes() == adaptive_avg_pool_backward_windows_ref(gy, cache).tobytes()
+
+
+# (H, W) and k of the cell-gather checks: each k on the oracle's square,
+# uneven and large maps, and on a map k pixels wide
+GATHER_CASES = ([(hw, k) for hw in ((7, 7), (30, 17), (32, 32)) for k in (1, 3, 5)]
+                + [((11, k), k) for k in (1, 3, 5)])
+
+
+def _edge_values(dtype) -> np.ndarray:
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -7 * tiny], dtype)
+
+
+@pytest.mark.parametrize("hw,k", GATHER_CASES,
+                         ids=lambda c: "x".join(map(str, c)) if isinstance(c, tuple) else f"k{c}")
+@pytest.mark.parametrize("map_dtype,gy_dtype", [(np.float32, np.float32),
+                                                (np.float64, np.float64),
+                                                (np.float32, np.float64),
+                                                (np.float64, np.float32)],
+                         ids=("f32", "f64", "f32-f64gy", "f64-f32gy"))
+def test_window_adds_over_cells_are_the_cell_gathers_byte_for_byte(map_dtype, gy_dtype, hw, k):
+    # gy holds every third entry +-0 or +-subnormal, then only those: the
+    # cells a window skips would add +0 to sums that are never -0
+    rng = Rng(2250 + 7 * k + sum(hw))
+    _, cache = adaptive_avg_pool_forward(rng.normal(0, 1, (B, C) + hw, map_dtype), k)
+    edges = _edge_values(gy_dtype)
+    mixed = rng.normal(0, 1, (B, C, k, k), gy_dtype)
+    mixed.reshape(-1)[::3] = np.resize(edges, mixed.reshape(-1)[::3].size)
+    for gy in (mixed, np.resize(edges, (B, C, k, k))):
+        base = rng.normal(0, 1, (B, C) + hw, map_dtype)
+        base.reshape(-1)[::5] = -0.0
+        for out in (None, base):
+            want = adaptive_avg_pool_backward_cell_gather_ref(
+                gy, cache, None if out is None else out.copy())
+            got = adaptive_avg_pool_backward(gy, cache, None if out is None else out.copy())
+            assert got.dtype == want.dtype == map_dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_cell_spread_refuses_an_out_it_cannot_add_into_in_place():

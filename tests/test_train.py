@@ -213,6 +213,35 @@ def test_a_forward_failure_rescues_the_parameters_that_entered_the_step_before(
         assert value.tobytes() == expected[name].tobytes(), name
 
 
+@pytest.mark.parametrize("name,value", [("lr", float("nan")), ("lr", -1.0), ("beta1", 1.0),
+                                        ("beta2", 1.0), ("eps", 0.0), ("weight_decay", -1.0)])
+def test_bad_adam_hyperparameters_raise_before_any_step(tiny_data, tmp_path, monkeypatch,
+                                                        name, value):
+    # lr = nan, beta1 = 1 and eps = 0 were reported as divergence, with a
+    # rescue checkpoint; lr = -1 trained uphill
+    steps = []
+    monkeypatch.setattr(train_mod, "step", lambda *args: steps.append(args))
+    ckpt = tmp_path / "x.atck"
+    with pytest.raises(ArgumentError, match=f"^{name} must be"):
+        train(TINY, *tiny_data, TrainSettings(epochs=1, batch_size=16,
+                                               hyper=AdamHyper(**{name: value})),
+              checkpoint_path=str(ckpt))
+    assert not steps
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lr", "nan", "lr must be finite and >= 0, got nan"),
+    ("--lr", "-1", "lr must be finite and >= 0, got -1.0"),
+    ("--weight-decay", "inf", "weight_decay must be finite and >= 0, got inf")])
+def test_cli_train_rejects_bad_adam_hyperparameters(tmp_path, capsys, flag, value, message):
+    ckpt = tmp_path / "x.atck"
+    assert main(["train", "--synthetic", "--n-train", "16", "--n-test", "8",
+                 flag, value, "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_real_divergence_ends_in_training_diverged(tiny_data, tmp_path):
     # lr=1e12 overflows the f32 activations a few steps in: the op that
     # goes non-finite raises NumericError inside the step, not the loss
@@ -386,6 +415,23 @@ def test_evaluate_rejects_a_label_count_other_than_the_image_count(count):
     images = np.zeros((6, 1, 4, 4), dtype=np.float32)
     with pytest.raises(DimensionError, match=r"labels must be \(6,\)"):
         evaluate(_NoForward(), images, np.zeros(count, dtype=np.int64))
+
+
+@pytest.mark.parametrize("label", [3.5, 3.0, "3", True, np.float64(3.0), None])
+def test_overfit_single_sample_rejects_a_label_that_is_not_an_integer(label):
+    # 3.5 trained on class 3 without a word
+    image = synth_dataset(11, 10, 10)[0].images[0]
+    with pytest.raises(ArgumentError, match="label must be an integer"):
+        overfit_single_sample(TINY, image, label, steps=1)
+
+
+def test_overfit_single_sample_takes_a_numpy_integer_label():
+    train_set, _ = synth_dataset(11, 10, 10)
+    label = train_set.labels[0]
+    assert isinstance(label, np.integer)
+    args = (TINY, train_set.images[0])
+    assert overfit_single_sample(*args, label, steps=2) == overfit_single_sample(
+        *args, int(label), steps=2)
 
 
 def test_overfit_single_sample_converges():

@@ -56,7 +56,8 @@ and comparing the objects. It covers:
   kind over all its draws.
 
 The package is imported from ``src`` and the CLI runs as a subprocess of
-the same interpreter, with ``ATCONV_THREADS=1``.
+the same interpreter, with ``ATCONV_THREADS=1`` and every BLAS thread
+variable set to 1 before numpy loads, whatever the caller's environment.
 
 Many of these bits depend on the BLAS kernels that ran: the same OpenBLAS
 picks other kernels under ``OPENBLAS_CORETYPE`` and moves about half the
@@ -67,9 +68,11 @@ at the same core and versions.
 
 ``tools/hashes/<core>.json`` is this output under
 ``OPENBLAS_CORETYPE=<core>``, and ``tests/test_bit_contract.py`` checks the
-tree against it. A deliberate bit change regenerates it:
+tree against each (SkylakeX and Haswell). A deliberate bit change
+regenerates them:
 
     OPENBLAS_CORETYPE=SkylakeX python3 tools/output_hashes.py > tools/hashes/SkylakeX.json
+    OPENBLAS_CORETYPE=Haswell python3 tools/output_hashes.py > tools/hashes/Haswell.json
 """
 
 import ctypes
@@ -82,7 +85,11 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.abspath("src"))
-os.environ["ATCONV_THREADS"] = "1"
+# one BLAS thread whatever the caller set, before numpy starts its pool:
+# some kernel sets (Haswell) round a GEMM otherwise on two threads
+for var in ("ATCONV_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 
