@@ -181,8 +181,8 @@ def _edge_values(dtype) -> np.ndarray:
                                                 (np.float64, np.float32)],
                          ids=("f32", "f64", "f32-f64gy", "f64-f32gy"))
 def test_window_adds_over_cells_are_the_cell_gathers_byte_for_byte(map_dtype, gy_dtype, hw, k):
-    # gy holds every third entry +-0 or +-subnormal, then only those: the
-    # cells a window skips would add +0 to sums that are never -0
+    # gy holds every third entry +-0 or +-subnormal, then only those, and
+    # out holds -0s: with gy wider than the map a cell's sum can round to -0
     rng = Rng(2250 + 7 * k + sum(hw))
     _, cache = adaptive_avg_pool_forward(rng.normal(0, 1, (B, C) + hw, map_dtype), k)
     edges = _edge_values(gy_dtype)
